@@ -19,71 +19,61 @@ from .lattice import (
     round_half_up,
 )
 
-# Nearest integer, ties toward +infinity: the rounding used everywhere here.
-round_nearest = round_half_up
-
 
 @dataclass(frozen=True)
 class NearestPlaneResult:
     """coeffs / point: the chosen lattice vector; residuals[i] is the real
-    coefficient at level i immediately before it was rounded."""
+    coefficient at level i immediately before it was rounded.  For a batch
+    of targets each field holds one row per target."""
 
     coeffs: np.ndarray
     point: np.ndarray
     residuals: np.ndarray
 
 
-def _nearest_plane_upper(matrix, x):
-    """Rounding recursion specialized to an upper-triangular generator.
+def nearest_plane(V: GeneratorMatrix, X, method="auto") -> NearestPlaneResult:
+    """Round targets to nearby lattice points, one basis level at a time.
 
-    Shared verbatim with the interactive protocol simulation so that both
-    compute bit-identical coefficients.
+    X is one target (shape (n,)) or a batch of targets (shape (k, n)); the
+    result fields have the same leading shape.  The targets are rotated into
+    the frame of V.qr(), where the recursion walks R from the last level to
+    the first.  For an upper-triangular V that rotation only flips signs, so
+    the coefficients are those of the recursion on V itself, bit for bit.
+    method="triangular" additionally requires an upper-triangular V.
+    Coefficients must stay below 2^52 in magnitude (see round_half_up).
     """
-    n = matrix.shape[0]
-    b = np.zeros(n, dtype=np.int64)
-    residuals = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        acc = float(matrix[i, i + 1:] @ b[i + 1:].astype(float))
-        r = (float(x[i]) - acc) / float(matrix[i, i])
-        residuals[i] = r
-        b[i] = round_nearest(r)
-    return b, residuals
-
-
-def nearest_plane(V: GeneratorMatrix, x, method="auto") -> NearestPlaneResult:
-    """Round x to a nearby lattice point, one basis level at a time.
-
-    method: "auto" uses the direct recursion when V is upper triangular and
-    the orthogonalized recursion otherwise; "triangular" / "gram_schmidt"
-    force a path (the former requires an upper-triangular V).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (V.n,):
+    X = np.asarray(X, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[-1] != V.n:
         raise ValueError("target dimension mismatch")
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(X)):
         raise ValueError("target must be finite")
-    if method not in ("auto", "triangular", "gram_schmidt"):
+    if method not in ("auto", "triangular"):
         raise ValueError(f"unknown method {method!r}")
     if method == "triangular" and not V.is_upper_triangular():
         raise ValueError("triangular method needs an upper-triangular matrix")
-    use_triangular = method == "triangular" or (
-        method == "auto" and V.is_upper_triangular())
-    if use_triangular:
-        b, residuals = _nearest_plane_upper(V.matrix, x)
-    else:
-        gs = V.gram()
-        n = V.n
-        # t holds the coordinates of the running target in the orthogonal
-        # frame; projecting onto the lower span just drops coordinates.
-        t = (gs.orthogonal.T @ x) / gs.sq_norms
-        b = np.zeros(n, dtype=np.int64)
-        residuals = np.zeros(n)
-        for i in range(n - 1, -1, -1):
-            residuals[i] = t[i]
-            b[i] = round_nearest(float(t[i]))
-            t[:i] -= b[i] * gs.mu[i, :i]
-    return NearestPlaneResult(
-        coeffs=b, point=V.matrix @ b.astype(float), residuals=residuals)
+    Q, R = V.qr()
+    r = R.matrix
+    n = V.n
+    X2 = np.atleast_2d(X)
+    # Y holds each target in the QR frame, minus the columns already fixed;
+    # once level i is done, Y[:, i] is its real coefficient before rounding.
+    # Every sum is accumulated term by term, never through a BLAS product,
+    # so a row's arithmetic does not depend on how many rows the batch has.
+    Y = np.zeros(X2.shape)
+    for j in range(n):
+        Y += X2[:, j, None] * Q[j]
+    B = np.empty(X2.shape, dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        Y[:, i] /= r[i, i]
+        b = round_half_up(Y[:, i])
+        B[:, i] = b
+        Y[:, :i] -= b[:, None] * r[:i, i]
+    if X.ndim == 1:
+        b = B[0]
+        return NearestPlaneResult(coeffs=b, point=V.matrix @ b.astype(float),
+                                  residuals=Y[0])
+    return NearestPlaneResult(coeffs=B, point=B.astype(float) @ V.matrix.T,
+                              residuals=Y)
 
 
 @dataclass(frozen=True)

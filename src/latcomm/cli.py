@@ -250,20 +250,18 @@ def _cmd_simulate(args) -> str:
         X = np.column_stack([s.sample(rng, trials) for s in sources])
 
     scaled = V.scaled(alpha)
+    reference = nearest_plane(scaled, X).coeffs
     summary = {"model": model, "trials": trials, "seed": seed, "alpha": alpha}
     if model == "centralized":
         table = build_ratio_table(scaled)
-        matches = 0
+        B = np.zeros_like(reference)
         total_bits = 0
         sample = None
         for t in range(trials):
-            coeffs, transcript = run_centralized(scaled, X[t])
+            B[t], transcript = run_centralized(scaled, X[t])
             if sample is None:
                 sample = transcript
             total_bits += transcript.total_bits
-            if np.array_equal(coeffs, nearest_plane(scaled, X[t]).coeffs):
-                matches += 1
-        summary["babai_match_count"] = matches
         summary["mean_total_bits"] = total_bits / trials
         summary["side_info_bits_per_trial"] = sum(_s_bits(q) for q in table.q)
         summary["side_info_bound_bits"] = sum(
@@ -273,21 +271,16 @@ def _cmd_simulate(args) -> str:
             if sources is not None else None)
     else:
         B = interactive_coefficients_batch(V, X, alpha)
-        matches = 0
-        total_bits = 0
-        for t in range(trials):
-            if np.array_equal(B[t], nearest_plane(scaled, X[t]).coeffs):
-                matches += 1
-            total_bits += (V.n - 1) * sum(varint_bits(int(u)) for u in B[t])
+        total_bits = (V.n - 1) * sum(varint_bits(int(u)) for u in B.flat)
         _, sample = run_interactive(V, X[0], alpha)
         entropies = [empirical_entropy(B[:, i].tolist()) for i in range(V.n)]
-        summary["babai_match_count"] = matches
         summary["mean_total_bits"] = total_bits / trials
         summary["empirical_entropy_bits"] = entropies
         summary["empirical_rate_bits"] = (V.n - 1) * sum(entropies)
         summary["analytic_rate_bound"] = (
             interactive_rate(sources, V, alpha)
             if sources is not None else None)
+    summary["babai_match_count"] = int(np.all(B == reference, axis=1).sum())
     summary["sample_transcript"] = sample.to_json()
     return _json_text(summary)
 

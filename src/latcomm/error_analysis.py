@@ -311,6 +311,8 @@ def monte_carlo_pe(V: GeneratorMatrix, n_samples: int, seed: int = 0,
         raise ValueError("n_samples must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    if workers < 1:
+        raise ValueError("workers must be positive")
     Q, R = V.qr()
     half = np.abs(np.diag(R.matrix)) / 2.0
     chunks = []

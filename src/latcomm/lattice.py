@@ -1,4 +1,4 @@
-"""Lattice bases: generator matrices, orthogonalization, 2D reduction, exact CVP.
+"""Lattice bases: generator matrices, QR frame, 2D reduction, exact CVP.
 
 A lattice is the integer span of the columns of a full-rank generator matrix
 V.  Everything downstream (nearest-plane rounding, cell geometry, distributed
@@ -57,25 +57,12 @@ def _parse_entry(value):
     raise ValueError(f"bad matrix entry {value!r}")
 
 
-@dataclass(frozen=True)
-class GramSchmidt:
-    """Orthogonalization of a basis: columns of `orthogonal` are v_i^perp.
-
-    mu[i, j] = <v_i, v_j^perp> / ||v_j^perp||^2 for j < i (zero elsewhere),
-    sq_norms[i] = ||v_i^perp||^2.
-    """
-
-    orthogonal: np.ndarray
-    mu: np.ndarray
-    sq_norms: np.ndarray
-
-
 class GeneratorMatrix:
     """Full-rank square generator matrix; column i is the basis vector v_i.
 
     `rational` optionally carries exact values per entry (Fraction or None),
     used by the distributed protocol which needs exact ratios of entries.
-    Derived data (Gram-Schmidt, QR, inverse) is computed lazily and cached.
+    Derived data (QR, inverse) is computed lazily and cached.
     """
 
     def __init__(self, matrix, rational=None):
@@ -109,7 +96,6 @@ class GeneratorMatrix:
         self.rational = rational
         self.n = n
         self.det = det
-        self._gram = None
         self._qr = None
         self._inv = None
 
@@ -187,14 +173,21 @@ class GeneratorMatrix:
                    for row in self.rational]
         return GeneratorMatrix(self.matrix * cf, rat)
 
-    def gram(self):
-        if self._gram is None:
-            self._gram = gram_schmidt(self)
-        return self._gram
-
     def qr(self):
+        """V = Q R with orthonormal Q and R_ii > 0.
+
+        Returns (Q, R) with R wrapped as a GeneratorMatrix: it generates the
+        same lattice up to the isometry Q.  An upper-triangular V gives
+        Q = diag(sign v_ii) and R = Q V exactly, with no factorization, so
+        rotating a target into this frame only flips signs.
+        """
         if self._qr is None:
-            self._qr = qr_upper_triangular(self)
+            if self.is_upper_triangular():
+                Q, R = np.eye(self.n), self.matrix
+            else:
+                Q, R = np.linalg.qr(self.matrix)
+            signs = np.where(np.diag(R) < 0, -1.0, 1.0)
+            self._qr = Q * signs, GeneratorMatrix(R * signs[:, None])
         return self._qr
 
     def inverse(self):
@@ -216,48 +209,28 @@ class LatticeVector:
         return cls(coeffs=u, point=V.matrix @ u.astype(float))
 
 
-def round_half_up(z: float) -> int:
+# Magnitude bound (exclusive) of what round_half_up accepts: below it every
+# float step of the rounding rule is exact.
+ROUND_LIMIT = 2.0 ** 52
+
+
+def round_half_up(z):
     """Nearest integer with halfway cases rounded toward +infinity.
 
-    [0.5] = 1, [-0.5] = 0, [-1.5] = -1.  The comparison 2z < 2*floor(z)+1 is
-    exact in floating point (doubling a double is exact, and Python compares
-    float to int without rounding), so values just below a tie are never
-    misrounded.
+    [0.5] = 1, [-0.5] = 0, [-1.5] = -1.  Takes a scalar (returns a Python
+    int) or an array (returns an int64 array of the same shape).  Rounds up
+    iff 2z >= 2 floor(z) + 1; for |z| < 2^52 both sides are exact doubles,
+    so a value just below a tie is never misrounded.  Non-finite values
+    and |z| >= 2^52 raise ValueError.
     """
-    if not math.isfinite(z):
-        raise ValueError(f"cannot round {z!r}")
-    fl = math.floor(z)
-    return fl if 2.0 * z < 2 * fl + 1 else fl + 1
-
-
-def gram_schmidt(V: GeneratorMatrix) -> GramSchmidt:
-    """Sequential orthogonalization of the basis columns (no normalization)."""
-    m = V.matrix
-    n = V.n
-    ortho = np.array(m, dtype=float)
-    mu = np.zeros((n, n))
-    sq = np.zeros(n)
-    for i in range(n):
-        for j in range(i):
-            mu[i, j] = float(ortho[:, j] @ m[:, i]) / sq[j]
-            ortho[:, i] = ortho[:, i] - mu[i, j] * ortho[:, j]
-        sq[i] = float(ortho[:, i] @ ortho[:, i])
-        _require(sq[i] > 0, DegenerateBasisError, "basis is linearly dependent")
-    return GramSchmidt(orthogonal=ortho, mu=mu, sq_norms=sq)
-
-
-def qr_upper_triangular(V: GeneratorMatrix):
-    """QR decomposition V = Q R with orthonormal Q and R_ii > 0.
-
-    Returns (Q, R) where R is wrapped as a GeneratorMatrix: it generates the
-    same lattice up to the isometry Q.
-    """
-    Q, R = np.linalg.qr(V.matrix)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    Q = Q * signs
-    R = R * signs[:, None]
-    return Q, GeneratorMatrix(R)
+    a = np.asarray(z, dtype=float)
+    ok = np.abs(a) < ROUND_LIMIT  # False for nan and inf too
+    if np.count_nonzero(ok) < a.size:
+        bad = float(a[~ok].flat[0]) if a.ndim else float(a)
+        raise ValueError(f"cannot round {bad!r}: need a finite |z| < 2**52")
+    fl = np.floor(a)
+    r = (fl + (a + a >= fl + fl + 1.0)).astype(np.int64)
+    return int(r) if r.ndim == 0 else r
 
 
 def _norm_sq(v):
@@ -342,16 +315,11 @@ def canonicalize_2d(V: GeneratorMatrix):
     scale = float(r[0, 0])
     a = float(r[0, 1]) / scale
     b = float(r[1, 1]) / scale
-    if -1e-9 <= a < 0.0:
+    if abs(a) <= 1e-9:
         a = 0.0
     if 0.5 < a <= 0.5 + 1e-9:
         a = 0.5
     return ReducedBasis2D(a=a, b=b), scale, Q
-
-
-def _round_half_up_array(z):
-    fl = np.floor(z)
-    return (fl + (2.0 * z >= 2.0 * fl + 1.0)).astype(np.int64)
 
 
 def _cvp_enumerate(V, X, centers, radii, best_d, best_u):
@@ -391,10 +359,10 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
     _require(np.all(np.isfinite(X)), ValueError, "target must be finite")
     n = V.n
     C = X @ V.inverse().T
-    C0 = _round_half_up_array(C)
+    C0 = round_half_up(C)
     R0 = X - C0.astype(float) @ V.matrix.T
     res = np.sqrt(np.einsum("ij,ij->i", R0, R0))
-    h_min = float(np.sqrt(np.min(V.gram().sq_norms)))
+    h_min = float(np.min(np.diag(V.qr()[1].matrix)))
     K = np.ceil(res / h_min).astype(np.int64) + 1
 
     best_d = np.full(len(X), np.inf)

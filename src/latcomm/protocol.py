@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .babai import _nearest_plane_upper
-from .lattice import GeneratorMatrix, _round_half_up_array, round_half_up
+from .babai import nearest_plane
+from .lattice import GeneratorMatrix, round_half_up
 
 __all__ = [
     "ProtocolError",
@@ -307,21 +307,26 @@ def run_centralized(V: GeneratorMatrix, x):
     return coeffs, transcript
 
 
-def run_interactive(V: GeneratorMatrix, x, alpha: float):
-    """One round of the interactive protocol on the scaled lattice
-    alpha * Lambda: node n broadcasts first, then n-1, ..., then 1; every
-    node ends up with the full coefficient vector.  Returns (b, Transcript)."""
+def _interactive_lattice(V: GeneratorMatrix, alpha) -> GeneratorMatrix:
+    """alpha * Lambda, after checking that the interactive protocol applies."""
     if not V.is_upper_triangular():
         raise ProtocolUnsupportedError(
             "interactive protocol needs an upper triangular generator")
     alpha = float(alpha)
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ProtocolError("alpha must be a positive finite scale")
+    return V.scaled(alpha)
+
+
+def run_interactive(V: GeneratorMatrix, x, alpha: float):
+    """One round of the interactive protocol on the scaled lattice
+    alpha * Lambda: node n broadcasts first, then n-1, ..., then 1; every
+    node ends up with the full coefficient vector.  Returns (b, Transcript)."""
+    scaled = _interactive_lattice(V, alpha)
     x = np.asarray(x, dtype=float)
     if x.shape != (V.n,):
         raise ProtocolError(f"x must have shape ({V.n},)")
-    scaled = V.scaled(alpha)
-    coeffs, _ = _nearest_plane_upper(scaled.matrix, x)
+    coeffs = nearest_plane(scaled, x).coeffs
     messages = []
     for i in range(V.n - 1, -1, -1):
         u = int(coeffs[i])
@@ -339,19 +344,12 @@ def run_interactive(V: GeneratorMatrix, x, alpha: float):
 def interactive_coefficients_batch(V: GeneratorMatrix, X,
                                    alpha: float) -> np.ndarray:
     """Coefficient vectors of the interactive protocol for many targets at
-    once (rows of X); identical values to run_interactive, vectorized."""
-    if not V.is_upper_triangular():
-        raise ProtocolUnsupportedError(
-            "interactive protocol needs an upper triangular generator")
-    m = V.matrix * float(alpha)
+    once (rows of X): the nearest-plane coefficients on alpha * Lambda."""
+    scaled = _interactive_lattice(V, alpha)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != V.n:
         raise ProtocolError(f"X must have shape (k, {V.n})")
-    B = np.zeros(X.shape, dtype=np.int64)
-    for i in range(V.n - 1, -1, -1):
-        acc = B[:, i + 1:].astype(float) @ m[i, i + 1:]
-        B[:, i] = _round_half_up_array((X[:, i] - acc) / m[i, i])
-    return B
+    return nearest_plane(scaled, X).coeffs
 
 
 def centralized_rate_bound(sources, V: GeneratorMatrix,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,17 +10,21 @@ from latcomm import (
     GeneratorMatrix,
     babai_cell,
     cvp_bruteforce,
+    interactive_coefficients_batch,
     nearest_plane,
     np_matches_cvp,
-    round_nearest,
+    run_interactive,
 )
 
 
-def _random_basis(rng, n):
-    # QR-controlled conditioning so brute-force CVP stays cheap
+def _random_basis(rng, n, rotated=True):
+    # QR-controlled conditioning so brute-force CVP stays cheap; unrotated
+    # bases are upper triangular with diagonal entries of either sign
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     r = np.triu(rng.uniform(-0.8, 0.8, size=(n, n)))
     np.fill_diagonal(r, rng.uniform(0.6, 1.6, size=n))
+    if not rotated:
+        return GeneratorMatrix(r * rng.choice([-1.0, 1.0], size=n)[:, None])
     return GeneratorMatrix(q @ r)
 
 
@@ -47,15 +52,16 @@ class TestNearestPlane:
         V = GeneratorMatrix.from_columns([[2, 0], [0, 2]])
         assert tuple(nearest_plane(V, [1.0, -1.0]).coeffs) == (1, 0)
 
-    def test_methods_agree_on_triangular(self, ratio311):
+    def test_rotation_invariant(self, ratio311):
         rng = np.random.default_rng(0)
         for _ in range(200):
+            Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
             x = rng.uniform(-10, 10, size=2)
             a = nearest_plane(ratio311, x, method="triangular")
-            b = nearest_plane(ratio311, x, method="gram_schmidt")
+            b = nearest_plane(GeneratorMatrix(Q @ ratio311.matrix), Q @ x)
             assert np.array_equal(a.coeffs, b.coeffs)
 
-    def test_general_basis_uses_gram_schmidt(self):
+    def test_general_basis(self):
         V = GeneratorMatrix.from_columns([[3, 4], [1, 2]])  # not triangular
         res = nearest_plane(V, [2.9, 4.1])
         assert tuple(res.coeffs) == (1, 0)
@@ -75,10 +81,107 @@ class TestNearestPlane:
     def test_unknown_method(self, hexagonal):
         with pytest.raises(ValueError):
             nearest_plane(hexagonal, [0.0, 0.0], method="magic")
+        with pytest.raises(ValueError):
+            nearest_plane(hexagonal, [0.0, 0.0], method="gram_schmidt")
 
-    def test_round_nearest_alias(self):
-        assert round_nearest(0.5) == 1
-        assert round_nearest(-0.5) == 0
+    def test_coefficient_beyond_2_52_rejected(self, hexagonal):
+        with pytest.raises(ValueError, match="2\\*\\*52"):
+            nearest_plane(hexagonal, [1e20, 3e19])
+        with pytest.raises(ValueError, match="2\\*\\*52"):
+            nearest_plane(hexagonal, [[0.0, 0.0], [1e20, 3e19]])
+
+    def test_batch_shape(self, hexagonal):
+        res = nearest_plane(hexagonal, np.zeros((0, 2)))
+        assert res.coeffs.shape == (0, 2)
+        with pytest.raises(ValueError):
+            nearest_plane(hexagonal, np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError):
+            nearest_plane(hexagonal, np.zeros((4, 3)))
+
+
+def _fraction_nearest_plane(M, x):
+    """Nearest plane in exact rational arithmetic on an upper-triangular
+    M (rows of Fractions), ties rounded up: the test-side oracle."""
+    n = len(M)
+    b = [0] * n
+    for i in range(n - 1, -1, -1):
+        r = (Fraction(x[i]) - sum(M[i][l] * b[l] for l in range(i + 1, n))) \
+            / M[i][i]
+        b[i] = math.floor(r + Fraction(1, 2))
+    return b
+
+
+@st.composite
+def _dyadic_case(draw):
+    """An upper-triangular basis with entries k/8 (nonzero, possibly
+    negative diagonal) and targets whose every level is an exact tie or a
+    random dyadic value.  All float steps of the recursion are exact here,
+    so a tie in the rationals is a tie in floats."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-24, 24)
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        M[i][i] = Fraction(draw(entry.filter(lambda k: k != 0)), 8)
+        for l in range(i + 1, n):
+            M[i][l] = Fraction(draw(entry), 8)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            # level by level: the real coefficient at level i is k + 1/2,
+            # i.e. x_i = (k + 1/2) v_ii plus the already-fixed columns
+            x = [Fraction(0)] * n
+            b = [0] * n
+            for i in range(n - 1, -1, -1):
+                t = draw(st.integers(-6, 6)) + Fraction(1, 2)
+                b[i] = math.floor(t + Fraction(1, 2))
+                x[i] = t * M[i][i] + sum(M[i][l] * b[l]
+                                         for l in range(i + 1, n))
+        else:
+            x = [Fraction(draw(st.integers(-400, 400)), 16) for _ in range(n)]
+        rows.append([float(v) for v in x])
+    return M, rows
+
+
+class TestKernel:
+    """The single batched recursion against independent references."""
+
+    @given(_dyadic_case())
+    @settings(max_examples=300)
+    def test_matches_fraction_recursion(self, case):
+        M, rows = case
+        V = GeneratorMatrix(np.array([[float(v) for v in row] for row in M]))
+        X = np.array(rows)
+        expected = [_fraction_nearest_plane(M, x) for x in rows]
+        assert nearest_plane(V, X).coeffs.tolist() == expected
+        for x, e in zip(rows, expected):
+            assert nearest_plane(V, x).coeffs.tolist() == e
+        # the interactive protocol on alpha * Lambda; the ties built above
+        # stay ties at alpha = 1, and a dyadic alpha keeps the floats exact
+        for alpha in (1.0, 0.25):
+            scaled = [[alpha * v for v in row] for row in M]
+            expected = [_fraction_nearest_plane(scaled, x) for x in rows]
+            got = interactive_coefficients_batch(V, X, alpha)
+            assert got.tolist() == expected
+            for x, e in zip(rows, expected):
+                assert run_interactive(V, x, alpha)[0].tolist() == e
+
+    def test_batch_rows_equal_single_calls(self):
+        rng = np.random.default_rng(21)
+        for n in range(2, 7):
+            for rotated in (False, True):
+                for _ in range(10):
+                    V = _random_basis(rng, n, rotated=rotated)
+                    X = rng.uniform(-4, 4, size=(int(rng.integers(1, 40)), n))
+                    batch = nearest_plane(V, X)
+                    for k, x in enumerate(X):
+                        single = nearest_plane(V, x)
+                        assert np.array_equal(batch.coeffs[k], single.coeffs)
+                        assert np.array_equal(batch.residuals[k],
+                                              single.residuals)
+                        # points go through BLAS, whose summation order may
+                        # depend on the shape
+                        assert batch.point[k] == pytest.approx(
+                            single.point, rel=1e-12, abs=1e-12)
 
 
 class TestSuboptimality:

@@ -96,6 +96,13 @@ class TestRounding:
         code, _, err = run(capsys, "babai", "--matrix", m, "--x", "1,2,3")
         assert code == 1 and err.startswith("error:")
 
+    def test_coefficient_out_of_range(self, capsys, files):
+        m = files("m.json", HEX_MATRIX)
+        code, out, err = run(capsys, "babai", "--matrix", m,
+                             "--x", "1e20,3e19")
+        assert code == 1 and out == "" and "2**52" in err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
 
 class TestPerror:
     def test_analytic_hexagonal(self, capsys, files):
@@ -129,6 +136,22 @@ class TestPerror:
         fields = lines[1].split(",")
         assert fields[2] == "0.0833333333333"
         assert fields[3] == "" and fields[4] == ""
+
+    def test_rectangular_is_exactly_zero(self, capsys, files):
+        # skew5 reduces to a rectangular lattice: a is 0, not float noise
+        m = files("m.json", SKEW5_MATRIX)
+        code, out, _ = run(capsys, "perror", "--matrix", m,
+                           "--method", "analytic")
+        doc = json.loads(out)
+        assert code == 0 and doc["a"] == 0.0 and doc["pe"] == 0.0
+
+    def test_workers_must_be_positive(self, capsys, files):
+        m = files("m.json", HEX_MATRIX)
+        for w in ("0", "-2"):
+            code, out, err = run(capsys, "perror", "--matrix", m, "--method",
+                                 "mc", "--samples", "1000", f"--workers={w}")
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_analytic_needs_2d(self, capsys, files):
         m = files("m.json", {"n": 3, "columns": [[1, 0, 0], [0, 1, 0],
@@ -330,3 +353,66 @@ class TestOutputContract:
         code, _, err = run(capsys, "reduce", "--matrix", m,
                            "--format", "csv")
         assert code == 2 and err.startswith("error:")
+
+
+class TestPinnedOutputs:
+    """Integer and bit fields of `babai` and `simulate`, pinned so that a
+    change to the rounding kernel cannot move them unnoticed."""
+
+    TRI3 = {"n": 3, "columns": [[-2, 0, 0], ["1/2", "3/4", 0],
+                                ["1/3", "-1/5", "-5/4"]]}
+    # the upper-triangular basis (1.2,0,0), (0.4,0.9,0), (0.3,-0.2,1.1)
+    # rotated by (cos, sin) = (0.6, 0.8) in the first coordinate plane
+    ROT3 = {"n": 3, "columns": [[0.72, 0.96, 0.0],
+                                [-0.4800000000000001, 0.8600000000000001, 0.0],
+                                [0.34, 0.12, 1.1]]}
+    TARGETS = ("0,0,0", "0.9,-1.7,2.3", "-1,0.375,0.625", "3.1,2.2,-4.05",
+               "-7.5,1.5,10.25", "0.5,0.5,0.5")
+    BABAI = {
+        "TRI3": [[0, 0, 0], [-2, -3, -2], [1, 1, 0], [0, 4, 3], [2, 0, -8],
+                 [0, 1, 0]],
+        "ROT3": [[0, 0, 0], [-1, -1, 2], [-1, 1, 1], [5, -2, -4],
+                 [-8, 10, 9], [1, 0, 0]],
+    }
+    SCENARIOS = {
+        "readme": {"matrix": {"n": 2, "columns": [["5/4", 0], [0, "4/5"]]},
+                   "alpha": 2.0 ** -10, "trials": 1000, "seed": 1,
+                   "sources": [{"dist": "uniform", "lo": 0, "hi": 1}] * 2},
+        "tri3": {"matrix": {"n": 3, "columns": [[1, 0, 0], ["1/2", "3/4", 0],
+                                                ["1/3", "-1/5", "5/4"]]},
+                 "alpha": 2.0 ** -6, "trials": 500, "seed": 7,
+                 "sources": [{"dist": "uniform", "lo": 0, "hi": 1}] * 3},
+    }
+    # (babai_match_count, mean_total_bits, decoded, per-message bits)
+    SIMULATE = {
+        ("readme", "centralized"): (1000, 30.944, {"0": [249, 514]},
+                                    [16, 16]),
+        ("readme", "interactive"): (
+            1000, 30.944, {"1": [249, 514], "2": [249, 514]}, [16, 16]),
+        ("tri3", "centralized"): (500, 32.792, {"0": [22, 45, 33]},
+                                  [11, 12, 8]),
+        ("tri3", "interactive"): (
+            500, 53.024, {str(i): [22, 45, 33] for i in (1, 2, 3)},
+            [16, 16, 16]),
+    }
+
+    def test_babai_coeffs(self, capsys, files):
+        for name, expected in self.BABAI.items():
+            m = files("m.json", getattr(self, name))
+            got = []
+            for x in self.TARGETS:
+                code, out, _ = run(capsys, "babai", "--matrix", m, f"--x={x}")
+                assert code == 0
+                got.append(json.loads(out)["coeffs"])
+            assert got == expected, name
+
+    def test_simulate_bits(self, capsys, files):
+        for (name, model), expected in self.SIMULATE.items():
+            sc = files("sc.json", dict(self.SCENARIOS[name], model=model))
+            code, out, _ = run(capsys, "simulate", "--scenario", sc)
+            assert code == 0
+            doc = json.loads(out)
+            t = doc["sample_transcript"]
+            got = (doc["babai_match_count"], doc["mean_total_bits"],
+                   t["decoded"], [msg["bits"] for msg in t["messages"]])
+            assert got == expected, (name, model)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latcomm import (
@@ -17,9 +17,7 @@ from latcomm import (
     cvp_bruteforce,
     cvp_bruteforce_batch,
     gauss_reduce_2d,
-    gram_schmidt,
     is_minkowski_reduced_2d,
-    qr_upper_triangular,
     round_half_up,
 )
 
@@ -43,6 +41,33 @@ class TestRoundHalfUp:
             round_half_up(float("nan"))
         with pytest.raises(ValueError):
             round_half_up(float("inf"))
+        with pytest.raises(ValueError):
+            round_half_up(np.array([0.5, float("-inf")]))
+
+    def test_rejects_beyond_2_52(self):
+        # at 2^52 the float rule would round the integer up to 2^52 + 1
+        for z in (2.0 ** 52, -(2.0 ** 52), 1e20):
+            with pytest.raises(ValueError, match="2\\*\\*52"):
+                round_half_up(z)
+            with pytest.raises(ValueError, match="2\\*\\*52"):
+                round_half_up(np.array([0.0, z]))
+
+    def test_array_input(self):
+        z = np.array([[0.5, -0.5], [-1.5, 2.49]])
+        r = round_half_up(z)
+        assert r.dtype == np.int64 and r.tolist() == [[1, 0], [-1, 2]]
+        assert isinstance(round_half_up(np.float64(2.5)), int)
+
+    @given(st.floats(min_value=-(2.0 ** 52), max_value=2.0 ** 52,
+                     exclude_min=True, exclude_max=True))
+    @example(2.0 ** 52 - 0.5)  # the largest ties
+    @example(2.0 ** 52 - 1.5)
+    @example(-(2.0 ** 52 - 0.5))
+    @example(-(2.0 ** 52 - 1.5))
+    def test_exact_up_to_2_52(self, z):
+        expected = math.floor(Fraction(z) + Fraction(1, 2))
+        assert round_half_up(z) == expected
+        assert round_half_up(np.array([z])).tolist() == [expected]
 
     @given(st.floats(min_value=-1e9, max_value=1e9))
     def test_nearest_integer(self, z):
@@ -147,28 +172,34 @@ class TestGeneratorMatrix:
 
 
 class TestFactorizations:
-    def test_gram_schmidt_orthogonal(self, skew5):
-        gs = gram_schmidt(skew5)
-        O = gs.orthogonal
-        assert abs(O[:, 0] @ O[:, 1]) < 1e-12
-        # v_j = o_j + sum_{i<j} mu[j,i] o_i
-        v1 = O[:, 1] + gs.mu[1, 0] * O[:, 0]
-        assert v1 == pytest.approx(skew5.column(1))
-        assert gs.mu[1, 0] == pytest.approx(3.0 / 5.0)
-        assert gs.sq_norms == pytest.approx([25.0, 1.0])
+    @staticmethod
+    def _check_qr(V):
+        Q, R = V.qr()
+        assert np.allclose(Q @ Q.T, np.eye(V.n), atol=1e-12)
+        assert np.allclose(Q @ R.matrix, V.matrix, atol=1e-12)
+        assert R.is_upper_triangular() and np.all(np.diag(R.matrix) > 0)
+        return Q, R
+
+    def test_qr_frame_skew5(self, skew5):
+        _, R = self._check_qr(skew5)
+        assert np.diag(R.matrix) ** 2 == pytest.approx([25.0, 1.0])
+
+    def test_qr_frame_hexagonal(self, hexagonal):
+        _, R = self._check_qr(hexagonal)
+        assert np.diag(R.matrix) ** 2 == pytest.approx([1.0, 0.75])
+
+    def test_qr_frame_rotated(self):
+        V = GeneratorMatrix.from_columns([[3, 4], [1, 2]])
+        _, R = self._check_qr(V)
+        assert np.diag(R.matrix) ** 2 == pytest.approx([25.0, 4.0 / 25.0])
 
     def test_qr_positive_diagonal(self):
         V = GeneratorMatrix.from_columns([[-2, 0], [1, -3]])
-        Q, R = V.qr()
-        assert np.allclose(Q @ Q.T, np.eye(2), atol=1e-12)
-        assert np.allclose(Q @ R.matrix, V.matrix, atol=1e-12)
-        assert R.matrix[0, 0] > 0 and R.matrix[1, 1] > 0
+        Q, R = self._check_qr(V)
+        # upper triangular: a sign flip, exact
+        assert np.array_equal(Q, -np.eye(2))
+        assert np.array_equal(R.matrix, -V.matrix)
         assert abs(R.matrix[1, 0]) == 0.0
-
-    def test_qr_matches_gram_schmidt_norms(self, hexagonal):
-        _, R = qr_upper_triangular(hexagonal)
-        gs = gram_schmidt(hexagonal)
-        assert np.diag(R.matrix) ** 2 == pytest.approx(gs.sq_norms)
 
 
 class TestGaussReduction:
@@ -227,7 +258,7 @@ class TestGaussReduction:
 class TestCanonicalize:
     def test_rectangular_case(self, skew5):
         rb, scale, Q = canonicalize_2d(skew5)
-        assert rb.a == pytest.approx(0.0, abs=1e-12)
+        assert rb.a == 0.0  # float noise of either sign snaps to zero
         assert rb.b == pytest.approx(1.0, abs=1e-12)
         assert scale == pytest.approx(math.sqrt(5))
 
@@ -309,6 +340,10 @@ class TestCvp:
     def test_non_finite_target(self, hexagonal):
         with pytest.raises(ValueError):
             cvp_bruteforce(hexagonal, [float("nan"), 0.0])
+
+    def test_coefficient_beyond_2_52_rejected(self, hexagonal):
+        with pytest.raises(ValueError, match="2\\*\\*52"):
+            cvp_bruteforce_batch(hexagonal, [1e20, 1.0])
 
     def test_batch_matches_scalar(self, hexagonal):
         rng = np.random.default_rng(11)

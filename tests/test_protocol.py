@@ -316,6 +316,14 @@ class TestInteractive:
         with pytest.raises(ProtocolError):
             run_interactive(hexagonal, [0.0], 1.0)
 
+    def test_coefficient_beyond_2_52_rejected(self, hexagonal):
+        # at alpha = 1e-30 the coefficients are ~1e30: an error, not a
+        # wrapped int64
+        with pytest.raises(ValueError, match="2\\*\\*52"):
+            interactive_coefficients_batch(hexagonal, [[1.0, 1.0]], 1e-30)
+        with pytest.raises(ValueError, match="2\\*\\*52"):
+            run_interactive(hexagonal, [1.0, 1.0], 1e-30)
+
 
 class TestRates:
     def test_centralized_bound_hexagonal(self, hexagonal):
