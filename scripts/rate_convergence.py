@@ -47,7 +47,7 @@ def main(argv=None) -> int:
         B = interactive_coefficients_batch(V, X, alpha)
         rate = interactive_rate(sources, V, alpha)
         for i in range(n):
-            h = empirical_entropy(B[:, i].tolist())
+            h = empirical_entropy(B[:, i])
             target = (sources[i].differential_entropy_bits()
                       - math.log2(alpha * abs(float(V.matrix[i, i]))))
             print(f"{alpha:.10g},{i + 1},{h:.6f},{target:.6f},"

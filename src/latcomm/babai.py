@@ -51,8 +51,7 @@ def nearest_plane(V: GeneratorMatrix, X, method="auto") -> NearestPlaneResult:
         raise ValueError(f"unknown method {method!r}")
     if method == "triangular" and not V.is_upper_triangular():
         raise ValueError("triangular method needs an upper-triangular matrix")
-    Q, R = V.qr()
-    r = R.matrix
+    Q, r = V.qr()
     n = V.n
     X2 = np.atleast_2d(X)
     # Y holds each target in the QR frame, minus the columns already fixed;
@@ -102,7 +101,7 @@ def babai_cell(V: GeneratorMatrix, lattice_point) -> BabaiCell:
     else:
         lp = LatticeVector.from_coeffs(V, lattice_point)
     Q, R = V.qr()
-    half = np.abs(np.diag(R.matrix)) / 2.0
+    half = np.abs(np.diag(R)) / 2.0
     return BabaiCell(center=lp, half_widths=half, frame=Q)
 
 

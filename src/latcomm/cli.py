@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -39,17 +38,15 @@ from .lattice import (
     gauss_reduce_2d,
 )
 from .protocol import (
+    ProtocolError,
     ProtocolUnsupportedError,
     SourceModel,
-    _s_bits,
     build_ratio_table,
     centralized_rate_bound,
-    interactive_coefficients_batch,
     interactive_rate,
     empirical_entropy,
     run_centralized,
     run_interactive,
-    varint_bits,
 )
 
 _DEFAULT_K = "0,0.01,0.02,0.04,0.06,1/12"
@@ -250,38 +247,36 @@ def _cmd_simulate(args) -> str:
         X = np.column_stack([s.sample(rng, trials) for s in sources])
 
     scaled = V.scaled(alpha)
-    reference = nearest_plane(scaled, X).coeffs
     summary = {"model": model, "trials": trials, "seed": seed, "alpha": alpha}
     if model == "centralized":
+        # the fusion center's integer decode, checked against the kernel
+        reference = nearest_plane(scaled, X).coeffs
+        B, transcript = run_centralized(scaled, X)
         table = build_ratio_table(scaled)
-        B = np.zeros_like(reference)
-        total_bits = 0
-        sample = None
-        for t in range(trials):
-            B[t], transcript = run_centralized(scaled, X[t])
-            if sample is None:
-                sample = transcript
-            total_bits += transcript.total_bits
-        summary["mean_total_bits"] = total_bits / trials
-        summary["side_info_bits_per_trial"] = sum(_s_bits(q) for q in table.q)
-        summary["side_info_bound_bits"] = sum(
-            math.log2(q) for q in table.q)
+        summary["side_info_bits_per_trial"] = sum(table.s_bits)
+        summary["side_info_bound_bits"] = table.side_info_bound_bits
         summary["analytic_rate_bound"] = (
             centralized_rate_bound(sources, V, alpha)
             if sources is not None else None)
     else:
-        B = interactive_coefficients_batch(V, X, alpha)
-        total_bits = (V.n - 1) * sum(varint_bits(int(u)) for u in B.flat)
-        _, sample = run_interactive(V, X[0], alpha)
-        entropies = [empirical_entropy(B[:, i].tolist()) for i in range(V.n)]
-        summary["mean_total_bits"] = total_bits / trials
+        # the kernel, checked against the integer decode on alpha * Lambda,
+        # which shares no code with it; null where that decode cannot run
+        B, transcript = run_interactive(V, X, alpha)
+        try:
+            reference = run_centralized(scaled, X)[0]
+        except ProtocolError:
+            reference = None
+        entropies = [empirical_entropy(B[:, i]) for i in range(V.n)]
         summary["empirical_entropy_bits"] = entropies
         summary["empirical_rate_bits"] = (V.n - 1) * sum(entropies)
         summary["analytic_rate_bound"] = (
             interactive_rate(sources, V, alpha)
             if sources is not None else None)
-    summary["babai_match_count"] = int(np.all(B == reference, axis=1).sum())
-    summary["sample_transcript"] = sample.to_json()
+    summary["mean_total_bits"] = int(transcript.total_bits.sum()) / trials
+    summary["babai_match_count"] = (
+        None if reference is None
+        else int(np.all(B == reference, axis=1).sum()))
+    summary["sample_transcript"] = transcript.row(0).to_json()
     return _json_text(summary)
 
 
@@ -294,8 +289,8 @@ def _cmd_rates(args) -> str:
         table = build_ratio_table(V)
         out["centralized_rate_bound"] = centralized_rate_bound(
             sources, V, alpha)
-        out["side_info_bound_bits"] = sum(math.log2(q) for q in table.q)
-        out["side_info_bits_ceil"] = sum(_s_bits(q) for q in table.q)
+        out["side_info_bound_bits"] = table.side_info_bound_bits
+        out["side_info_bits_ceil"] = sum(table.s_bits)
     except ProtocolUnsupportedError:
         out["centralized_rate_bound"] = None
         out["side_info_bound_bits"] = None

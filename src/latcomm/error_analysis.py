@@ -262,8 +262,8 @@ def analytic_pe_polar(theta: float, rho: float) -> float:
 
 def _babai_box_polygon(V: GeneratorMatrix):
     Q, R = V.qr()
-    h1 = abs(float(R.matrix[0, 0])) / 2.0
-    h2 = abs(float(R.matrix[1, 1])) / 2.0
+    h1 = abs(float(R[0, 0])) / 2.0
+    h2 = abs(float(R[1, 1])) / 2.0
     corners = np.array([[h1, h2], [-h1, h2], [-h1, -h2], [h1, -h2]])
     box = corners @ Q.T
     if _polygon_area(box) < 0:  # Q may be a reflection
@@ -314,7 +314,7 @@ def monte_carlo_pe(V: GeneratorMatrix, n_samples: int, seed: int = 0,
     if workers < 1:
         raise ValueError("workers must be positive")
     Q, R = V.qr()
-    half = np.abs(np.diag(R.matrix)) / 2.0
+    half = np.abs(np.diag(R)) / 2.0
     chunks = []
     start = 0
     idx = 0

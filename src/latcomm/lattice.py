@@ -98,6 +98,7 @@ class GeneratorMatrix:
         self.det = det
         self._qr = None
         self._inv = None
+        self._upper = None
 
     @classmethod
     def from_columns(cls, columns):
@@ -154,9 +155,11 @@ class GeneratorMatrix:
     def column_norms(self):
         return np.linalg.norm(self.matrix, axis=0)
 
-    def is_upper_triangular(self, tol=0.0):
-        m = self.matrix
-        return bool(np.all(np.abs(m[np.tril_indices(self.n, -1)]) <= tol))
+    def is_upper_triangular(self):
+        """True iff every entry below the diagonal is exactly zero."""
+        if self._upper is None:
+            self._upper = not np.tril(self.matrix, -1).any()
+        return self._upper
 
     def scaled(self, c):
         """Generator of the scaled lattice c * Lambda (c a nonzero number).
@@ -176,10 +179,10 @@ class GeneratorMatrix:
     def qr(self):
         """V = Q R with orthonormal Q and R_ii > 0.
 
-        Returns (Q, R) with R wrapped as a GeneratorMatrix: it generates the
-        same lattice up to the isometry Q.  An upper-triangular V gives
-        Q = diag(sign v_ii) and R = Q V exactly, with no factorization, so
-        rotating a target into this frame only flips signs.
+        Returns (Q, R) as read-only arrays; R generates the same lattice up
+        to the isometry Q.  An upper-triangular V gives Q = diag(sign v_ii)
+        and R = Q V exactly, with no factorization, so rotating a target
+        into this frame only flips signs.
         """
         if self._qr is None:
             if self.is_upper_triangular():
@@ -187,7 +190,9 @@ class GeneratorMatrix:
             else:
                 Q, R = np.linalg.qr(self.matrix)
             signs = np.where(np.diag(R) < 0, -1.0, 1.0)
-            self._qr = Q * signs, GeneratorMatrix(R * signs[:, None])
+            self._qr = Q * signs, R * signs[:, None]
+            for a in self._qr:
+                a.setflags(write=False)
         return self._qr
 
     def inverse(self):
@@ -310,8 +315,7 @@ def canonicalize_2d(V: GeneratorMatrix):
     for the unimodular U produced by reduction.
     """
     W, _ = gauss_reduce_2d(V)
-    Q, R = W.qr()
-    r = R.matrix
+    Q, r = W.qr()
     scale = float(r[0, 0])
     a = float(r[0, 1]) / scale
     b = float(r[1, 1]) / scale
@@ -362,7 +366,7 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
     C0 = round_half_up(C)
     R0 = X - C0.astype(float) @ V.matrix.T
     res = np.sqrt(np.einsum("ij,ij->i", R0, R0))
-    h_min = float(np.min(np.diag(V.qr()[1].matrix)))
+    h_min = float(np.min(np.diag(V.qr()[1])))
     K = np.ceil(res / h_min).astype(np.int64) + 1
 
     best_d = np.full(len(X), np.inf)

@@ -19,34 +19,13 @@ code (zigzag + base-128), so typical small coefficients cost one byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .babai import nearest_plane
-from .lattice import GeneratorMatrix, round_half_up
+from .lattice import ROUND_LIMIT, GeneratorMatrix
 
-__all__ = [
-    "ProtocolError",
-    "ProtocolUnsupportedError",
-    "SourceModel",
-    "RatioTable",
-    "CentralizedMessage",
-    "Message",
-    "Transcript",
-    "varint_encode",
-    "varint_decode",
-    "varint_bits",
-    "build_ratio_table",
-    "node_encode",
-    "fusion_decode",
-    "run_centralized",
-    "run_interactive",
-    "interactive_coefficients_batch",
-    "centralized_rate_bound",
-    "interactive_rate",
-    "empirical_entropy",
-]
 
 class ProtocolError(ValueError):
     pass
@@ -87,9 +66,14 @@ def varint_decode(data: bytes, offset: int = 0):
     return value, offset
 
 
-def varint_bits(value: int) -> int:
-    zz = (value << 1) if value >= 0 else ((-value) << 1) - 1
-    return 8 * max(1, (zz.bit_length() + 6) // 7)
+def varint_bits(value):
+    """Length in bits of varint_encode(value).  Takes an integer (returns
+    an int) or an int64 array (returns an int64 array of the same shape)."""
+    if np.ndim(value) == 0:
+        return 8 * len(varint_encode(int(value)))
+    v = np.asarray(value, dtype=np.int64)
+    zz = ((v << 1) ^ (v >> 63)).view(np.uint64)  # zigzag, exact for int64
+    return 8 * (1 + sum(zz >> np.uint64(7 * j) != 0 for j in range(1, 10)))
 
 
 @dataclass(frozen=True)
@@ -150,22 +134,33 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class RatioTable:
-    """Exact off-diagonal/diagonal ratios of an upper triangular generator.
+    """Exact off-diagonal/diagonal ratios of an upper triangular generator,
+    in integer form.
 
-    ratios[(m, l)] = v_{m,l} / v_{m,m} for l > m, as reduced Fractions;
-    q[m] is the lcm of their denominators (1 for the last row);
-    weights[(m, l)] = ratios[(m, l)] * q[m], an exact integer.
+    q[m] is the lcm of the denominators of the ratios v_{m,l} / v_{m,m}
+    (l > m), 1 for the last row; weights[m][l] = q[m] v_{m,l} / v_{m,m} is
+    an exact int, 0 for l <= m.
     """
 
-    ratios: dict
     q: tuple
-    weights: dict
+    weights: tuple
+
+    @property
+    def s_bits(self) -> tuple:
+        """Bits of each node's side value s in [0, q_m): ceil(log2 q_m)."""
+        return tuple((qm - 1).bit_length() for qm in self.q)
+
+    @property
+    def side_info_bound_bits(self) -> float:
+        """sum_m log2 q_m, the side information's share of the rate bound."""
+        return sum(math.log2(qm) for qm in self.q)
 
 
 @dataclass(frozen=True)
 class CentralizedMessage:
     """One node's report: locally rounded coefficient plus the quantized
-    fractional-offset threshold s in [0, q_m - 1]."""
+    fractional-offset threshold s in [0, q_m - 1]; object arrays of them
+    for a batch of rounds."""
 
     sender: int
     b_tilde: int
@@ -181,28 +176,39 @@ class Message:
 
     def to_json(self) -> dict:
         return {"from": self.sender, "to": list(self.receivers),
-                "payload": dict(self.payload), "bits": self.bits}
+                "payload": {k: int(v) for k, v in self.payload.items()},
+                "bits": int(self.bits)}
 
 
 @dataclass(frozen=True)
 class Transcript:
+    """Messages of one round, or of k rounds at once: then every payload
+    value, bit count and decoded vector carries a leading axis of length k."""
+
     model: str
     messages: tuple
     total_bits: int
     decoded: dict
-    analytic_rate_bound: float | None = field(default=None)
+
+    def row(self, i) -> "Transcript":
+        """Round i of a batch transcript, as a single run on its target
+        reports it."""
+        messages = tuple(
+            Message(m.sender, m.receivers,
+                    {k: int(v[i]) for k, v in m.payload.items()},
+                    int(m.bits[i])) for m in self.messages)
+        return Transcript(self.model, messages, int(self.total_bits[i]),
+                          {k: v[i] for k, v in self.decoded.items()})
 
     def to_json(self) -> dict:
-        out = {
+        """JSON of a one-round transcript."""
+        return {
             "model": self.model,
-            "total_bits": self.total_bits,
+            "total_bits": int(self.total_bits),
             "messages": [m.to_json() for m in self.messages],
             "decoded": {str(k): [int(c) for c in v]
                         for k, v in self.decoded.items()},
         }
-        if self.analytic_rate_bound is not None:
-            out["analytic_rate_bound"] = self.analytic_rate_bound
-        return out
 
 
 def build_ratio_table(V: GeneratorMatrix) -> RatioTable:
@@ -212,144 +218,135 @@ def build_ratio_table(V: GeneratorMatrix) -> RatioTable:
     if V.rational is None:
         raise ProtocolUnsupportedError(
             "centralized protocol needs exact rational entries")
-    n = V.n
-    ratios = {}
     q = []
-    weights = {}
-    for m in range(n):
-        for l in range(m + 1, n):
+    weights = []
+    for m in range(V.n):
+        ratios = []
+        for l in range(m + 1, V.n):
             if V.rational[m][m] is None or V.rational[m][l] is None:
                 raise ProtocolUnsupportedError(
                     f"entry ({m},{l}) has no exact rational value")
-            r = V.rational[m][l] / V.rational[m][m]
-            if r != 0:
-                ratios[(m, l)] = r
-        row_dens = [ratios[(m, l)].denominator for l in range(m + 1, n)
-                    if (m, l) in ratios]
-        q.append(math.lcm(*row_dens) if row_dens else 1)
-        for l in range(m + 1, n):
-            if (m, l) in ratios:
-                r = ratios[(m, l)]
-                weights[(m, l)] = r.numerator * (q[m] // r.denominator)
-    return RatioTable(ratios=ratios, q=tuple(q), weights=weights)
+            ratios.append(V.rational[m][l] / V.rational[m][m])
+        qm = math.lcm(*(r.denominator for r in ratios))
+        q.append(qm)
+        weights.append((0,) * (m + 1) + tuple(
+            r.numerator * (qm // r.denominator) for r in ratios))
+    return RatioTable(q=tuple(q), weights=tuple(weights))
 
 
-def node_encode(x_m: float, v_mm: float, q_m: int,
+def _grid_position(z: float, q: int):
+    """divmod(floor(q (z + 1/2)), q), exactly: z = num/den gives
+    q (z + 1/2) = q (2 num + den) / (2 den)."""
+    num, den = z.as_integer_ratio()
+    return divmod(q * (2 * num + den) // (2 * den), q)
+
+
+_grid_positions = np.frompyfunc(_grid_position, 2, 2)
+
+
+def node_encode(x_m, v_mm: float, q_m: int,
                 sender: int = 0) -> CentralizedMessage:
-    """Local computation of node m.
+    """Local computation of node m, for one observation or an array of them.
 
-    b_tilde = [x_m / v_mm]; s quantizes the fractional offset
-    d = x_m / v_mm - b_tilde in [-1/2, 1/2) to s = floor(q_m (d + 1/2)),
-    capped at q_m - 1.  The fraction arithmetic is exact: d is an exact
-    float difference and converts losslessly to a rational.
+    With z = x_m / v_mm, the node's position on the grid of step 1/q_m is
+    c = floor(q_m (z + 1/2)); it reports (b_tilde, s) = divmod(c, q_m).
+    So b_tilde = [z], and s = floor(q_m (d + 1/2)) in [0, q_m) quantizes
+    the offset d = z - b_tilde in [-1/2, 1/2).  The arithmetic is exact, on
+    Python ints; an array x_m gives object arrays of them.  Non-finite z
+    and |z| >= 2^52 are rejected.
     """
+    v_mm = float(v_mm)
     if v_mm == 0 or not math.isfinite(v_mm):
         raise ProtocolError("diagonal entry must be finite and nonzero")
     if q_m < 1:
         raise ProtocolError("q_m must be a positive integer")
-    z = float(x_m) / float(v_mm)
-    if not math.isfinite(z):
-        raise ProtocolError(f"cannot encode {x_m!r}")
-    b_tilde = round_half_up(z)
-    d = z - b_tilde  # exact: b_tilde is within 1/2 of z
-    # floor(q (d + 1/2)) in exact integer arithmetic: d = num/den gives
-    # q (d + 1/2) = q (2 num + den) / (2 den)
-    num, den = d.as_integer_ratio()
-    s = min(q_m - 1, q_m * (2 * num + den) // (2 * den))
+    scalar = np.ndim(x_m) == 0
+    z = float(x_m) / v_mm if scalar else np.asarray(x_m, dtype=float) / v_mm
+    ok = abs(z) < ROUND_LIMIT  # False for nan and inf too
+    if not (ok if scalar else ok.all()):
+        bad = z if scalar else float(z[~ok][0])
+        raise ProtocolError(
+            f"cannot encode x/v = {bad!r}: need a finite |x/v| < 2**52")
+    b_tilde, s = (_grid_position if scalar else _grid_positions)(z, q_m)
     return CentralizedMessage(sender=sender, b_tilde=b_tilde, s=s)
 
 
 def fusion_decode(messages, table: RatioTable) -> np.ndarray:
     """Reconstruct the nearest-plane coefficients from all node reports.
 
-    Integer arithmetic only: with N = sum_l b_l w_{m,l} and N = q_m t + r
-    (0 <= r < q_m), the corrected coefficient is b_tilde - t - 1[r > s].
-    messages[m] must be the report for coordinate m.
+    Integer arithmetic only: with N = sum_l b_l w_{m,l}, the corrected
+    coefficient is b_tilde - floor(N / q_m) - 1[N mod q_m > s].
+    messages[m] must be the report for coordinate m, as node_encode gives
+    it: one round (Python ints) decodes to shape (n,), k rounds (object
+    arrays of length k) to shape (k, n).
     """
     n = len(table.q)
     if len(messages) != n:
         raise ProtocolError(f"expected {n} messages, got {len(messages)}")
-    b = np.zeros(n, dtype=np.int64)
+    b = [None] * n
     for m in range(n - 1, -1, -1):
-        msg = messages[m]
-        N = sum(int(b[l]) * table.weights.get((m, l), 0)
-                for l in range(m + 1, n))
-        t, r = divmod(N, table.q[m])
-        b[m] = msg.b_tilde - t - (1 if r > msg.s else 0)
-    return b
+        N = sum(b[l] * w for l, w in enumerate(table.weights[m]) if w)
+        qm = table.q[m]
+        b[m] = messages[m].b_tilde - N // qm - (N % qm > messages[m].s)
+    return np.array(b, dtype=np.int64).T
 
 
-def _s_bits(q_m: int) -> int:
-    return (q_m - 1).bit_length() if q_m > 1 else 0
+def _targets(V: GeneratorMatrix, X) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[-1] != V.n:
+        raise ProtocolError(f"x must have shape ({V.n},) or (k, {V.n})")
+    return X
 
 
-def run_centralized(V: GeneratorMatrix, x):
-    """One round of the centralized protocol: n reports to the fusion
-    center (node 0), then exact reconstruction.  Returns (b, Transcript)."""
+def run_centralized(V: GeneratorMatrix, X):
+    """The centralized protocol on one target (shape (n,)) or one round per
+    row of X (shape (k, n)): n reports to the fusion center (node 0), then
+    exact reconstruction.  Returns (b, Transcript); b and every transcript
+    value carry the leading shape of X."""
     table = build_ratio_table(V)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (V.n,):
-        raise ProtocolError(f"x must have shape ({V.n},)")
-    reports = []
-    messages = []
-    for m in range(V.n):
-        rep = node_encode(float(x[m]), float(V.matrix[m, m]), table.q[m],
-                          sender=m + 1)
-        reports.append(rep)
-        bits = varint_bits(rep.b_tilde) + _s_bits(table.q[m])
-        messages.append(Message(sender=m + 1, receivers=(0,),
-                                payload={"b_tilde": rep.b_tilde, "s": rep.s},
-                                bits=bits))
+    X = _targets(V, X)
+    reports = [node_encode(X.T[m], V.matrix[m, m], table.q[m], sender=m + 1)
+               for m in range(V.n)]
+    messages = tuple(
+        Message(sender=r.sender, receivers=(0,),
+                payload={"b_tilde": r.b_tilde, "s": r.s},
+                bits=varint_bits(r.b_tilde) + s_bits)
+        for r, s_bits in zip(reports, table.s_bits))
     coeffs = fusion_decode(reports, table)
-    transcript = Transcript(model="centralized", messages=tuple(messages),
-                            total_bits=sum(m.bits for m in messages),
-                            decoded={0: coeffs})
-    return coeffs, transcript
+    return coeffs, Transcript(model="centralized", messages=messages,
+                              total_bits=sum(m.bits for m in messages),
+                              decoded={0: coeffs})
 
 
-def _interactive_lattice(V: GeneratorMatrix, alpha) -> GeneratorMatrix:
-    """alpha * Lambda, after checking that the interactive protocol applies."""
+def run_interactive(V: GeneratorMatrix, X, alpha: float):
+    """The interactive protocol on the scaled lattice alpha * Lambda, for one
+    target or one round per row of X: node n broadcasts first, then n-1,
+    ..., then 1; every node ends up with the full coefficient vector.
+    Returns (b, Transcript), shaped as in run_centralized."""
+    coeffs = interactive_coefficients_batch(V, X, alpha)
+    n = V.n
+    messages = tuple(
+        Message(sender=i + 1,
+                receivers=tuple(j + 1 for j in range(n) if j != i),
+                payload={"u": coeffs.T[i]},
+                bits=(n - 1) * varint_bits(coeffs.T[i]))
+        for i in range(n - 1, -1, -1))
+    return coeffs, Transcript(model="interactive", messages=messages,
+                              total_bits=sum(m.bits for m in messages),
+                              decoded={i + 1: coeffs.copy() for i in range(n)})
+
+
+def interactive_coefficients_batch(V: GeneratorMatrix, X,
+                                   alpha: float) -> np.ndarray:
+    """Coefficients of the interactive protocol for one target (shape (n,))
+    or many (rows of X): the nearest-plane coefficients on alpha * Lambda."""
     if not V.is_upper_triangular():
         raise ProtocolUnsupportedError(
             "interactive protocol needs an upper triangular generator")
     alpha = float(alpha)
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ProtocolError("alpha must be a positive finite scale")
-    return V.scaled(alpha)
-
-
-def run_interactive(V: GeneratorMatrix, x, alpha: float):
-    """One round of the interactive protocol on the scaled lattice
-    alpha * Lambda: node n broadcasts first, then n-1, ..., then 1; every
-    node ends up with the full coefficient vector.  Returns (b, Transcript)."""
-    scaled = _interactive_lattice(V, alpha)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (V.n,):
-        raise ProtocolError(f"x must have shape ({V.n},)")
-    coeffs = nearest_plane(scaled, x).coeffs
-    messages = []
-    for i in range(V.n - 1, -1, -1):
-        u = int(coeffs[i])
-        others = tuple(j + 1 for j in range(V.n) if j != i)
-        messages.append(Message(sender=i + 1, receivers=others,
-                                payload={"u": u},
-                                bits=(V.n - 1) * varint_bits(u)))
-    decoded = {i + 1: coeffs.copy() for i in range(V.n)}
-    transcript = Transcript(model="interactive", messages=tuple(messages),
-                            total_bits=sum(m.bits for m in messages),
-                            decoded=decoded)
-    return coeffs, transcript
-
-
-def interactive_coefficients_batch(V: GeneratorMatrix, X,
-                                   alpha: float) -> np.ndarray:
-    """Coefficient vectors of the interactive protocol for many targets at
-    once (rows of X): the nearest-plane coefficients on alpha * Lambda."""
-    scaled = _interactive_lattice(V, alpha)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != V.n:
-        raise ProtocolError(f"X must have shape (k, {V.n})")
-    return nearest_plane(scaled, X).coeffs
+    return nearest_plane(V.scaled(alpha), _targets(V, X)).coeffs
 
 
 def centralized_rate_bound(sources, V: GeneratorMatrix,
@@ -364,7 +361,7 @@ def centralized_rate_bound(sources, V: GeneratorMatrix,
         raise ProtocolError("one source per coordinate required")
     h = sum(s.differential_entropy_bits() for s in sources)
     return (h - math.log2(abs(V.det)) - V.n * math.log2(float(alpha))
-            + sum(math.log2(qm) for qm in table.q))
+            + table.side_info_bound_bits)
 
 
 def interactive_rate(sources, V: GeneratorMatrix, alpha: float) -> float:
@@ -385,11 +382,15 @@ def interactive_rate(sources, V: GeneratorMatrix, alpha: float) -> float:
 
 
 def empirical_entropy(samples) -> float:
-    """Plug-in entropy (bits) of a sequence of hashable observations."""
-    from collections import Counter
+    """Plug-in entropy (bits) of a sequence or array of scalar observations.
 
-    counts = Counter(samples)
-    total = sum(counts.values())
+    The terms are summed in order of each value's first occurrence.
+    """
+    values = np.asarray(samples)
+    total = values.size
     if total == 0:
         raise ValueError("no samples")
-    return -sum((c / total) * math.log2(c / total) for c in counts.values())
+    _, first, counts = np.unique(values, return_index=True,
+                                 return_counts=True)
+    return -sum((c / total) * math.log2(c / total)
+                for c in counts[np.argsort(first)].tolist())

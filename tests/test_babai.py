@@ -75,7 +75,7 @@ class TestNearestPlane:
             x = rng.uniform(-2, 2, size=3)
             Q, R = V.qr()
             direct = nearest_plane(V, x).coeffs
-            rotated = nearest_plane(R, Q.T @ x).coeffs
+            rotated = nearest_plane(GeneratorMatrix(R), Q.T @ x).coeffs
             assert np.array_equal(direct, rotated)
 
     def test_unknown_method(self, hexagonal):

@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import sys
 
 import pytest
 
+import latcomm.babai
 from latcomm.cli import main
 
 HEX_MATRIX = {"n": 2, "columns": [[1, 0], ["1/2", math.sqrt(3) / 2]]}
@@ -250,6 +252,76 @@ class TestSimulate:
         assert doc["analytic_rate_bound"] == pytest.approx(12.0)
         assert abs(doc["empirical_rate_bits"] - 12.0) < 1.0
         assert len(doc["sample_transcript"]["messages"]) == 2
+
+    @staticmethod
+    def _shift_kernel_row(monkeypatch):
+        """Replace the nearest-plane kernel at every namespace that binds it
+        with one that moves the last row of each batch by one step."""
+        original = latcomm.babai.nearest_plane
+
+        def shifted(V, X, method="auto"):
+            res = original(V, X, method)
+            if res.coeffs.ndim == 2 and len(res.coeffs):
+                res.coeffs[-1, 0] += 1
+            return res
+
+        for name, module in list(sys.modules.items()):
+            if name == "latcomm" or name.startswith("latcomm."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, shifted)
+
+    @pytest.mark.parametrize("model", ["centralized", "interactive"])
+    def test_match_count_sees_a_kernel_fault(self, model, capsys, files,
+                                             monkeypatch):
+        # each model is checked against code it does not share: the
+        # centralized decode against the kernel, the interactive kernel
+        # against the integer decode on alpha * Lambda
+        sc = files("sc.json", {
+            "matrix": {"n": 3, "columns": [[1, 0, 0], ["1/2", "3/4", 0],
+                                           ["1/3", "-1/5", "5/4"]]},
+            "alpha": 2.0 ** -6, "model": model,
+            "sources": [{"dist": "uniform", "lo": 0, "hi": 1}] * 3,
+            "trials": 50, "seed": 4})
+        _, out, _ = run(capsys, "simulate", "--scenario", sc)
+        assert json.loads(out)["babai_match_count"] == 50
+        self._shift_kernel_row(monkeypatch)
+        _, out, _ = run(capsys, "simulate", "--scenario", sc)
+        assert json.loads(out)["babai_match_count"] == 49
+
+    def test_interactive_match_count_null_without_ratios(self, capsys,
+                                                         files):
+        scenario = {
+            "matrix": {"n": 2, "columns": [[1, 0], [0.311, 1.01]]},
+            "alpha": 0.25, "model": "interactive",
+            "sources": [{"dist": "uniform", "lo": 0, "hi": 1}] * 2,
+            "trials": 20, "seed": 2}
+        code, out, _ = run(capsys, "simulate", "--scenario",
+                           files("sc.json", scenario))
+        doc = json.loads(out)
+        assert code == 0 and doc["babai_match_count"] is None
+        assert doc["mean_total_bits"] > 0
+        scenario["model"] = "centralized"
+        code, _, err = run(capsys, "simulate", "--scenario",
+                           files("sc2.json", scenario))
+        assert code == 1 and "exact rational" in err
+
+    def test_interactive_match_count_null_beyond_decoder_range(self, capsys,
+                                                               files):
+        # the kernel rounds (0, 2^51); node 1's x/v = 2^53 is outside the
+        # integer decode's domain, so the check cannot run
+        scenario = {"matrix": {"n": 2, "columns": [[1, 0], [4, 1]]},
+                    "alpha": 1.0, "model": "interactive",
+                    "x": [2.0 ** 53, 2.0 ** 51], "trials": 3}
+        code, out, _ = run(capsys, "simulate", "--scenario",
+                           files("sc.json", scenario))
+        doc = json.loads(out)
+        assert code == 0 and doc["babai_match_count"] is None
+        assert doc["sample_transcript"]["decoded"]["1"] == [0, 2 ** 51]
+        scenario["model"] = "centralized"
+        code, _, err = run(capsys, "simulate", "--scenario",
+                           files("sc2.json", scenario))
+        assert code == 1 and "2**52" in err
 
     def test_gaussian_sources_run(self, capsys, files):
         sc = files("sc.json", {

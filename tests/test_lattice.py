@@ -176,30 +176,36 @@ class TestFactorizations:
     def _check_qr(V):
         Q, R = V.qr()
         assert np.allclose(Q @ Q.T, np.eye(V.n), atol=1e-12)
-        assert np.allclose(Q @ R.matrix, V.matrix, atol=1e-12)
-        assert R.is_upper_triangular() and np.all(np.diag(R.matrix) > 0)
+        assert np.allclose(Q @ R, V.matrix, atol=1e-12)
+        assert np.array_equal(np.triu(R), R) and np.all(np.diag(R) > 0)
         return Q, R
 
     def test_qr_frame_skew5(self, skew5):
         _, R = self._check_qr(skew5)
-        assert np.diag(R.matrix) ** 2 == pytest.approx([25.0, 1.0])
+        assert np.diag(R) ** 2 == pytest.approx([25.0, 1.0])
 
     def test_qr_frame_hexagonal(self, hexagonal):
         _, R = self._check_qr(hexagonal)
-        assert np.diag(R.matrix) ** 2 == pytest.approx([1.0, 0.75])
+        assert np.diag(R) ** 2 == pytest.approx([1.0, 0.75])
 
     def test_qr_frame_rotated(self):
         V = GeneratorMatrix.from_columns([[3, 4], [1, 2]])
         _, R = self._check_qr(V)
-        assert np.diag(R.matrix) ** 2 == pytest.approx([25.0, 4.0 / 25.0])
+        assert np.diag(R) ** 2 == pytest.approx([25.0, 4.0 / 25.0])
+
+    def test_qr_cached_read_only(self, skew5):
+        Q, R = skew5.qr()
+        assert skew5.qr()[0] is Q and skew5.qr()[1] is R
+        with pytest.raises(ValueError):
+            R[0, 0] = 1.0
 
     def test_qr_positive_diagonal(self):
         V = GeneratorMatrix.from_columns([[-2, 0], [1, -3]])
         Q, R = self._check_qr(V)
         # upper triangular: a sign flip, exact
         assert np.array_equal(Q, -np.eye(2))
-        assert np.array_equal(R.matrix, -V.matrix)
-        assert abs(R.matrix[1, 0]) == 0.0
+        assert np.array_equal(R, -V.matrix)
+        assert abs(R[1, 0]) == 0.0
 
 
 class TestGaussReduction:

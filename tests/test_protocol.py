@@ -108,29 +108,31 @@ class TestRatioTable:
     def test_half_ratio(self, hexagonal):
         t = build_ratio_table(hexagonal)
         assert t.q == (2, 1)
-        assert t.ratios[(0, 1)] == Fraction(1, 2)
-        assert t.weights[(0, 1)] == 1
+        assert Fraction(t.weights[0][1], t.q[0]) == Fraction(1, 2)
+        assert t.weights == ((0, 1), (0, 0))
 
     def test_thousandth_ratio(self, ratio311):
         t = build_ratio_table(ratio311)
         assert t.q == (1000, 1)
-        assert t.ratios[(0, 1)] == Fraction(311, 1000)
-        assert t.weights[(0, 1)] == 311
+        assert Fraction(t.weights[0][1], t.q[0]) == Fraction(311, 1000)
+        assert t.weights[0][1] == 311
 
     def test_diagonal_is_trivial(self):
         V = GeneratorMatrix.from_columns([[2, 0], [0, 3]])
         t = build_ratio_table(V)
         assert t.q == (1, 1)
-        assert t.ratios == {}
+        assert t.weights == ((0, 0), (0, 0))
 
     def test_lcm_across_row(self):
         V = GeneratorMatrix.from_columns(
             [[1, 0, 0], ["1/2", 1, 0], ["1/3", "1/5", 1]])
         t = build_ratio_table(V)
         assert t.q == (6, 5, 1)
-        assert t.weights[(0, 1)] == 3  # 1/2 * 6
-        assert t.weights[(0, 2)] == 2  # 1/3 * 6
-        assert t.weights[(1, 2)] == 1  # 1/5 * 5
+        assert t.weights[0][1] == 3  # 1/2 * 6
+        assert t.weights[0][2] == 2  # 1/3 * 6
+        assert t.weights[1][2] == 1  # 1/5 * 5
+        assert [t.weights[m][l] for m in range(3) for l in range(m + 1)] \
+            == [0] * 6
 
     def test_irrational_diagonal_ok_when_row_has_no_ratios(self, hexagonal):
         # bottom-right entry is a plain float; the last row needs no ratios
@@ -198,6 +200,53 @@ class TestNodeEncode:
         assert all(v in (base, base - 1) for v in vals)
         assert all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
 
+    @settings(max_examples=40)
+    @given(st.lists(st.one_of(
+               st.floats(min_value=-1e3, max_value=1e3),
+               st.integers(-1000, 1000).map(lambda k: k + 0.5)),
+               min_size=1, max_size=6),
+           st.integers(min_value=1, max_value=10**4))
+    def test_batch_matches_scalar_and_scan(self, zs, q):
+        # ties z = k + 1/2 included; the exhaustive scan checks the first
+        batch = node_encode(np.array(zs), 1.0, q)
+        single = [node_encode(z, 1.0, q) for z in zs]
+        assert list(batch.b_tilde) == [m.b_tilde for m in single]
+        assert list(batch.s) == [m.s for m in single]
+        assert single[0].b_tilde == round_half_up(zs[0])
+        assert single[0].s == _scan_s(zs[0], q)
+
+    def test_batch_matches_scalar_on_random_targets(self):
+        X = np.random.default_rng(17).uniform(-1e3, 1e3, size=(100, 3))
+        X[0] = [0.5, -0.5, 2.25]
+        batch = node_encode(X, 0.5, 9973)
+        assert batch.b_tilde.shape == (100, 3)
+        for idx in np.ndindex(X.shape):
+            m = node_encode(X[idx], 0.5, 9973)
+            assert (batch.b_tilde[idx], batch.s[idx]) == (m.b_tilde, m.s)
+
+    def test_side_value_beyond_int64(self):
+        q = 10**30
+        m = node_encode(np.array([0.3, -2.7]), 1.0, q)
+        for z, s in zip((0.3, -2.7), m.s):
+            assert s == node_encode(z, 1.0, q).s
+            assert Fraction(s, q) <= Fraction(z) + Fraction(1, 2) \
+                - round_half_up(z) < Fraction(s + 1, q)
+
+    @pytest.mark.parametrize("x, v", [
+        (float("inf"), 1.0), (float("-inf"), 1.0), (float("nan"), 1.0),
+        (2.0 ** 52, 1.0), (-(2.0 ** 52), 1.0), (2.0 ** 51, 0.25)])
+    def test_rejects_out_of_domain(self, x, v):
+        with pytest.raises(ProtocolError, match="2\\*\\*52"):
+            node_encode(x, v, 7)
+        with pytest.raises(ProtocolError, match="2\\*\\*52"):
+            node_encode(np.array([0.0, x, 1.0]), v, 7)
+
+    def test_just_below_limit_accepted(self):
+        z = 2.0 ** 52 - 0.5
+        assert node_encode(z, 1.0, 2).b_tilde == 2 ** 52
+        assert list(node_encode(np.array([-z]), 1.0, 2).b_tilde) \
+            == [-(2 ** 52) + 1]
+
     def test_monotone_step_exhaustive_large_q(self):
         q = 10**4
         z = 3.37712
@@ -248,6 +297,22 @@ class TestFusionDecode:
                 x = rng.uniform(-20, 20, size=V.n)
                 b, _ = run_centralized(V, x)
                 assert np.array_equal(b, nearest_plane(V, x).coeffs)
+
+    def test_exact_beyond_int64(self):
+        # weight (2^40 - 1) times a coefficient near 2^30 is about 2^70
+        V = GeneratorMatrix.from_columns(
+            [[1, 0], [f"{2**40 - 1}/{2**40 + 1}", 1]])
+        t = build_ratio_table(V)
+        assert t.q == (2 ** 40 + 1, 1) and t.weights[0][1] == 2 ** 40 - 1
+        rng = np.random.default_rng(40)
+        X = 2.0 ** 30 + rng.uniform(-50.0, 50.0, size=(200, 2))
+        B, _ = run_centralized(V, X)
+        assert np.all(t.weights[0][1] * np.abs(B[:, 1]).astype(object)
+                      > 2 ** 63)
+        assert np.array_equal(B, nearest_plane(V, X).coeffs)
+        for i in range(0, 200, 37):
+            b, _ = run_centralized(V, X[i])
+            assert np.array_equal(b, B[i])
 
     def test_side_information_bits(self, hexagonal, ratio311):
         _, t1 = run_centralized(hexagonal, [0.0, 0.0])
@@ -325,6 +390,60 @@ class TestInteractive:
             run_interactive(hexagonal, [1.0, 1.0], 1e-30)
 
 
+def _rational_tri3():
+    return GeneratorMatrix.from_columns(
+        [[1, 0, 0], ["1/2", "3/4", 0], ["1/3", "-1/5", "5/4"]])
+
+
+class TestBatchTranscripts:
+    """A batch run carries one round per row: row i of every field equals
+    the single run on X[i]."""
+
+    @staticmethod
+    def _check_rows(batch, single_run, X):
+        B, T = batch
+        assert B.shape == X.shape
+        for i in range(len(X)):
+            b, t = single_run(X[i])
+            assert np.array_equal(B[i], b)
+            assert T.model == t.model
+            assert len(T.messages) == len(t.messages)
+            for mb, ms in zip(T.messages, t.messages):
+                assert (mb.sender, mb.receivers) == (ms.sender, ms.receivers)
+                assert mb.payload.keys() == ms.payload.keys()
+                for k in ms.payload:
+                    assert mb.payload[k][i] == ms.payload[k]
+                assert mb.bits[i] == ms.bits
+            assert T.total_bits[i] == t.total_bits
+            assert T.decoded.keys() == t.decoded.keys()
+            for k in t.decoded:
+                assert np.array_equal(T.decoded[k][i], t.decoded[k])
+            assert T.row(i).to_json() == t.to_json()
+
+    @pytest.mark.parametrize("which", ["hexagonal", "ratio311", "tri3"])
+    def test_centralized(self, which, hexagonal, ratio311):
+        V = {"hexagonal": hexagonal, "ratio311": ratio311,
+             "tri3": _rational_tri3()}[which]
+        X = np.random.default_rng(21).uniform(-300, 300, size=(40, V.n))
+        X[0] = 0.5  # ties at every level
+        self._check_rows(run_centralized(V, X),
+                         lambda x: run_centralized(V, x), X)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0 ** -10])
+    def test_interactive(self, alpha, hexagonal):
+        for V in (hexagonal, _rational_tri3()):
+            X = np.random.default_rng(22).uniform(-3, 3, size=(40, V.n))
+            self._check_rows(run_interactive(V, X, alpha),
+                             lambda x: run_interactive(V, x, alpha), X)
+
+    def test_shape_checked(self, ratio311):
+        for X in ([0.0], np.zeros((3, 3)), np.zeros((2, 2, 2))):
+            with pytest.raises(ProtocolError):
+                run_centralized(ratio311, X)
+            with pytest.raises(ProtocolError):
+                run_interactive(ratio311, X, 1.0)
+
+
 class TestRates:
     def test_centralized_bound_hexagonal(self, hexagonal):
         src = [SourceModel.uniform(0, 1)] * 2
@@ -373,6 +492,17 @@ class TestEmpiricalEntropy:
         with pytest.raises(ValueError):
             empirical_entropy([])
 
+    def test_list_and_array_match_counter_order(self):
+        from collections import Counter
+
+        rng = np.random.default_rng(3)
+        samples = rng.geometric(0.01, size=5000) - rng.geometric(0.3, 5000)
+        counts = Counter(samples.tolist())
+        expect = -sum((c / 5000) * math.log2(c / 5000)
+                      for c in counts.values())
+        assert empirical_entropy(samples) == expect
+        assert empirical_entropy(samples.tolist()) == expect
+
     def test_hexagonal_coefficient_entropy(self, hexagonal):
         # U_2 = [x_2 / (alpha v_22)] for x_2 ~ U[0,1) spreads over about
         # 1/(alpha v_22) values, so H ~ -log2(alpha v_22)
@@ -381,7 +511,7 @@ class TestEmpiricalEntropy:
         X = np.column_stack([rng.uniform(0, 1, 400000),
                              rng.uniform(0, 1, 400000)])
         B = interactive_coefficients_batch(hexagonal, X, alpha)
-        h2 = empirical_entropy(B[:, 1].tolist())
+        h2 = empirical_entropy(B[:, 1])
         target = -math.log2(alpha * math.sqrt(3) / 2)
         assert target == pytest.approx(8.2075, abs=5e-4)
         assert h2 == pytest.approx(target, abs=0.05)
@@ -398,7 +528,7 @@ class TestRateConvergence:
             B = interactive_coefficients_batch(V, X, alpha)
             gap = 0.0
             for i in range(2):
-                h = empirical_entropy(B[:, i].tolist())
+                h = empirical_entropy(B[:, i])
                 target = (sources[i].differential_entropy_bits()
                           - math.log2(alpha * float(V.matrix[i, i])))
                 gap = max(gap, abs(h - target))
