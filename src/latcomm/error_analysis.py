@@ -184,6 +184,11 @@ def voronoi_vertices_reduced(a: float, b: float) -> VoronoiPolygon2D:
                             relevant_vectors=np.array([w1, w2, w3]))
 
 
+def _rowdot(A, b):
+    """Row-wise dot products of A with b, each summed as a 1-D dot is."""
+    return np.matmul(A[:, None, :], b[..., :, None])[:, 0, 0]
+
+
 def voronoi_polygon_general(V: GeneratorMatrix) -> VoronoiPolygon2D:
     """Voronoi cell of the origin for an arbitrary 2D basis, in the original
     coordinates.
@@ -203,21 +208,19 @@ def voronoi_polygon_general(V: GeneratorMatrix) -> VoronoiPolygon2D:
     jmax = int(math.ceil(bound / h2)) + 1
     imax = int(math.ceil((bound + jmax * float(np.linalg.norm(w2)))
                          / float(np.linalg.norm(w1)))) + 1
-    cands = []
-    for i in range(-imax, imax + 1):
-        for j in range(-jmax, jmax + 1):
-            if i == 0 and j == 0:
-                continue
-            w = i * w1 + j * w2
-            nw = float(np.linalg.norm(w))
-            if nw <= bound + 1e-9:
-                cands.append((nw, w))
-    cands.sort(key=lambda t: t[0])
+    ii, jj = np.meshgrid(np.arange(-imax, imax + 1),
+                         np.arange(-jmax, jmax + 1), indexing="ij")
+    nonzero = (ii != 0) | (jj != 0)
+    cands = ii[nonzero][:, None] * w1 + jj[nonzero][:, None] * w2
+    norms = np.sqrt(_rowdot(cands, cands))
+    keep = np.flatnonzero(norms <= bound + 1e-9)
+    keep = keep[np.argsort(norms[keep], kind="stable")]
+    cands, norms = cands[keep], norms[keep]
 
     scale = max(1.0, bound)
     big = 2.0 * bound
     poly = np.array([[big, big], [-big, big], [-big, -big], [big, -big]])
-    for _, w in cands:
+    for w in cands:
         poly = _clip_halfplane(poly, w, float(w @ w) / 2.0, _CLIP_TOL * scale)
     poly = _dedupe_ring(poly, 1e-9 * scale)
     if _polygon_area(poly) < 0:  # pragma: no cover - clipping keeps order
@@ -227,11 +230,11 @@ def voronoi_polygon_general(V: GeneratorMatrix) -> VoronoiPolygon2D:
     k = len(poly)
     for i in range(k):
         mid = (poly[i] + poly[(i + 1) % k]) / 2.0
-        best = min(cands, key=lambda t: abs(float(mid @ t[1]) - t[0] ** 2 / 2.0))
-        slack = abs(float(mid @ best[1]) - best[0] ** 2 / 2.0)
-        if slack > 1e-7 * scale ** 2:  # pragma: no cover - defensive
+        slack = np.abs(_rowdot(cands, mid) - norms ** 2 / 2.0)
+        best = int(np.argmin(slack))
+        if slack[best] > 1e-7 * scale ** 2:  # pragma: no cover - defensive
             raise RuntimeError("polygon edge not supported by a bisector")
-        w = best[1]
+        w = cands[best]
         if w[1] < -1e-12 * scale or (abs(w[1]) <= 1e-12 * scale and w[0] < 0):
             w = -w
         if not any(np.linalg.norm(w - r) <= 1e-9 * scale for r in relevant):

@@ -17,8 +17,14 @@ import numpy as np
 # product are rejected as numerically degenerate.
 NEAR_SINGULAR_RTOL = 1e-9
 
-# cvp_bruteforce enumerates (2K+1)^n candidates; past n = 6 that blows up.
+# Largest dimension of the exact CVP search, whose node count grows
+# exponentially with n; n <= 6 has a timed test.
 MAX_CVP_DIM = 6
+# CVP target rows are searched in blocks of about this many nodes.
+_CVP_BLOCK_NODES = 1 << 16
+# Relative slack on the CVP search radius and, in coefficient units, on each
+# level's half-width, so that float rounding drops no candidate.
+_CVP_SLACK = 1e-9
 
 
 class DegenerateBasisError(ValueError):
@@ -326,78 +332,65 @@ def canonicalize_2d(V: GeneratorMatrix):
     return ReducedBasis2D(a=a, b=b), scale, Q
 
 
-def _cvp_enumerate(V, X, centers, radii, best_d, best_u):
-    """Enumerate integer offsets within per-coordinate `radii` around `centers`
-    in lexicographic order, keeping the first strict minimizer per row."""
-    n = V.n
-    M = V.matrix
-    ranges = [np.arange(-int(r), int(r) + 1) for r in radii]
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    offsets = np.stack([g.ravel() for g in mesh], axis=1)
-    for off in offsets:
-        u = centers + off
-        D = X - u.astype(float) @ M.T
-        d = np.einsum("ij,ij->i", D, D)
-        better = d < best_d
-        best_d[better] = d[better]
-        best_u[better] = u[better]
-    return best_d, best_u
+def _sphere_leaves(R, T, r2):
+    """Row index and offset o of every integer o with ||t - R o||^2 <= r2,
+    for each row t of T: breadth-first over the levels of R from n-1 down
+    to 0, each node spawning every o_i within its level's remaining radius.
+    """
+    k, n = T.shape
+    rows = np.arange(k)
+    O = np.zeros((k, n))
+    rem = r2
+    for i in range(n - 1, -1, -1):
+        c = (T[rows, i] - O[:, i + 1:] @ R[i, i + 1:]) / R[i, i]
+        w = np.sqrt(np.maximum(rem, 0.0)) / R[i, i] + _CVP_SLACK
+        lo = np.ceil(c - w)
+        count = np.maximum(np.floor(c + w) - lo + 1, 0).astype(np.int64)
+        node = np.repeat(np.arange(len(rows)), count)
+        o_i = (lo + count - count.cumsum())[node] + np.arange(len(node))
+        rows, O = rows[node], O[node]
+        O[:, i] = o_i
+        rem = rem[node] - (R[i, i] * (c[node] - o_i)) ** 2
+    return rows, O
 
 
 def cvp_bruteforce_batch(V: GeneratorMatrix, X):
-    """Exact closest-vector solve for each row of X (n <= 6).
+    """Exact closest-vector solve for one target (shape (n,)) or each row of
+    X (shape (k, n)), for n <= MAX_CVP_DIM.
 
-    Enumerates a box of integer coefficient vectors around the rounded real
-    solve, sized from the rounding residual; a dual-norm certificate then
-    guarantees the minimizer was inside, re-enumerating a larger box in the
-    rare case it is not.  Ties go to the lexicographically smallest
-    coefficient vector.
+    A sphere search (Fincke-Pohst) in the QR frame, whose radius is the
+    distance to the rounded real solve, finds every coefficient vector at
+    least as close; they are compared in the original frame, and ties go to
+    the lexicographically smallest.  Rows are searched in blocks of about
+    _CVP_BLOCK_NODES nodes.
     """
     _require(V.n <= MAX_CVP_DIM, UnsupportedDimensionError,
              f"exhaustive CVP supports n <= {MAX_CVP_DIM}")
     X = np.asarray(X, dtype=float)
+    _require(X.ndim in (1, 2) and X.shape[-1] == V.n, ValueError,
+             "target dimension mismatch")
     single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    _require(X.shape[1] == V.n, ValueError, "target dimension mismatch")
+    X = np.atleast_2d(X)
     _require(np.all(np.isfinite(X)), ValueError, "target must be finite")
-    n = V.n
-    C = X @ V.inverse().T
-    C0 = round_half_up(C)
+    Q, R = V.qr()
+    C0 = round_half_up(X @ V.inverse().T)
     R0 = X - C0.astype(float) @ V.matrix.T
-    res = np.sqrt(np.einsum("ij,ij->i", R0, R0))
-    h_min = float(np.min(np.diag(V.qr()[1])))
-    K = np.ceil(res / h_min).astype(np.int64) + 1
-
-    best_d = np.full(len(X), np.inf)
-    best_u = np.zeros((len(X), n), dtype=np.int64)
-    for k in np.unique(K):
-        mask = K == k
-        d, u = _cvp_enumerate(V, X[mask], C0[mask], [int(k)] * n,
-                              best_d[mask], best_u[mask])
-        best_d[mask] = d
-        best_u[mask] = u
-
-    # Certificate: any u with ||x - Vu|| <= d* satisfies
-    # |u_i - c_i| <= d* ||row_i(V^-1)|| , so if that box fits inside the
-    # enumerated one the answer is provably optimal.
-    row_norms = np.linalg.norm(V.inverse(), axis=1)
-    dist = np.sqrt(best_d)
-    need = np.ceil(dist[:, None] * row_norms[None, :] + 0.5 + 1e-9).astype(np.int64)
-    short = np.any(need > K[:, None], axis=1)
-    for idx in np.nonzero(short)[0]:
-        radii = np.maximum(need[idx], K[idx])
-        d, u = _cvp_enumerate(V, X[idx:idx + 1], C0[idx:idx + 1], list(radii),
-                              best_d[idx:idx + 1], best_u[idx:idx + 1])
-        best_d[idx:idx + 1] = d
-        best_u[idx:idx + 1] = u
-
-    if single:
-        return best_u[0]
-    return best_u
+    r2 = np.einsum("ij,ij->i", R0, R0) * (1.0 + _CVP_SLACK)
+    # level i gives a node at most 2 reach_i + 1 children
+    reach = np.sqrt(r2)[:, None] / np.diag(R) + _CVP_SLACK
+    nodes = np.cumsum(np.prod(2.0 * reach + 1.0, axis=1)) // _CVP_BLOCK_NODES
+    best_u = np.zeros(X.shape, dtype=np.int64)
+    cuts = np.flatnonzero(np.diff(nodes)) + 1
+    for block in np.split(np.arange(len(X)), cuts):
+        rows, O = _sphere_leaves(R, R0[block] @ Q, r2[block])
+        U = C0[block][rows] + O.astype(np.int64)
+        D = X[block][rows] - U.astype(float) @ V.matrix.T
+        d = np.einsum("ij,ij->i", D, D)
+        order = np.lexsort((*U.T[::-1], d, rows))
+        best_u[block] = U[order[np.diff(rows[order], prepend=-1) != 0]]
+    return best_u[0] if single else best_u
 
 
 def cvp_bruteforce(V: GeneratorMatrix, x) -> LatticeVector:
-    """Closest lattice point to x by exhaustive search (exact; n <= 6)."""
-    u = cvp_bruteforce_batch(V, x)
-    return LatticeVector.from_coeffs(V, u)
+    """Closest lattice point to x by sphere search (exact; n <= 6)."""
+    return LatticeVector.from_coeffs(V, cvp_bruteforce_batch(V, x))

@@ -333,7 +333,7 @@ def run_interactive(V: GeneratorMatrix, X, alpha: float):
         for i in range(n - 1, -1, -1))
     return coeffs, Transcript(model="interactive", messages=messages,
                               total_bits=sum(m.bits for m in messages),
-                              decoded={i + 1: coeffs.copy() for i in range(n)})
+                              decoded=dict.fromkeys(range(1, n + 1), coeffs))
 
 
 def interactive_coefficients_batch(V: GeneratorMatrix, X,

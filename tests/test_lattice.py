@@ -1,5 +1,8 @@
+import itertools
 import json
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +21,7 @@ from latcomm import (
     cvp_bruteforce_batch,
     gauss_reduce_2d,
     is_minkowski_reduced_2d,
+    nearest_plane,
     round_half_up,
 )
 
@@ -321,7 +325,127 @@ def _exhaustive_cvp(V, x, radius=6):
     return float(d[k]), tuple(int(c) for c in coeffs[k])
 
 
+def _box_cvp(M, x):
+    """Exact CVP by a provably complete box: with d0 the distance to the
+    rounded real solve c, every u with ||x - M u|| <= d0 has
+    |u_i - c_i| <= d0 ||row_i(M^-1)||.  Returns (d, u) for the
+    lexicographically smallest minimiser."""
+    Minv = np.linalg.inv(M)
+    c = Minv @ x
+    d0 = float(np.linalg.norm(x - M @ np.round(c)))
+    rho = d0 * np.linalg.norm(Minv, axis=1) + 1e-9
+    U = np.array(list(itertools.product(*[
+        range(math.ceil(ci - ri), math.floor(ci + ri) + 1)
+        for ci, ri in zip(c, rho)])), dtype=float)
+    r = x - U @ M.T
+    d = np.einsum("ij,ij->i", r, r)
+    k = int(np.flatnonzero(d == d.min())[0])  # product order is lexicographic
+    return float(d[k]), U[k].astype(np.int64)
+
+
+@st.composite
+def _dyadic_cvp_case(draw):
+    """An upper-triangular 3D or 4D basis with entries k/8 (diagonal of
+    either sign) and targets: midpoints of two lattice points, random
+    multiples of 1/16 (on both, every float step of a distance is exact, so
+    ties are exact ties) or random floats."""
+    n = draw(st.sampled_from([3, 4]))
+    M = np.zeros((n, n))
+    for i in range(n):
+        M[i, i] = draw(st.integers(4, 12)) / 8 * draw(st.sampled_from([-1, 1]))
+        for j in range(i + 1, n):
+            M[i, j] = draw(st.integers(-4, 4)) / 8
+    coord = st.integers(-3, 3)
+    rows, exact = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["midpoint", "dyadic", "float"]))
+        if kind == "midpoint":
+            u = np.array([draw(coord) for _ in range(n)], dtype=float)
+            w = np.array([draw(st.integers(-1, 1)) for _ in range(n)])
+            rows.append(M @ (u + w / 2.0))
+        elif kind == "dyadic":
+            rows.append([draw(st.integers(-64, 64)) / 16 for _ in range(n)])
+        else:
+            rows.append([draw(st.floats(-4, 4)) for _ in range(n)])
+        exact.append(kind != "float")
+    return M, np.array(rows, dtype=float), exact
+
+
 class TestCvp:
+    @given(_dyadic_cvp_case())
+    @settings(max_examples=150)
+    def test_matches_complete_box(self, case):
+        M, X, exact = case
+        V = GeneratorMatrix(M)
+        U = cvp_bruteforce_batch(V, X)
+        for x, u, is_exact in zip(X, U, exact):
+            d_ref, u_ref = _box_cvp(M, x)
+            if is_exact:  # the tie rule: lexicographically smallest
+                assert u.tolist() == u_ref.tolist()
+            else:
+                d = float(np.sum((x - M @ u) ** 2))
+                assert d == pytest.approx(d_ref, rel=1e-12, abs=1e-12)
+            assert cvp_bruteforce_batch(V, x).tolist() == u.tolist()
+
+    def test_rotated_bases_match_complete_box(self):
+        rng = np.random.default_rng(9)
+        for n in (3, 4):
+            for _ in range(20):
+                R = (np.triu(rng.uniform(-0.8, 0.8, (n, n)), 1)
+                     + np.diag(rng.uniform(0.6, 1.6, n)))
+                M = np.linalg.qr(rng.normal(size=(n, n)))[0] @ R
+                X = rng.uniform(-4, 4, size=(8, n))
+                U = cvp_bruteforce_batch(GeneratorMatrix(M), X)
+                for x, u in zip(X, U):
+                    d_ref, _ = _box_cvp(M, x)
+                    assert float(np.sum((x - M @ u) ** 2)) == pytest.approx(
+                        d_ref, rel=1e-12, abs=1e-12)
+
+    def test_memory_bounded_on_needle_basis(self):
+        # an unreduced basis: about 100 candidates per target on the short
+        # level, so the search must run in blocks of rows
+        M = np.array([[1.0, 0.99], [0.0, 0.01]])
+        V = GeneratorMatrix(M)
+        X = np.random.default_rng(3).uniform(-0.5, 0.5, size=(65536, 2)) \
+            * np.diag(M)
+        tracemalloc.start()
+        try:
+            U = cvp_bruteforce_batch(V, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        for x, u in zip(X[:10], U[:10]):
+            assert u.tolist() == _box_cvp(M, x)[1].tolist()
+
+    def test_6d_batch_in_bounded_time(self):
+        # a criterion-11 basis and far targets: a box around the rounded
+        # real solve would need up to 9^6 offsets per target here
+        rng = np.random.default_rng(0)
+        n = 6
+        R = (np.triu(rng.uniform(-0.8, 0.8, (n, n)), 1)
+             + np.diag(rng.uniform(0.6, 1.6, n)))
+        M = np.linalg.qr(rng.normal(size=(n, n)))[0] @ R
+        V = GeneratorMatrix(M)
+        X = rng.uniform(-4, 4, size=(4096, n))
+        start = time.perf_counter()
+        U = cvp_bruteforce_batch(V, X)
+        assert time.perf_counter() - start < 5.0
+        d = np.linalg.norm(X - U @ M.T, axis=1)
+        d_np = np.linalg.norm(X - nearest_plane(V, X).point, axis=1)
+        assert np.all(d <= d_np + 1e-9)
+        for x, u in zip(X[:4], U[:4]):
+            d_ref, _ = _box_cvp(M, x)
+            assert float(np.sum((x - M @ u) ** 2)) == pytest.approx(
+                d_ref, rel=1e-12, abs=1e-12)
+
+    def test_target_shapes(self, hexagonal):
+        for X in (1.0, np.zeros((2, 2, 2)), np.zeros(3), np.zeros((4, 3))):
+            with pytest.raises(ValueError, match="target dimension mismatch"):
+                cvp_bruteforce_batch(hexagonal, X)
+        empty = cvp_bruteforce_batch(hexagonal, np.zeros((0, 2)))
+        assert empty.shape == (0, 2) and empty.dtype == np.int64
+
     def test_known_points(self, hexagonal, skew5):
         r = cvp_bruteforce(hexagonal, [0.9, 0.8])
         assert tuple(r.coeffs) == (0, 1)
@@ -375,7 +499,7 @@ class TestCvp:
 
     def test_skewed_basis_beyond_unit_box(self):
         # closest point needs a coefficient offset of 2 relative to the
-        # rounded real solution; the certificate pass must still find it
+        # rounded real solution; the search around it must still reach it
         V = GeneratorMatrix(np.array([[1.0, 0.99], [0.0, 0.01]]))
         rng = np.random.default_rng(5)
         for _ in range(50):

@@ -345,6 +345,12 @@ class TestInteractive:
         assert t.messages[0].receivers == (1, 2)
         assert len(t.decoded) == 3
 
+    def test_decoded_shares_the_coefficients(self):
+        # every node decodes the same vector: one array, not n copies
+        V = GeneratorMatrix(np.triu(np.full((3, 3), 0.25)) + np.eye(3))
+        b, t = run_interactive(V, np.zeros((5, 3)), 1.0)
+        assert t.decoded[1] is t.decoded[3] is b
+
     def test_equals_scaled_nearest_plane(self, ratio311):
         rng = np.random.default_rng(5)
         for alpha in (1.0, 0.5, 2.0 ** -6):
