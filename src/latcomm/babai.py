@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    GeneratorMatrix,
-    LatticeVector,
-    cvp_bruteforce,
-    round_half_up,
-)
+from .lattice import GeneratorMatrix, round_half_up
 
 
 @dataclass(frozen=True)
@@ -78,9 +73,10 @@ def nearest_plane(V: GeneratorMatrix, X, method="auto") -> NearestPlaneResult:
 @dataclass(frozen=True)
 class BabaiCell:
     """Axis-aligned box (in the `frame` coordinates) of points that round to
-    `center` under the nearest-plane recursion; half-open on the upper side."""
+    the lattice point `center` under the nearest-plane recursion; half-open
+    on the upper side."""
 
-    center: LatticeVector
+    center: np.ndarray
     half_widths: np.ndarray
     frame: np.ndarray
 
@@ -89,24 +85,15 @@ class BabaiCell:
         return float(np.prod(2.0 * self.half_widths))
 
     def contains(self, x, tol=0.0) -> bool:
-        y = self.frame.T @ (np.asarray(x, dtype=float) - self.center.point)
+        y = self.frame.T @ (np.asarray(x, dtype=float) - self.center)
         return bool(np.all(y >= -self.half_widths - tol)
                     and np.all(y < self.half_widths + tol))
 
 
-def babai_cell(V: GeneratorMatrix, lattice_point) -> BabaiCell:
-    """Partition cell of a lattice point: its translate of the origin box."""
-    if isinstance(lattice_point, LatticeVector):
-        lp = lattice_point
-    else:
-        lp = LatticeVector.from_coeffs(V, lattice_point)
+def babai_cell(V: GeneratorMatrix, coeffs) -> BabaiCell:
+    """Partition cell of the lattice point with integer coefficients
+    `coeffs`: its translate of the origin box."""
+    center = V.matrix @ np.asarray(coeffs, dtype=np.int64).astype(float)
     Q, R = V.qr()
-    half = np.abs(np.diag(R)) / 2.0
-    return BabaiCell(center=lp, half_widths=half, frame=Q)
-
-
-def np_matches_cvp(V: GeneratorMatrix, x, tol=1e-9) -> bool:
-    """True iff nearest-plane rounding finds an exact closest point for x."""
-    a = nearest_plane(V, x).point
-    b = cvp_bruteforce(V, x).point
-    return bool(np.linalg.norm(a - b) <= tol)
+    return BabaiCell(center=center, half_widths=np.abs(np.diag(R)) / 2.0,
+                     frame=Q)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .babai import nearest_plane, np_matches_cvp
+from .babai import nearest_plane
 from .error_analysis import (
     PE_CSV_HEADER,
     analytic_pe,
@@ -34,7 +34,7 @@ from .lattice import (
     GeneratorMatrix,
     ReducedBasis2D,
     canonicalize_2d,
-    cvp_bruteforce,
+    cvp_bruteforce_batch,
     gauss_reduce_2d,
 )
 from .protocol import (
@@ -111,29 +111,25 @@ def _cmd_reduce(args) -> str:
     })
 
 
-def _rounding_report(V, x, coeffs, point):
+def _cmd_rounding(args) -> str:
+    """babai and cvp: the command's own answer for one target, and whether
+    the other solver gives the same coefficients.  Each solver runs once;
+    babai's match is null where n > MAX_CVP_DIM leaves no exact answer."""
+    V = _load_matrix(args.matrix)
+    x = _parse_x(args.x, V.n)
     match = None
-    if V.n <= MAX_CVP_DIM:
-        match = np_matches_cvp(V, x)
+    if args.command == "cvp":
+        coeffs = cvp_bruteforce_batch(V, x)
+        match = np.array_equal(coeffs, nearest_plane(V, x).coeffs)
+    else:
+        coeffs = nearest_plane(V, x).coeffs
+        if V.n <= MAX_CVP_DIM:
+            match = np.array_equal(coeffs, cvp_bruteforce_batch(V, x))
     return _json_text({
         "coeffs": [int(c) for c in coeffs],
-        "point": [float(p) for p in point],
+        "point": [float(p) for p in V.matrix @ coeffs.astype(float)],
         "match": match,
     })
-
-
-def _cmd_babai(args) -> str:
-    V = _load_matrix(args.matrix)
-    x = _parse_x(args.x, V.n)
-    res = nearest_plane(V, x)
-    return _rounding_report(V, x, res.coeffs, res.point)
-
-
-def _cmd_cvp(args) -> str:
-    V = _load_matrix(args.matrix)
-    x = _parse_x(args.x, V.n)
-    res = cvp_bruteforce(V, x)
-    return _rounding_report(V, x, res.coeffs, res.point)
 
 
 def _cmd_perror(args) -> str:
@@ -152,8 +148,7 @@ def _cmd_perror(args) -> str:
     elif args.method == "area":
         report["pe"] = exact_pe_area(V)
     else:
-        est = monte_carlo_pe(V, args.samples, seed=args.seed,
-                             workers=args.workers)
+        est = monte_carlo_pe(V, args.samples, seed=args.seed)
         report["pe"] = est.estimate
         report["std_error"] = est.std_error
         report["n_samples"] = est.n_samples
@@ -326,13 +321,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="nearest-plane rounding of a target")
     p.add_argument("--matrix", required=True)
     p.add_argument("--x", required=True, help="comma-separated target")
-    p.set_defaults(func=_cmd_babai, default_format="json")
+    p.set_defaults(func=_cmd_rounding, default_format="json")
 
     p = sub.add_parser("cvp", parents=[common],
-                       help="exact closest lattice point (n <= 6)")
+                       help=f"exact closest lattice point (n <= {MAX_CVP_DIM})")
     p.add_argument("--matrix", required=True)
     p.add_argument("--x", required=True, help="comma-separated target")
-    p.set_defaults(func=_cmd_cvp, default_format="json")
+    p.set_defaults(func=_cmd_rounding, default_format="json")
 
     p = sub.add_parser("perror", parents=[common],
                        help="rounding-error probability of a basis")
@@ -341,8 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="analytic")
     p.add_argument("--samples", type=int, default=100000,
                    help="Monte Carlo sample count (method mc)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for method mc")
     p.set_defaults(func=_cmd_perror, default_format="json")
 
     p = sub.add_parser("levelcurves", parents=[common],

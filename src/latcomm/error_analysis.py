@@ -15,6 +15,7 @@ Monte Carlo estimate driven by the exhaustive CVP oracle.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -301,39 +302,33 @@ def _mc_chunk_errors(V, half, Q, seed, chunk_index, count):
     return int(np.any(coeffs != 0, axis=1).sum())
 
 
-def monte_carlo_pe(V: GeneratorMatrix, n_samples: int, seed: int = 0,
-                   workers: int = 1) -> PeEstimate:
+def monte_carlo_pe(V: GeneratorMatrix, n_samples: int,
+                   seed: int = 0) -> PeEstimate:
     """Estimate the rounding-error probability by sampling the origin box.
 
     Each sample is drawn uniformly in the origin rounding cell and checked
     against the exhaustive CVP oracle.  Sampling uses counter-based
     substreams per fixed-size chunk, so the result depends only on
-    (seed, n_samples), regardless of the worker count.
+    (seed, n_samples).  Chunks run on up to os.cpu_count() threads; a
+    single chunk runs on the calling thread.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    if workers < 1:
-        raise ValueError("workers must be positive")
     Q, R = V.qr()
     half = np.abs(np.diag(R)) / 2.0
-    chunks = []
-    start = 0
-    idx = 0
-    while start < n_samples:
-        count = min(_MC_CHUNK, n_samples - start)
-        chunks.append((idx, count))
-        start += count
-        idx += 1
+    chunks = [(i, min(_MC_CHUNK, n_samples - start))
+              for i, start in enumerate(range(0, n_samples, _MC_CHUNK))]
+    def chunk_errors(chunk):
+        return _mc_chunk_errors(V, half, Q, seed, *chunk)
+
+    workers = min(len(chunks), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda c: _mc_chunk_errors(V, half, Q, seed, c[0], c[1]),
-                chunks))
+            errors = sum(pool.map(chunk_errors, chunks))
     else:
-        results = [_mc_chunk_errors(V, half, Q, seed, i, c) for i, c in chunks]
-    errors = sum(results)
+        errors = sum(map(chunk_errors, chunks))
     est = errors / n_samples
     se = math.sqrt(est * (1.0 - est) / n_samples)
     return PeEstimate(estimate=est, std_error=se, n_samples=n_samples,

@@ -157,10 +157,6 @@ class GeneratorMatrix:
     def column(self, j):
         return self.matrix[:, j].copy()
 
-    @property
-    def column_norms(self):
-        return np.linalg.norm(self.matrix, axis=0)
-
     def is_upper_triangular(self):
         """True iff every entry below the diagonal is exactly zero."""
         if self._upper is None:
@@ -205,19 +201,6 @@ class GeneratorMatrix:
         if self._inv is None:
             self._inv = np.linalg.inv(self.matrix)
         return self._inv
-
-
-@dataclass(frozen=True)
-class LatticeVector:
-    """A lattice point together with its integer coordinates: point = V @ coeffs."""
-
-    coeffs: np.ndarray
-    point: np.ndarray
-
-    @classmethod
-    def from_coeffs(cls, V: GeneratorMatrix, coeffs):
-        u = np.asarray(coeffs, dtype=np.int64)
-        return cls(coeffs=u, point=V.matrix @ u.astype(float))
 
 
 # Magnitude bound (exclusive) of what round_half_up accepts: below it every
@@ -389,8 +372,3 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
         order = np.lexsort((*U.T[::-1], d, rows))
         best_u[block] = U[order[np.diff(rows[order], prepend=-1) != 0]]
     return best_u[0] if single else best_u
-
-
-def cvp_bruteforce(V: GeneratorMatrix, x) -> LatticeVector:
-    """Closest lattice point to x by sphere search (exact; n <= 6)."""
-    return LatticeVector.from_coeffs(V, cvp_bruteforce_batch(V, x))

@@ -67,13 +67,13 @@ def varint_decode(data: bytes, offset: int = 0):
 
 
 def varint_bits(value):
-    """Length in bits of varint_encode(value).  Takes an integer (returns
-    an int) or an int64 array (returns an int64 array of the same shape)."""
-    if np.ndim(value) == 0:
-        return 8 * len(varint_encode(int(value)))
+    """Length in bits of varint_encode(value), from the zigzag value's
+    count of 7-bit groups.  Takes an integer (returns an int) or an int64
+    array (returns an int64 array of the same shape)."""
     v = np.asarray(value, dtype=np.int64)
     zz = ((v << 1) ^ (v >> 63)).view(np.uint64)  # zigzag, exact for int64
-    return 8 * (1 + sum(zz >> np.uint64(7 * j) != 0 for j in range(1, 10)))
+    bits = 8 * (1 + sum(zz >> np.uint64(7 * j) != 0 for j in range(1, 10)))
+    return int(bits) if v.ndim == 0 else bits
 
 
 @dataclass(frozen=True)

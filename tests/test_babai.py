@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from latcomm import (
     GeneratorMatrix,
     babai_cell,
-    cvp_bruteforce,
+    cvp_bruteforce_batch,
     interactive_coefficients_batch,
     nearest_plane,
-    np_matches_cvp,
     run_interactive,
 )
 
@@ -193,7 +192,8 @@ class TestSuboptimality:
         V = _random_basis(rng, n)
         x = rng.uniform(-3, 3, size=n)
         d_np = float(np.linalg.norm(nearest_plane(V, x).point - x))
-        d_nl = float(np.linalg.norm(cvp_bruteforce(V, x).point - x))
+        d_nl = float(np.linalg.norm(V.matrix @ cvp_bruteforce_batch(V, x)
+                                    - x))
         assert d_np >= d_nl - 1e-9
 
     def test_equal_distance_means_equal_coeffs(self):
@@ -202,10 +202,10 @@ class TestSuboptimality:
             V = _random_basis(rng, 2)
             x = rng.uniform(-3, 3, size=2)
             a = nearest_plane(V, x)
-            b = cvp_bruteforce(V, x)
+            b = cvp_bruteforce_batch(V, x)
             da = float(np.linalg.norm(a.point - x))
-            db = float(np.linalg.norm(b.point - x))
-            if np.array_equal(a.coeffs, b.coeffs):
+            db = float(np.linalg.norm(V.matrix @ b - x))
+            if np.array_equal(a.coeffs, b):
                 assert da == db
             else:
                 assert da > db
@@ -239,7 +239,7 @@ class TestBabaiCell:
     def test_translated_cell(self, hexagonal):
         cell = babai_cell(hexagonal, [2, 1])
         center = 2 * hexagonal.column(0) + hexagonal.column(1)
-        assert cell.center.point == pytest.approx(center)
+        assert cell.center == pytest.approx(center)
         assert cell.contains(center)
 
     def test_cells_partition_samples(self, skew5):
@@ -252,15 +252,20 @@ class TestBabaiCell:
             assert not babai_cell(skew5, coeffs + np.array([1, 0])).contains(x)
 
 
+def _matches_cvp(V, x):
+    return np.array_equal(nearest_plane(V, x).coeffs,
+                          cvp_bruteforce_batch(V, x))
+
+
 class TestMatchesCvp:
     def test_orthogonal_always_matches(self):
         V = GeneratorMatrix.from_columns([[2, 0], [0, 3]])
         rng = np.random.default_rng(2)
         for _ in range(100):
-            assert np_matches_cvp(V, rng.uniform(-5, 5, size=2))
+            assert _matches_cvp(V, rng.uniform(-5, 5, size=2))
 
     def test_known_mismatch(self, skew5):
-        assert not np_matches_cvp(skew5, [2.4, 0.0])
+        assert not _matches_cvp(skew5, [2.4, 0.0])
 
     def test_known_match(self, hexagonal):
-        assert np_matches_cvp(hexagonal, [0.9, 0.8])
+        assert _matches_cvp(hexagonal, [0.9, 0.8])

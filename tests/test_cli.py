@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import latcomm.babai
+import latcomm.cli
 from latcomm.cli import main
 
 HEX_MATRIX = {"n": 2, "columns": [[1, 0], ["1/2", math.sqrt(3) / 2]]}
@@ -93,6 +94,39 @@ class TestRounding:
             doc = json.loads(out)
             assert doc["coeffs"] == [0, 0] and doc["match"] is True
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_match_compares_coefficients_at_any_scale(self, capsys, files,
+                                                      scale):
+        # skew5 scaled: the two answers differ by a whole lattice vector,
+        # however short it is
+        m = files("m.json", {"n": 2, "columns": [[5 * scale, 0],
+                                                 [3 * scale, scale]]})
+        x = f"{2.4 * scale!r},0"
+        expected = {"babai": [0, 0], "cvp": [1, -1]}
+        for cmd, coeffs in expected.items():
+            code, out, _ = run(capsys, cmd, "--matrix", m, "--x", x)
+            doc = json.loads(out)
+            assert code == 0 and doc["coeffs"] == coeffs
+            assert doc["match"] is False, cmd
+
+    @pytest.mark.parametrize("cmd", ["babai", "cvp"])
+    def test_each_solver_runs_once(self, cmd, capsys, files, monkeypatch):
+        calls = {}
+
+        def counted(f):
+            def wrapper(*args, **kwargs):
+                calls[f.__name__] = calls.get(f.__name__, 0) + 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        for name in ("nearest_plane", "cvp_bruteforce_batch"):
+            monkeypatch.setattr(latcomm.cli, name,
+                                counted(getattr(latcomm.cli, name)))
+        m = files("m.json", SKEW5_MATRIX)
+        code, _, _ = run(capsys, cmd, "--matrix", m, "--x", "2.4,0")
+        assert code == 0
+        assert calls == {"nearest_plane": 1, "cvp_bruteforce_batch": 1}
+
     def test_dimension_mismatch(self, capsys, files):
         m = files("m.json", HEX_MATRIX)
         code, _, err = run(capsys, "babai", "--matrix", m, "--x", "1,2,3")
@@ -146,14 +180,6 @@ class TestPerror:
                            "--method", "analytic")
         doc = json.loads(out)
         assert code == 0 and doc["a"] == 0.0 and doc["pe"] == 0.0
-
-    def test_workers_must_be_positive(self, capsys, files):
-        m = files("m.json", HEX_MATRIX)
-        for w in ("0", "-2"):
-            code, out, err = run(capsys, "perror", "--matrix", m, "--method",
-                                 "mc", "--samples", "1000", f"--workers={w}")
-            assert code == 1 and out == ""
-            assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_analytic_needs_2d(self, capsys, files):
         m = files("m.json", {"n": 3, "columns": [[1, 0, 0], [0, 1, 0],
@@ -383,12 +409,15 @@ class TestOutputContract:
             outs.append(open(path, "rb").read())
         assert outs[0] == outs[1]
 
-    def test_mc_workers_do_not_change_bytes(self, capsys, files):
+    def test_mc_workers_do_not_change_bytes(self, capsys, files,
+                                            monkeypatch):
+        # 70,000 samples are two chunks: one thread, then two
         m = files("m.json", HEX_MATRIX)
         results = []
-        for w in ("1", "4"):
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             _, out, _ = run(capsys, "perror", "--matrix", m, "--method", "mc",
-                            "--samples", "70000", "--workers", w)
+                            "--samples", "70000")
             results.append(out)
         assert results[0] == results[1]
 
@@ -428,8 +457,9 @@ class TestOutputContract:
 
 
 class TestPinnedOutputs:
-    """Integer and bit fields of `babai` and `simulate`, pinned so that a
-    change to the rounding kernel cannot move them unnoticed."""
+    """Integer and bit fields of `babai` and `simulate`, and the whole
+    output of `cvp`, pinned so that a change to the rounding kernel or the
+    CVP search cannot move them unnoticed."""
 
     TRI3 = {"n": 3, "columns": [[-2, 0, 0], ["1/2", "3/4", 0],
                                 ["1/3", "-1/5", "-5/4"]]}
@@ -446,6 +476,27 @@ class TestPinnedOutputs:
         "ROT3": [[0, 0, 0], [-1, -1, 2], [-1, 1, 1], [5, -2, -4],
                  [-8, 10, 9], [1, 0, 0]],
     }
+    # (coeffs, point, match) of `cvp` on each target
+    CVP = {
+        "TRI3": [([0, 0, 0], [0.0, 0.0, 0.0], True),
+                 ([-1, -2, -2], [0.33333333333333337, -1.1, 2.5], False),
+                 ([1, 1, 0], [-1.5, 0.75, 0.0], True),
+                 ([0, 4, 3], [3.0, 2.4, -3.75], True),
+                 ([2, -1, -8], [-7.166666666666666, 0.8500000000000001, 10.0],
+                  False),
+                 ([0, 1, 0], [0.5, 0.75, 0.0], True)],
+        "ROT3": [([0, 0, 0], [0.0, 0.0, 0.0], True),
+                 ([-1, -1, 2], [0.44000000000000017, -1.58, 2.2], True),
+                 ([-1, 1, 1], [-0.8600000000000001, 0.02000000000000013, 1.1],
+                  True),
+                 ([5, -2, -4], [3.2, 2.5999999999999996, -4.4], True),
+                 ([-8, 10, 9], [-7.5, 2.0000000000000018, 9.9], True),
+                 ([1, 0, 0], [0.72, 0.96, 0.0], True)],
+    }
+    # upper-triangular 7D basis, 1 on the diagonal and 1/2 above it: one
+    # dimension beyond the exact search
+    TRI7 = {"n": 7, "columns": [[1 if i == j else "1/2" if i < j else 0
+                                 for i in range(7)] for j in range(7)]}
     SCENARIOS = {
         "readme": {"matrix": {"n": 2, "columns": [["5/4", 0], [0, "4/5"]]},
                    "alpha": 2.0 ** -10, "trials": 1000, "seed": 1,
@@ -477,6 +528,30 @@ class TestPinnedOutputs:
                 assert code == 0
                 got.append(json.loads(out)["coeffs"])
             assert got == expected, name
+
+    def test_cvp_outputs(self, capsys, files):
+        for name, expected in self.CVP.items():
+            m = files("m.json", getattr(self, name))
+            got = []
+            for x in self.TARGETS:
+                code, out, _ = run(capsys, "cvp", "--matrix", m, f"--x={x}")
+                assert code == 0
+                doc = json.loads(out)
+                got.append((doc["coeffs"], doc["point"], doc["match"]))
+            assert got == expected, name
+
+    def test_beyond_max_cvp_dim(self, capsys, files):
+        m = files("m.json", self.TRI7)
+        x = "--x=0.3,1.6,-2.2,0.7,4.1,-0.5,2.5"
+        code, out, _ = run(capsys, "babai", "--matrix", m, x)
+        assert code == 0
+        assert json.loads(out) == {
+            "coeffs": [0, 2, -4, -2, 4, -2, 3],
+            "point": [0.5, 1.5, -2.5, 0.5, 4.5, -0.5, 3.0],
+            "match": None}
+        code, out, err = run(capsys, "cvp", "--matrix", m, x)
+        assert (code, out) == (1, "")
+        assert err == "error: exhaustive CVP supports n <= 6\n"
 
     def test_simulate_bits(self, capsys, files):
         for (name, model), expected in self.SIMULATE.items():

@@ -1,10 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latcomm.error_analysis
 from latcomm import (
     GeneratorMatrix,
     ReducedBasis2D,
@@ -237,10 +239,24 @@ class TestMonteCarlo:
         e3 = monte_carlo_pe(hexagonal, 40000, seed=8)
         assert e3.estimate != e1.estimate
 
-    def test_worker_count_does_not_change_result(self, hexagonal):
-        e1 = monte_carlo_pe(hexagonal, 150000, seed=3, workers=1)
-        e4 = monte_carlo_pe(hexagonal, 150000, seed=3, workers=4)
-        assert e1.estimate == e4.estimate
+    def test_worker_count_does_not_change_result(self, hexagonal,
+                                                 monkeypatch):
+        # 150,000 samples are three chunks: one thread, then three
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        e1 = monte_carlo_pe(hexagonal, 150000, seed=3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        e4 = monte_carlo_pe(hexagonal, 150000, seed=3)
+        assert e1 == e4
+
+    def test_single_chunk_runs_on_calling_thread(self, hexagonal,
+                                                 monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool for a single chunk")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(latcomm.error_analysis, "ThreadPoolExecutor",
+                            no_pool)
+        assert monte_carlo_pe(hexagonal, 1 << 16, seed=3).n_samples == 1 << 16
 
     def test_hexagonal_estimate(self, hexagonal):
         est = monte_carlo_pe(hexagonal, 100000, seed=0)

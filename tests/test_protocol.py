@@ -50,6 +50,7 @@ class TestVarint:
                           (64, 2), (-65, 2), (500, 2), (8191, 2), (8192, 3)]:
             assert len(varint_encode(v)) == nbytes
             assert varint_bits(v) == 8 * nbytes
+            assert type(varint_bits(v)) is int
 
     @given(st.integers(min_value=-2**62, max_value=2**62))
     def test_roundtrip(self, v):
@@ -311,6 +312,24 @@ class TestFusionDecode:
                       > 2 ** 63)
         assert np.array_equal(B, nearest_plane(V, X).coeffs)
         for i in range(0, 200, 37):
+            b, _ = run_centralized(V, X[i])
+            assert np.array_equal(b, B[i])
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40)
+    def test_large_q_batch_matches_kernel(self, case):
+        # entries num/den with both in [10^5, 10^6]: a ratio's denominator
+        # reaches 10^12, and q_m, the lcm across a row, about 10^23 at n = 4
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(2, 5))
+        cols = [[f"{int(rng.choice([-1, 1]) * rng.integers(10**5, 10**6))}"
+                 f"/{int(rng.integers(10**5, 10**6))}" if i <= j else 0
+                 for i in range(n)] for j in range(n)]
+        V = GeneratorMatrix.from_columns(cols)
+        X = rng.uniform(-1000, 1000, size=(200, n))
+        B, _ = run_centralized(V, X)
+        assert np.array_equal(B, nearest_plane(V, X).coeffs)
+        for i in range(0, 200, 67):
             b, _ = run_centralized(V, X[i])
             assert np.array_equal(b, B[i])
 
