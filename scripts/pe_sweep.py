@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from latcomm import ReducedBasis2D, analytic_pe, exact_pe_area, monte_carlo_pe
-from latcomm.error_analysis import PE_CSV_HEADER, pe_csv_line
+from latcomm import ReducedBasis2D
+from latcomm.error_analysis import PE_CSV_HEADER, pe_csv_line, pe_row
 
 
 def main(argv=None) -> int:
@@ -31,16 +31,11 @@ def main(argv=None) -> int:
     for a in np.linspace(0.0, 0.5, args.a_grid):
         for b in np.linspace(0.85, args.b_max, args.b_grid):
             try:
-                rb = ReducedBasis2D(float(a), float(b))
+                ReducedBasis2D(float(a), float(b))
             except ValueError:
                 continue
-            V = rb.matrix()
-            pe_mc = mc_stderr = None
-            if args.samples > 0:
-                est = monte_carlo_pe(V, args.samples, seed=args.seed)
-                pe_mc, mc_stderr = est.estimate, est.std_error
-            lines.append(pe_csv_line(rb.a, rb.b, analytic_pe(rb.a, rb.b),
-                                     exact_pe_area(V), pe_mc, mc_stderr))
+            row = pe_row(float(a), float(b), args.samples, args.seed)
+            lines.append(pe_csv_line(*row))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

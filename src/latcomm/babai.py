@@ -84,10 +84,10 @@ class BabaiCell:
     def volume(self) -> float:
         return float(np.prod(2.0 * self.half_widths))
 
-    def contains(self, x, tol=0.0) -> bool:
+    def contains(self, x) -> bool:
         y = self.frame.T @ (np.asarray(x, dtype=float) - self.center)
-        return bool(np.all(y >= -self.half_widths - tol)
-                    and np.all(y < self.half_widths + tol))
+        return bool(np.all(y >= -self.half_widths)
+                    and np.all(y < self.half_widths))
 
 
 def babai_cell(V: GeneratorMatrix, coeffs) -> BabaiCell:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -28,11 +29,11 @@ from .error_analysis import (
     level_curve_points,
     monte_carlo_pe,
     pe_csv_line,
+    pe_row,
 )
 from .lattice import (
     MAX_CVP_DIM,
     GeneratorMatrix,
-    ReducedBasis2D,
     canonicalize_2d,
     cvp_bruteforce_batch,
     gauss_reduce_2d,
@@ -50,6 +51,10 @@ from .protocol import (
 )
 
 _DEFAULT_K = "0,0.01,0.02,0.04,0.06,1/12"
+_PE_HEADER = PE_CSV_HEADER.split(",")
+# the CSV columns that each perror method fills with its pe and std_error
+_PE_COLUMNS = {"analytic": ("pe_analytic",), "area": ("pe_exact",),
+               "mc": ("pe_mc", "mc_stderr")}
 
 
 def _json_text(obj) -> str:
@@ -135,43 +140,30 @@ def _cmd_rounding(args) -> str:
 def _cmd_perror(args) -> str:
     V = _load_matrix(args.matrix)
     report = {"method": args.method}
-    a = b = None
     if V.n == 2:
         rb, _, _ = canonicalize_2d(V)
-        a, b = rb.a, rb.b
-        report["a"] = a
-        report["b"] = b
+        report.update(a=rb.a, b=rb.b)
     if args.method == "analytic":
         if V.n != 2:
             raise ValueError("analytic P_e needs a 2D basis")
-        report["pe"] = analytic_pe(a, b)
+        report["pe"] = analytic_pe(rb.a, rb.b)
     elif args.method == "area":
         report["pe"] = exact_pe_area(V)
     else:
         est = monte_carlo_pe(V, args.samples, seed=args.seed)
-        report["pe"] = est.estimate
-        report["std_error"] = est.std_error
-        report["n_samples"] = est.n_samples
-        report["seed"] = est.seed
+        report.update(pe=est.estimate, std_error=est.std_error,
+                      n_samples=est.n_samples, seed=est.seed)
     if args.format == "csv":
         if V.n != 2:
             raise ValueError("CSV P_e output needs a 2D basis")
-        cols = {"pe_analytic": None, "pe_exact": None,
-                "pe_mc": None, "mc_stderr": None}
-        if args.method == "analytic":
-            cols["pe_analytic"] = report["pe"]
-        elif args.method == "area":
-            cols["pe_exact"] = report["pe"]
-        else:
-            cols["pe_mc"] = report["pe"]
-            cols["mc_stderr"] = report["std_error"]
-        line = pe_csv_line(a, b, cols["pe_analytic"], cols["pe_exact"],
-                           cols["pe_mc"], cols["mc_stderr"])
-        return PE_CSV_HEADER + "\n" + line + "\n"
+        row = dict.fromkeys(_PE_HEADER)
+        row.update(zip(("a", "b") + _PE_COLUMNS[args.method],
+                       (rb.a, rb.b, report["pe"], report.get("std_error"))))
+        return PE_CSV_HEADER + "\n" + pe_csv_line(*row.values()) + "\n"
     return _json_text(report)
 
 
-def _levelcurve_rows(args):
+def _cmd_levelcurves(args) -> str:
     rows = []
     for k in _parse_k_list(args.k):
         if k < 0:
@@ -182,28 +174,11 @@ def _levelcurve_rows(args):
             pairs = [(0.0, float(b)) for b in np.linspace(1.0, 3.0, args.grid)]
         else:
             pairs = level_curve_points(k, args.grid)
-        for a, b in pairs:
-            V = ReducedBasis2D(a, b).matrix()
-            pe_mc = mc_stderr = None
-            if args.samples > 0:
-                est = monte_carlo_pe(V, args.samples, seed=args.seed)
-                pe_mc, mc_stderr = est.estimate, est.std_error
-            rows.append({"a": a, "b": b,
-                         "pe_analytic": analytic_pe(a, b),
-                         "pe_exact": exact_pe_area(V),
-                         "pe_mc": pe_mc, "mc_stderr": mc_stderr})
-    return rows
-
-
-def _cmd_levelcurves(args) -> str:
-    rows = _levelcurve_rows(args)
+        rows.extend(pe_row(a, b, args.samples, args.seed) for a, b in pairs)
     if args.format == "json":
-        return _json_text({"points": rows})
-    lines = [PE_CSV_HEADER]
-    for r in rows:
-        lines.append(pe_csv_line(r["a"], r["b"], r["pe_analytic"],
-                                 r["pe_exact"], r["pe_mc"], r["mc_stderr"]))
-    return "\n".join(lines) + "\n"
+        return _json_text({"points": [dict(zip(_PE_HEADER, r))
+                                      for r in rows]})
+    return "\n".join([PE_CSV_HEADER] + [pe_csv_line(*r) for r in rows]) + "\n"
 
 
 def _load_scenario(path):
@@ -212,6 +187,8 @@ def _load_scenario(path):
         raise ValueError('scenario needs a "matrix"')
     V = GeneratorMatrix.from_json(obj["matrix"])
     alpha = float(obj.get("alpha", 1.0))
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError("alpha must be a positive finite scale")
     sources = None
     if "sources" in obj:
         sources = [SourceModel.from_json(s) for s in obj["sources"]]
@@ -225,7 +202,10 @@ def _cmd_simulate(args) -> str:
     model = obj.get("model")
     if model not in ("centralized", "interactive"):
         raise ValueError('scenario "model" must be centralized or interactive')
-    trials = int(obj.get("trials", 1))
+    trials = obj.get("trials", 1)
+    if int(trials) != trials:
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
     seed = int(obj.get("seed", args.seed))
@@ -298,9 +278,10 @@ def _cmd_rates(args) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
                         help="RNG seed (default 0)")
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None,
                         help="output file (atomic write); default stdout")
     common.add_argument("--format", choices=("json", "csv"), default=None,
@@ -329,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="comma-separated target")
     p.set_defaults(func=_cmd_rounding, default_format="json")
 
-    p = sub.add_parser("perror", parents=[common],
+    p = sub.add_parser("perror", parents=[seeded, common],
                        help="rounding-error probability of a basis")
     p.add_argument("--matrix", required=True)
     p.add_argument("--method", choices=("analytic", "area", "mc"),
@@ -338,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo sample count (method mc)")
     p.set_defaults(func=_cmd_perror, default_format="json")
 
-    p = sub.add_parser("levelcurves", parents=[common],
+    p = sub.add_parser("levelcurves", parents=[seeded, common],
                        help="level curves of the 2D error probability")
     p.add_argument("--k", default=_DEFAULT_K,
                    help=f"comma-separated levels (default {_DEFAULT_K})")
@@ -348,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="optional Monte Carlo samples per point")
     p.set_defaults(func=_cmd_levelcurves, default_format="csv")
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[seeded, common],
                        help="run a protocol scenario file")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.set_defaults(func=_cmd_simulate, default_format="json")

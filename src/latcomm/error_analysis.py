@@ -30,25 +30,11 @@ from .lattice import (
     is_minkowski_reduced_2d,
 )
 
-__all__ = [
-    "ReducedBasis2D",
-    "VoronoiPolygon2D",
-    "PeEstimate",
-    "third_relevant_vector",
-    "voronoi_vertices_reduced",
-    "voronoi_polygon_general",
-    "analytic_pe",
-    "analytic_pe_polar",
-    "exact_pe_area",
-    "monte_carlo_pe",
-    "level_curve_points",
-    "PE_CSV_HEADER",
-    "format_csv_value",
-    "pe_csv_line",
-]
-
 PE_CSV_HEADER = "a,b,pe_analytic,pe_exact,pe_mc,mc_stderr"
 
+# A vertex counts as inside the half-plane <x, n> <= offset when it exceeds
+# the offset by at most this fraction of it, which is the same test at every
+# scale of the lattice.
 _CLIP_TOL = 1e-10
 
 
@@ -86,12 +72,13 @@ def _polygon_area(vertices) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _clip_halfplane(poly, normal, offset, tol):
-    """Keep the part of a convex polygon with <x, normal> <= offset."""
+def _clip_halfplane(poly, normal, offset):
+    """Keep the part of a convex polygon with <x, normal> <= offset, where
+    offset > 0 (the origin is strictly inside the half-plane)."""
     if len(poly) == 0:
         return poly
     d = poly @ normal - offset
-    inside = d <= tol
+    inside = d <= _CLIP_TOL * offset
     out = []
     k = len(poly)
     for i in range(k):
@@ -108,16 +95,15 @@ def _clip_halfplane(poly, normal, offset, tol):
 
 
 def _clip_convex(subject, clip):
-    """Intersection of two convex CCW polygons (Sutherland-Hodgman)."""
-    scale = max(1.0, float(np.max(np.abs(clip))))
+    """Intersection of two convex CCW polygons (Sutherland-Hodgman); the
+    clip polygon must contain the origin in its interior."""
     poly = np.asarray(subject, dtype=float)
     k = len(clip)
     for i in range(k):
         p, q = clip[i], clip[(i + 1) % k]
         edge = q - p
         normal = np.array([edge[1], -edge[0]])  # outward for CCW interior
-        poly = _clip_halfplane(poly, normal, float(normal @ p),
-                               _CLIP_TOL * scale)
+        poly = _clip_halfplane(poly, normal, float(normal @ p))
         if len(poly) == 0:
             break
     return poly
@@ -214,16 +200,15 @@ def voronoi_polygon_general(V: GeneratorMatrix) -> VoronoiPolygon2D:
     nonzero = (ii != 0) | (jj != 0)
     cands = ii[nonzero][:, None] * w1 + jj[nonzero][:, None] * w2
     norms = np.sqrt(_rowdot(cands, cands))
-    keep = np.flatnonzero(norms <= bound + 1e-9)
+    keep = np.flatnonzero(norms <= bound * (1.0 + 1e-9))
     keep = keep[np.argsort(norms[keep], kind="stable")]
     cands, norms = cands[keep], norms[keep]
 
-    scale = max(1.0, bound)
     big = 2.0 * bound
     poly = np.array([[big, big], [-big, big], [-big, -big], [big, -big]])
     for w in cands:
-        poly = _clip_halfplane(poly, w, float(w @ w) / 2.0, _CLIP_TOL * scale)
-    poly = _dedupe_ring(poly, 1e-9 * scale)
+        poly = _clip_halfplane(poly, w, float(w @ w) / 2.0)
+    poly = _dedupe_ring(poly, 1e-9 * bound)
     if _polygon_area(poly) < 0:  # pragma: no cover - clipping keeps order
         poly = poly[::-1]
 
@@ -233,12 +218,12 @@ def voronoi_polygon_general(V: GeneratorMatrix) -> VoronoiPolygon2D:
         mid = (poly[i] + poly[(i + 1) % k]) / 2.0
         slack = np.abs(_rowdot(cands, mid) - norms ** 2 / 2.0)
         best = int(np.argmin(slack))
-        if slack[best] > 1e-7 * scale ** 2:  # pragma: no cover - defensive
+        if slack[best] > 1e-7 * bound ** 2:  # pragma: no cover - defensive
             raise RuntimeError("polygon edge not supported by a bisector")
         w = cands[best]
-        if w[1] < -1e-12 * scale or (abs(w[1]) <= 1e-12 * scale and w[0] < 0):
+        if w[1] < -1e-12 * bound or (abs(w[1]) <= 1e-12 * bound and w[0] < 0):
             w = -w
-        if not any(np.linalg.norm(w - r) <= 1e-9 * scale for r in relevant):
+        if not any(np.linalg.norm(w - r) <= 1e-9 * bound for r in relevant):
             relevant.append(w)
     return VoronoiPolygon2D(vertices=poly, relevant_vectors=np.array(relevant))
 
@@ -372,3 +357,16 @@ def pe_csv_line(a, b, pe_analytic=None, pe_exact=None, pe_mc=None,
                 mc_stderr=None) -> str:
     return ",".join(format_csv_value(v)
                     for v in (a, b, pe_analytic, pe_exact, pe_mc, mc_stderr))
+
+
+def pe_row(a, b, samples=0, seed=0) -> tuple:
+    """Row of the canonical basis {(1,0),(a,b)} in PE_CSV_HEADER order: the
+    closed form, the exact area and, for samples > 0, the Monte Carlo
+    estimate and its standard error (else None, None)."""
+    rb = ReducedBasis2D(a, b)
+    V = rb.matrix()
+    mc = (None, None)
+    if samples > 0:
+        est = monte_carlo_pe(V, samples, seed=seed)
+        mc = (est.estimate, est.std_error)
+    return (rb.a, rb.b, analytic_pe(rb.a, rb.b), exact_pe_area(V)) + mc

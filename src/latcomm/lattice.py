@@ -17,6 +17,15 @@ import numpy as np
 # product are rejected as numerically degenerate.
 NEAR_SINGULAR_RTOL = 1e-9
 
+# Supported magnitudes: every squared column norm and |det| must be a normal
+# float, with 2^16 of headroom for the squared lengths of the 2D Voronoi
+# search (at most 144 times the longest basis vector's).
+_MAGNITUDE_LO = float(np.finfo(float).tiny)
+_MAGNITUDE_HI = float(np.finfo(float).max) / 2.0 ** 16
+_MAGNITUDE_ERROR = (
+    "basis magnitude out of range: squared column norms and |det| must lie "
+    f"in [{_MAGNITUDE_LO:.3g}, {_MAGNITUDE_HI:.3g}]")
+
 # Largest dimension of the exact CVP search, whose node count grows
 # exponentially with n; n <= 6 has a timed test.
 MAX_CVP_DIM = 6
@@ -78,12 +87,23 @@ class GeneratorMatrix:
                  f"generator matrix must be square, got shape {m.shape}")
         n = m.shape[0]
         _require(n >= 1, UnsupportedDimensionError, "empty matrix")
-        norms = np.linalg.norm(m, axis=0)
-        _require(np.all(norms > 0), DegenerateBasisError, "zero basis vector")
-        det = float(np.linalg.det(m))
-        _require(abs(det) >= NEAR_SINGULAR_RTOL * float(np.prod(norms)),
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(m, axis=0)
+            sq = norms * norms
+            # non-finite and zero columns fail this test too; name the cause
+            if not ((sq >= _MAGNITUDE_LO) & (sq <= _MAGNITUDE_HI)).all():
+                _require(np.isfinite(m).all(), ValueError,
+                         "matrix entries must be finite")
+                _require(m.any(axis=0).all(), DegenerateBasisError,
+                         "zero basis vector")
+                raise ValueError(_MAGNITUDE_ERROR)
+            det = float(np.linalg.det(m))
+            volume = float(np.prod(norms))
+        _require(abs(det) >= NEAR_SINGULAR_RTOL * volume,
                  DegenerateBasisError,
                  "basis is singular or near-singular")
+        _require(_MAGNITUDE_LO <= abs(det) <= _MAGNITUDE_HI, ValueError,
+                 _MAGNITUDE_ERROR)
         if rational is not None:
             rational = tuple(tuple(row) for row in rational)
             _require(len(rational) == n and all(len(r) == n for r in rational),
@@ -266,16 +286,15 @@ def gauss_reduce_2d(V: GeneratorMatrix):
     return W, U
 
 
-def is_minkowski_reduced_2d(V: GeneratorMatrix, tol=1e-12) -> bool:
-    """Check ||v1|| <= ||v2|| and 2|<v1,v2>| <= ||v1||^2 (tolerance on the
-    squared-norm scale).  Equivalent to ||v1|| <= ||v2|| <= ||v1 +- v2||."""
+def is_minkowski_reduced_2d(V: GeneratorMatrix) -> bool:
+    """Check ||v1|| <= ||v2|| and 2|<v1,v2>| <= ||v1||^2, up to a relative
+    1e-12 of ||v1||^2.  Equivalent to ||v1|| <= ||v2|| <= ||v1 +- v2||."""
     _require(V.n == 2, UnsupportedDimensionError, "2D check needs n = 2")
     v1 = V.column(0)
     v2 = V.column(1)
     a = _norm_sq(v1)
-    b = _norm_sq(v2)
-    ip = float(v1 @ v2)
-    return a <= b + tol and 2 * abs(ip) <= a + tol
+    tol = 1e-12 * a
+    return a <= _norm_sq(v2) + tol and 2 * abs(float(v1 @ v2)) <= a + tol
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@ import json
 import math
 import os
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 import latcomm.babai
@@ -172,6 +174,16 @@ class TestPerror:
         fields = lines[1].split(",")
         assert fields[2] == "0.0833333333333"
         assert fields[3] == "" and fields[4] == ""
+
+    def test_csv_columns_per_method(self, capsys, files):
+        m = files("m.json", HEX_MATRIX)
+        filled = {"analytic": [2], "area": [3], "mc": [4, 5]}
+        for method, columns in filled.items():
+            code, out, _ = run(capsys, "perror", "--matrix", m, "--method",
+                               method, "--samples", "2000", "--format", "csv")
+            fields = out.splitlines()[1].split(",")
+            assert fields[:2] == ["0.5", "0.866025403784"]
+            assert [i for i in range(2, 6) if fields[i] != ""] == columns
 
     def test_rectangular_is_exactly_zero(self, capsys, files):
         # skew5 reduces to a rectangular lattice: a is 0, not float noise
@@ -358,6 +370,35 @@ class TestSimulate:
         code, out, _ = run(capsys, "simulate", "--scenario", sc)
         assert json.loads(out)["babai_match_count"] == 50
 
+    @pytest.mark.parametrize("alpha", [-1, 0, math.nan, math.inf])
+    def test_alpha_must_be_positive_and_finite(self, alpha, capsys, files):
+        # a fixed x once ran the centralized model quietly on -Lambda, and
+        # sources failed in the rate bound with "math domain error"
+        sources = [{"dist": "uniform", "lo": 0, "hi": 1}] * 2
+        for extra, commands in (({"x": [1.0, 1.0]}, ["simulate"]),
+                                ({"sources": sources}, ["simulate", "rates"])):
+            sc = files("sc.json", dict(extra, matrix=RATIO311_MATRIX,
+                                       model="centralized", trials=3,
+                                       alpha=alpha))
+            for command in commands:
+                code, out, err = run(capsys, command, "--scenario", sc)
+                assert (code, out) == (1, "")
+                assert err == "error: alpha must be a positive finite scale\n"
+
+    @pytest.mark.parametrize("trials", [2.7, "3", None])
+    def test_trials_must_be_an_integer(self, trials, capsys, files):
+        sc = files("sc.json", {"matrix": RATIO311_MATRIX, "x": [1.0, 1.0],
+                               "model": "centralized", "trials": trials})
+        code, out, err = run(capsys, "simulate", "--scenario", sc)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_integral_float_trials_accepted(self, capsys, files):
+        sc = files("sc.json", {"matrix": RATIO311_MATRIX, "x": [1.0, 1.0],
+                               "model": "centralized", "trials": 4.0})
+        code, out, _ = run(capsys, "simulate", "--scenario", sc)
+        assert code == 0 and json.loads(out)["trials"] == 4
+
     def test_missing_sources_and_x(self, capsys, files):
         sc = files("sc.json", {"matrix": HEX_MATRIX,
                                "model": "centralized", "trials": 5})
@@ -449,11 +490,55 @@ class TestOutputContract:
             main(["reduce", "--matrix", "m.json", "--frob", "1"])
         assert exc.value.code == 2
 
+    def test_seed_only_where_used(self, files):
+        m = files("m.json", HEX_MATRIX)
+        for argv in (["babai", "--matrix", m, "--x", "0,0"],
+                     ["cvp", "--matrix", m, "--x", "0,0"],
+                     ["reduce", "--matrix", m],
+                     ["rates", "--scenario", m]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--seed", "1"])
+            assert exc.value.code == 2
+
     def test_format_not_supported(self, capsys, files):
         m = files("m.json", HEX_MATRIX)
         code, _, err = run(capsys, "reduce", "--matrix", m,
                            "--format", "csv")
         assert code == 2 and err.startswith("error:")
+
+
+class TestMagnitudeDomain:
+    """Every command either works or fails with one `error:` line at every
+    scale, with no numpy warning; 2D bases work from 1e-150 to 1e150."""
+
+    # (1,0),(0.3,1.1), unimodularly mixed and rotated by 0.7 rad
+    B2 = np.array([[1.0504975747928633, 0.2856553875083749],
+                   [2.3230270866596268, 1.6788093994219357]])
+    B3 = np.array([[1.0, 0.5, 0.3], [0.2, 0.75, -0.2], [0.1, 0.0, 1.25]])
+
+    @pytest.mark.parametrize("k", range(-160, 161, 5))
+    def test_scale_scan(self, k, capsys, files):
+        for B in (self.B2, self.B3):
+            M = B * 10.0 ** k
+            m = files("m.json", {"n": len(M), "columns": M.T.tolist()})
+            x = ",".join(repr(float(v)) for v in M @ np.full(len(M), 0.37))
+            for argv in (["perror", "--method", "mc", "--samples", "300"],
+                         ["perror", "--method", "area"],
+                         ["babai", "--x=" + x], ["cvp", "--x=" + x],
+                         ["reduce"]):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code, out, err = run(capsys, *argv, "--matrix", m)
+                assert caught == [], (k, argv)
+                if len(M) == 2 and abs(k) <= 150:
+                    assert (code, err) == (0, ""), (k, argv, err)
+                elif len(M) == 2:
+                    assert code == 1 and err.startswith(
+                        "error: basis magnitude out of range"), (k, argv, err)
+                else:
+                    assert (code, err) == (0, "") or (
+                        code == 1 and err.startswith("error:")
+                        and err.count("\n") == 1), (k, argv, err)
 
 
 class TestPinnedOutputs:

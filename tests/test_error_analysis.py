@@ -20,7 +20,12 @@ from latcomm import (
     voronoi_polygon_general,
     voronoi_vertices_reduced,
 )
-from latcomm.error_analysis import PE_CSV_HEADER, format_csv_value, pe_csv_line
+from latcomm.error_analysis import (
+    PE_CSV_HEADER,
+    format_csv_value,
+    pe_csv_line,
+    pe_row,
+)
 
 SQRT3_2 = math.sqrt(3) / 2
 
@@ -328,3 +333,61 @@ class TestCsvFormat:
     def test_line_assembly(self):
         line = pe_csv_line(0.5, SQRT3_2, 1 / 12, None, None, None)
         assert line == "0.5,0.866025403784,0.0833333333333,,,"
+
+    def test_pe_row_without_samples(self):
+        row = pe_row(0.3, 1.1)
+        assert len(row) == len(PE_CSV_HEADER.split(","))
+        assert row[:3] == (0.3, 1.1, analytic_pe(0.3, 1.1))
+        assert row[3] == exact_pe_area(ReducedBasis2D(0.3, 1.1).matrix())
+        assert row[4:] == (None, None)
+
+    def test_pe_row_with_samples(self):
+        est = monte_carlo_pe(ReducedBasis2D(0.5, SQRT3_2).matrix(), 3000,
+                             seed=4)
+        row = pe_row(0.5, SQRT3_2, samples=3000, seed=4)
+        assert row[4:] == (est.estimate, est.std_error)
+
+    def test_pe_row_domain(self):
+        with pytest.raises(ValueError):
+            pe_row(0.6, 1.0)
+
+
+def _rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+# canonical (a, b) pairs: generic, hexagonal, rectangular, long, near-needle
+SCALE_CANON = [(0.3, 1.1), (0.5, SQRT3_2), (0.0, 1.0), (0.12, 2.7),
+               (0.45, 0.95)]
+SCALE_EXPONENTS = list(range(-12, 13)) + [-140, -70, 70, 140]
+
+
+class TestScaleFree:
+    """Area and Voronoi results do not depend on the scale of the lattice."""
+
+    @pytest.mark.parametrize("k", SCALE_EXPONENTS)
+    def test_exact_area_matches_closed_form(self, k):
+        # adding multiples of v1 to v2, flipping a sign or rotating leaves
+        # the rounding box, and so P_e, unchanged
+        for a, b in SCALE_CANON:
+            C = np.array([[1.0, a], [0.0, b]])
+            for theta in (0.0, 0.9, 2.5):
+                for U in ([[1, 0], [0, 1]], [[1, 3], [0, 1]],
+                          [[-1, -2], [0, 1]]):
+                    M = 10.0 ** k * _rotation(theta) @ C @ np.array(U, float)
+                    pe = exact_pe_area(GeneratorMatrix(M))
+                    assert abs(pe - analytic_pe(a, b)) <= 1e-12, (a, b, U)
+
+    @pytest.mark.parametrize("k", SCALE_EXPONENTS)
+    def test_voronoi_cell(self, k):
+        for a, b in SCALE_CANON:
+            C = np.array([[1.0, a], [0.0, b]])
+            for theta in (0.0, 0.9, 2.5):
+                for U in ([[2, 1], [1, 1]], [[1, 3], [0, 1]],
+                          [[5, 7], [2, 3]]):
+                    M = 10.0 ** k * _rotation(theta) @ C @ np.array(U, float)
+                    V = GeneratorMatrix(M)
+                    cell = voronoi_polygon_general(V)
+                    assert abs(cell.area / abs(V.det) - 1.0) <= 1e-9
+                    assert len(cell.relevant_vectors) == (2 if a == 0 else 3)

@@ -120,6 +120,26 @@ class TestGeneratorMatrix:
         with pytest.raises(DegenerateBasisError):
             GeneratorMatrix(np.array([[1.0, 1.0], [0.0, 1e-12]]))
 
+    def test_non_finite_entries_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                GeneratorMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_magnitude_domain(self):
+        # squared norms or |det| that are not normal floats, or leave no
+        # headroom for the Voronoi search, are rejected by name; a column
+        # of subnormal entries is not mistaken for a zero vector
+        C = np.array([[1.0, 0.3], [0.2, 1.1]])
+        for M in (C * 1e-160, C * 1e160, C * 1e-155, C * 1e154,
+                  np.array([[1e-320, 0.0], [0.0, 1.0]]),
+                  np.array([[1e155, 0.0], [0.0, 1e-155]]),
+                  np.eye(3) * 1e-110, np.eye(3) * 1e110):
+            with pytest.raises(ValueError, match="magnitude out of range"):
+                GeneratorMatrix(M)
+        for k in (-150, -100, 100, 150):
+            V = GeneratorMatrix(C * 10.0 ** k)
+            assert V.det == pytest.approx(1.04 * 10.0 ** (2 * k), rel=1e-12)
+
     def test_rational_float_consistency_enforced(self):
         with pytest.raises(ValueError):
             GeneratorMatrix(np.array([[1.0, 0.4], [0.0, 1.0]]),
@@ -248,6 +268,13 @@ class TestGaussReduction:
             GeneratorMatrix.from_columns([[1, 0], [-0.6, 1]]))
         assert is_minkowski_reduced_2d(
             GeneratorMatrix.from_columns([[1, 0], [-0.4, 1]]))
+
+    def test_reduced_check_is_scale_free(self):
+        for s in (1e-7, 1.0, 1e7):
+            assert not is_minkowski_reduced_2d(
+                GeneratorMatrix(np.array([[5.0, 3.0], [0.0, 1.0]]) * s))
+            assert is_minkowski_reduced_2d(
+                GeneratorMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]) * s))
 
     @given(st.integers(-9, 9), st.integers(-9, 9),
            st.integers(-9, 9), st.integers(-9, 9))
