@@ -208,7 +208,11 @@ def _cmd_simulate(args) -> str:
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be positive")
-    seed = int(obj.get("seed", args.seed))
+    seed = obj.get("seed", args.seed)
+    if isinstance(seed, float) and seed.is_integer():
+        seed = int(seed)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     fixed_x = obj.get("x")
     if fixed_x is not None:
         x0 = np.asarray([float(v) for v in fixed_x])

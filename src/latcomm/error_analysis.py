@@ -42,7 +42,8 @@ _CLIP_TOL = 1e-10
 class VoronoiPolygon2D:
     """Convex, centrally symmetric Voronoi cell of the origin.
 
-    vertices: (k, 2) array in counterclockwise order, k in {4, 6};
+    vertices: (k, 2) array in counterclockwise order, k in {4, 6} (5 where a
+    near-rectangular cell's two short edges straddle the clipping tolerance);
     relevant_vectors: (m, 2) array, one representative per +- pair of the
     lattice vectors whose bisectors support the cell edges (m in {2, 3}).
     """
@@ -72,51 +73,33 @@ def _polygon_area(vertices) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _clip_halfplane(poly, normal, offset):
-    """Keep the part of a convex polygon with <x, normal> <= offset, where
-    offset > 0 (the origin is strictly inside the half-plane)."""
-    if len(poly) == 0:
-        return poly
-    d = poly @ normal - offset
-    inside = d <= _CLIP_TOL * offset
-    out = []
-    k = len(poly)
-    for i in range(k):
-        j = (i + 1) % k
-        if inside[i]:
-            out.append(poly[i])
-            if not inside[j]:
+def _clip_halfplanes(poly, normals):
+    """Clip a convex polygon that contains the origin by the half-planes
+    <x, w> <= ||w||^2 / 2 of the rows w of `normals`, in order
+    (Sutherland-Hodgman).
+
+    Returns the polygon and, for each edge poly[i] -> poly[i+1], the index
+    of the row whose bisector carries it (-1 for an edge of the input): a
+    kept edge keeps its label, and an edge cut along a line gets that line's.
+    """
+    labels = [-1] * len(poly)
+    for label, w in enumerate(normals):
+        offset = float(w @ w) / 2.0
+        d = poly @ w - offset
+        inside = d <= _CLIP_TOL * offset
+        out, out_labels = [], []
+        k = len(poly)
+        for i in range(k):
+            j = (i + 1) % k
+            if inside[i]:
+                out.append(poly[i])
+                out_labels.append(labels[i])
+            if inside[i] != inside[j]:
                 t = d[i] / (d[i] - d[j])
                 out.append(poly[i] + t * (poly[j] - poly[i]))
-        elif inside[j]:
-            t = d[i] / (d[i] - d[j])
-            out.append(poly[i] + t * (poly[j] - poly[i]))
-    return np.array(out) if out else np.zeros((0, 2))
-
-
-def _clip_convex(subject, clip):
-    """Intersection of two convex CCW polygons (Sutherland-Hodgman); the
-    clip polygon must contain the origin in its interior."""
-    poly = np.asarray(subject, dtype=float)
-    k = len(clip)
-    for i in range(k):
-        p, q = clip[i], clip[(i + 1) % k]
-        edge = q - p
-        normal = np.array([edge[1], -edge[0]])  # outward for CCW interior
-        poly = _clip_halfplane(poly, normal, float(normal @ p))
-        if len(poly) == 0:
-            break
-    return poly
-
-
-def _dedupe_ring(vertices, tol):
-    out = []
-    for v in vertices:
-        if not out or np.linalg.norm(v - out[-1]) > tol:
-            out.append(v)
-    if len(out) > 1 and np.linalg.norm(out[0] - out[-1]) <= tol:
-        out.pop()
-    return np.array(out)
+                out_labels.append(label if inside[i] else labels[i])
+        poly, labels = np.array(out), out_labels
+    return poly, labels
 
 
 def third_relevant_vector(a: float, b: float) -> np.ndarray:
@@ -171,19 +154,14 @@ def voronoi_vertices_reduced(a: float, b: float) -> VoronoiPolygon2D:
                             relevant_vectors=np.array([w1, w2, w3]))
 
 
-def _rowdot(A, b):
-    """Row-wise dot products of A with b, each summed as a 1-D dot is."""
-    return np.matmul(A[:, None, :], b[..., :, None])[:, 0, 0]
-
-
 def voronoi_polygon_general(V: GeneratorMatrix) -> VoronoiPolygon2D:
     """Voronoi cell of the origin for an arbitrary 2D basis, in the original
     coordinates.
 
     Reduces the basis to bound the search, enumerates lattice vectors w with
     ||w|| <= 2 ||w2||, and clips a bounding square by each half-plane
-    <x, w> <= ||w||^2 / 2.  Edges of the final polygon identify the relevant
-    vectors.
+    <x, w> <= ||w||^2 / 2.  The relevant vectors are the w whose bisectors
+    carry the edges of the final polygon, read off the clip's edge labels.
     """
     if V.n != 2:
         raise UnsupportedDimensionError("Voronoi construction needs n = 2")
@@ -199,31 +177,21 @@ def voronoi_polygon_general(V: GeneratorMatrix) -> VoronoiPolygon2D:
                          np.arange(-jmax, jmax + 1), indexing="ij")
     nonzero = (ii != 0) | (jj != 0)
     cands = ii[nonzero][:, None] * w1 + jj[nonzero][:, None] * w2
-    norms = np.sqrt(_rowdot(cands, cands))
+    # each squared norm summed as a 1-D dot is
+    norms = np.sqrt(np.matmul(cands[:, None, :], cands[:, :, None])[:, 0, 0])
     keep = np.flatnonzero(norms <= bound * (1.0 + 1e-9))
     keep = keep[np.argsort(norms[keep], kind="stable")]
-    cands, norms = cands[keep], norms[keep]
+    cands = cands[keep]
 
     big = 2.0 * bound
-    poly = np.array([[big, big], [-big, big], [-big, -big], [big, -big]])
-    for w in cands:
-        poly = _clip_halfplane(poly, w, float(w @ w) / 2.0)
-    poly = _dedupe_ring(poly, 1e-9 * bound)
-    if _polygon_area(poly) < 0:  # pragma: no cover - clipping keeps order
-        poly = poly[::-1]
+    square = np.array([[big, big], [-big, big], [-big, -big], [big, -big]])
+    poly, labels = _clip_halfplanes(square, cands)
 
     relevant = []
-    k = len(poly)
-    for i in range(k):
-        mid = (poly[i] + poly[(i + 1) % k]) / 2.0
-        slack = np.abs(_rowdot(cands, mid) - norms ** 2 / 2.0)
-        best = int(np.argmin(slack))
-        if slack[best] > 1e-7 * bound ** 2:  # pragma: no cover - defensive
-            raise RuntimeError("polygon edge not supported by a bisector")
-        w = cands[best]
+    for w in cands[labels]:
         if w[1] < -1e-12 * bound or (abs(w[1]) <= 1e-12 * bound and w[0] < 0):
             w = -w
-        if not any(np.linalg.norm(w - r) <= 1e-9 * bound for r in relevant):
+        if not any((w == r).all() for r in relevant):
             relevant.append(w)
     return VoronoiPolygon2D(vertices=poly, relevant_vectors=np.array(relevant))
 
@@ -263,16 +231,16 @@ def _babai_box_polygon(V: GeneratorMatrix):
 def exact_pe_area(V: GeneratorMatrix) -> float:
     """Exact rounding-error probability of a 2D basis as an area ratio.
 
-    Intersects the origin rounding box (axis-aligned in the QR frame) with
-    the origin Voronoi cell; the error probability is the fraction of the
-    box outside the cell.
+    Clips the origin rounding box (axis-aligned in the QR frame) by the
+    half-planes <x, +-w> <= ||w||^2 / 2 of the Voronoi-relevant vectors w,
+    whose intersection is the origin Voronoi cell; the error probability is
+    the fraction of the box outside the cell.
     """
     if V.n != 2:
         raise UnsupportedDimensionError("area computation needs n = 2")
-    box = _babai_box_polygon(V)
-    vor = voronoi_polygon_general(V)
-    inter = _clip_convex(box, vor.vertices)
-    area = _polygon_area(inter) if len(inter) >= 3 else 0.0
+    rel = voronoi_polygon_general(V).relevant_vectors
+    inter, _ = _clip_halfplanes(_babai_box_polygon(V), np.vstack([rel, -rel]))
+    area = _polygon_area(inter)
     pe = 1.0 - area / abs(V.det)
     return min(1.0, max(0.0, pe))
 

@@ -98,8 +98,9 @@ class GeneratorMatrix:
                          "zero basis vector")
                 raise ValueError(_MAGNITUDE_ERROR)
             det = float(np.linalg.det(m))
-            volume = float(np.prod(norms))
-        _require(abs(det) >= NEAR_SINGULAR_RTOL * volume,
+        # |det| / prod ||v_j|| as the determinant of the unit columns, which
+        # neither overflows nor underflows where that product would
+        _require(abs(np.linalg.det(m / norms)) >= NEAR_SINGULAR_RTOL,
                  DegenerateBasisError,
                  "basis is singular or near-singular")
         _require(_MAGNITUDE_LO <= abs(det) <= _MAGNITUDE_HI, ValueError,
@@ -113,8 +114,9 @@ class GeneratorMatrix:
                     f = rational[i][j]
                     if f is None:
                         continue
-                    # the float entry must be the correctly rounded rational
-                    _require(abs(m[i, j] - float(f)) <= math.ulp(max(1.0, abs(m[i, j]))),
+                    # the float entry must be within one of its own ulps of
+                    # the rational, as scaling by a float keeps it
+                    _require(abs(m[i, j] - float(f)) <= math.ulp(m[i, j]),
                              ValueError,
                              f"entry ({i},{j}) disagrees with its rational value")
         self.matrix = m
@@ -186,14 +188,15 @@ class GeneratorMatrix:
     def scaled(self, c):
         """Generator of the scaled lattice c * Lambda (c a nonzero number).
 
-        Exact entries stay exact: the float scale converts to a Fraction,
-        which is lossless for any finite float.
+        Exact entries stay exact: the scale is taken as the float c, which
+        converts to a Fraction losslessly, so the table and the float matrix
+        describe the same lattice.
         """
         cf = float(c)
         _require(cf != 0.0 and math.isfinite(cf), ValueError, "bad scale")
         rat = None
         if self.rational is not None:
-            cr = c if isinstance(c, Fraction) else Fraction(cf)
+            cr = Fraction(cf)
             rat = [[None if f is None else f * cr for f in row]
                    for row in self.rational]
         return GeneratorMatrix(self.matrix * cf, rat)

@@ -393,6 +393,30 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("seed", [2.7, "3", -1, -1.0, None, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed, capsys, files):
+        # a seed is neither truncated, parsed from a string nor left to
+        # numpy's key check
+        sources = [{"dist": "uniform", "lo": 0, "hi": 1}] * 2
+        sc = files("sc.json", {"matrix": RATIO311_MATRIX, "sources": sources,
+                               "model": "centralized", "trials": 3,
+                               "seed": seed})
+        code, out, err = run(capsys, "simulate", "--scenario", sc)
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be a non-negative integer\n"
+
+    def test_integral_float_seed_accepted(self, capsys, files):
+        sources = [{"dist": "uniform", "lo": 0, "hi": 1}] * 2
+        outs = []
+        for seed in (3, 3.0):
+            sc = files("sc.json", {"matrix": RATIO311_MATRIX,
+                                   "sources": sources, "model": "centralized",
+                                   "trials": 3, "seed": seed})
+            code, out, _ = run(capsys, "simulate", "--scenario", sc)
+            assert code == 0 and json.loads(out)["seed"] == 3
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_integral_float_trials_accepted(self, capsys, files):
         sc = files("sc.json", {"matrix": RATIO311_MATRIX, "x": [1.0, 1.0],
                                "model": "centralized", "trials": 4.0})
@@ -447,7 +471,7 @@ class TestOutputContract:
                              "--grid", "10", "--samples", "1500",
                              "--out", path)
             assert code == 0
-            outs.append(open(path, "rb").read())
+            outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
 
     def test_mc_workers_do_not_change_bytes(self, capsys, files,
@@ -468,7 +492,8 @@ class TestOutputContract:
         code, out, _ = run(capsys, "perror", "--matrix", m,
                            "--method", "analytic", "--out", path)
         assert code == 0 and out == ""
-        assert abs(json.loads(open(path).read())["pe"] - 1 / 12) <= 1e-9
+        assert abs(json.loads((tmp_path / "res.json").read_text())["pe"]
+                   - 1 / 12) <= 1e-9
 
     def test_failure_leaves_no_file(self, capsys, files, tmp_path):
         m = files("m.json", {"n": 2, "columns": [[1, 0], [2, 0]]})

@@ -391,3 +391,28 @@ class TestScaleFree:
                     cell = voronoi_polygon_general(V)
                     assert abs(cell.area / abs(V.det) - 1.0) <= 1e-9
                     assert len(cell.relevant_vectors) == (2 if a == 0 else 3)
+
+
+# bases within 1e-8 of rectangular: the hexagonal cell has two edges of
+# length about a, which both the cell and P_e depend on
+NEAR_RECTANGULAR = [(1e-9, 1.0), (1e-10, 1.0), (1e-9, 1.5), (3e-9, 2.0)]
+
+
+class TestNearRectangular:
+    """The hexagon keeps its short edges and P_e its closed form."""
+
+    @pytest.mark.parametrize("ab", NEAR_RECTANGULAR)
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_voronoi_cell_has_three_relevant_pairs(self, ab, theta):
+        a, b = ab
+        V = GeneratorMatrix(_rotation(theta) @ np.array([[1.0, a], [0.0, b]]))
+        cell = voronoi_polygon_general(V)
+        assert len(cell.relevant_vectors) == 3
+        assert abs(cell.area / abs(V.det) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("ab", NEAR_RECTANGULAR)
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_exact_area_matches_closed_form(self, ab, theta):
+        a, b = ab
+        V = GeneratorMatrix(_rotation(theta) @ np.array([[1.0, a], [0.0, b]]))
+        assert exact_pe_area(V) == pytest.approx(analytic_pe(a, b), rel=1e-5)

@@ -120,6 +120,16 @@ class TestGeneratorMatrix:
         with pytest.raises(DegenerateBasisError):
             GeneratorMatrix(np.array([[1.0, 1.0], [0.0, 1e-12]]))
 
+    def test_near_singular_test_cannot_overflow(self):
+        # the column-norm product overflows at this scale; the first basis
+        # has |det| / prod ||v_j|| = 1e-6 and |det| = 1e303, both in range
+        M = np.array([[1.0, 1.0, 0.0], [0.0, 1e-6, 0.0], [0.0, 0.0, 1.0]])
+        assert GeneratorMatrix(M * 1e103).det == pytest.approx(1e303,
+                                                               rel=1e-12)
+        M[1, 1] = 1e-12
+        with pytest.raises(DegenerateBasisError, match="near-singular"):
+            GeneratorMatrix(M * 1e103)
+
     def test_non_finite_entries_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
@@ -144,6 +154,31 @@ class TestGeneratorMatrix:
         with pytest.raises(ValueError):
             GeneratorMatrix(np.array([[1.0, 0.4], [0.0, 1.0]]),
                             rational=((None, Fraction(1, 2)), (None, None)))
+
+    def test_rational_table_checked_relative_to_entry(self):
+        # 3/10^20 is within 2.2e-16 of the entry 1e-20 but far from it in
+        # the entry's ulps; such a table makes the centralized decode
+        # disagree with nearest_plane
+        with pytest.raises(ValueError, match="disagrees"):
+            GeneratorMatrix([[1e-20, 1e-20], [0.0, 1e-20]],
+                            rational=[[Fraction(1, 10 ** 20),
+                                       Fraction(3, 10 ** 20)],
+                                      [None, Fraction(1, 10 ** 20)]])
+
+    def test_scaled_rational_tables_accepted(self, hexagonal, ratio311):
+        # the table entry f * c is exact and the float m * c within an ulp
+        # of it, for scales c that are not powers of two, given as floats or
+        # as non-dyadic fractions, across the supported range
+        cubic = GeneratorMatrix.from_columns(
+            [[2, 0, 0], ["1/3", "5/7", 0], ["-2/9", "11/13", "3/17"]])
+        rng = np.random.default_rng(7)
+        for i in range(2000):
+            p, q = (2 * int(k) + 1 for k in rng.integers(1, 10 ** 6, 2))
+            c = Fraction(p, q) * Fraction(2) ** int(rng.integers(-300, 301))
+            if i % 2:
+                c = float(c)
+            for V in (hexagonal, ratio311, cubic):
+                assert V.scaled(c).rational is not None
 
     def test_matrix_read_only(self):
         V = GeneratorMatrix.from_columns([[1, 0], [0, 1]])
