@@ -127,6 +127,7 @@ class GeneratorMatrix:
         self._qr = None
         self._inv = None
         self._upper = None
+        self._scaled = None
 
     @classmethod
     def from_columns(cls, columns):
@@ -190,16 +191,19 @@ class GeneratorMatrix:
 
         Exact entries stay exact: the scale is taken as the float c, which
         converts to a Fraction losslessly, so the table and the float matrix
-        describe the same lattice.
+        describe the same lattice.  The last scaled basis is cached, so a
+        repeated scale returns the same (read-only) instance.
         """
         cf = float(c)
         _require(cf != 0.0 and math.isfinite(cf), ValueError, "bad scale")
-        rat = None
-        if self.rational is not None:
-            cr = Fraction(cf)
-            rat = [[None if f is None else f * cr for f in row]
-                   for row in self.rational]
-        return GeneratorMatrix(self.matrix * cf, rat)
+        if self._scaled is None or self._scaled[0] != cf:
+            rat = None
+            if self.rational is not None:
+                cr = Fraction(cf)
+                rat = [[None if f is None else f * cr for f in row]
+                       for row in self.rational]
+            self._scaled = cf, GeneratorMatrix(self.matrix * cf, rat)
+        return self._scaled[1]
 
     def qr(self):
         """V = Q R with orthonormal Q and R_ii > 0.
@@ -363,11 +367,15 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
     """Exact closest-vector solve for one target (shape (n,)) or each row of
     X (shape (k, n)), for n <= MAX_CVP_DIM.
 
-    A sphere search (Fincke-Pohst) in the QR frame, whose radius is the
-    distance to the rounded real solve, finds every coefficient vector at
-    least as close; they are compared in the original frame, and ties go to
-    the lexicographically smallest.  Rows are searched in blocks of about
-    _CVP_BLOCK_NODES nodes.
+    Every nonzero lattice vector is at least min_i R_ii long, so a row
+    whose rounded real solve lies within half of that (less the search's
+    slack) is its own unique answer and is not searched.  Every other row
+    goes through a sphere search (Fincke-Pohst) in the QR frame, whose
+    radius is the distance to the rounded real solve; it finds every
+    coefficient vector at least as close, compares them in the original
+    frame and keeps the least distance, and only where several candidates
+    share it exactly does the lexicographically smallest win.  Rows are
+    searched in blocks of about _CVP_BLOCK_NODES nodes.
     """
     _require(V.n <= MAX_CVP_DIM, UnsupportedDimensionError,
              f"exhaustive CVP supports n <= {MAX_CVP_DIM}")
@@ -378,19 +386,35 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
     X = np.atleast_2d(X)
     _require(np.all(np.isfinite(X)), ValueError, "target must be finite")
     Q, R = V.qr()
+    diag = np.diag(R)
     C0 = round_half_up(X @ V.inverse().T)
     R0 = X - C0.astype(float) @ V.matrix.T
     r2 = np.einsum("ij,ij->i", R0, R0) * (1.0 + _CVP_SLACK)
+    # a leaf o != 0 lies at least min R_ii - ||t|| from the residual t, as
+    # ||R o|| >= min R_ii, and the search keeps only leaves within
+    # sqrt(r2) + _CVP_SLACK * sum R_ii of t: where 2 sqrt(r2) falls short of
+    # the difference by a further relative _CVP_SLACK, C0 is the only leaf
+    half = max(diag.min() - _CVP_SLACK * diag.sum(), 0.0) / 2.0
+    rest = np.flatnonzero(r2 * (1.0 + _CVP_SLACK) >= half * half)
+    best_u = C0.copy()
     # level i gives a node at most 2 reach_i + 1 children
-    reach = np.sqrt(r2)[:, None] / np.diag(R) + _CVP_SLACK
+    reach = np.sqrt(r2[rest])[:, None] / diag + _CVP_SLACK
     nodes = np.cumsum(np.prod(2.0 * reach + 1.0, axis=1)) // _CVP_BLOCK_NODES
-    best_u = np.zeros(X.shape, dtype=np.int64)
     cuts = np.flatnonzero(np.diff(nodes)) + 1
-    for block in np.split(np.arange(len(X)), cuts):
+    for block in np.split(rest, cuts):
+        # leaves come grouped by row, in ascending row order
         rows, O = _sphere_leaves(R, R0[block] @ Q, r2[block])
-        U = C0[block][rows] + O.astype(np.int64)
-        D = X[block][rows] - U.astype(float) @ V.matrix.T
+        U = C0[block[rows]] + O.astype(np.int64)
+        D = X[block[rows]] - U.astype(float) @ V.matrix.T
         d = np.einsum("ij,ij->i", D, D)
-        order = np.lexsort((*U.T[::-1], d, rows))
-        best_u[block] = U[order[np.diff(rows[order], prepend=-1) != 0]]
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        keep = d == np.minimum.reduceat(d, starts)[rows]
+        rows, U = rows[keep], U[keep]
+        tied = np.bincount(rows, minlength=len(block))[rows] > 1
+        best_u[block[rows[~tied]]] = U[~tied]
+        if tied.any():
+            rows, U = rows[tied], U[tied]
+            order = np.lexsort((*U.T[::-1], rows))
+            first = order[np.diff(rows[order], prepend=-1) != 0]
+            best_u[block[rows[first]]] = U[first]
     return best_u[0] if single else best_u

@@ -291,6 +291,27 @@ class TestSimulate:
         assert abs(doc["empirical_rate_bits"] - 12.0) < 1.0
         assert len(doc["sample_transcript"]["messages"]) == 2
 
+    @pytest.mark.parametrize("model", ["centralized", "interactive"])
+    def test_builds_the_scaled_basis_once(self, model, capsys, files,
+                                          monkeypatch):
+        # Lambda from the scenario and alpha * Lambda, shared by the CLI
+        # and the protocol
+        init = latcomm.GeneratorMatrix.__init__
+        built = []
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(latcomm.GeneratorMatrix, "__init__", counting)
+        sc = files("sc.json", {
+            "matrix": {"n": 2, "columns": [["5/4", 0], [0, "4/5"]]},
+            "alpha": 2.0 ** -6, "model": model,
+            "sources": [{"dist": "uniform", "lo": 0, "hi": 1}] * 2,
+            "trials": 20, "seed": 1})
+        code, _, _ = run(capsys, "simulate", "--scenario", sc)
+        assert code == 0 and len(built) == 2
+
     @staticmethod
     def _shift_kernel_row(monkeypatch):
         """Replace the nearest-plane kernel at every namespace that binds it
@@ -673,3 +694,34 @@ class TestPinnedOutputs:
             got = (doc["babai_match_count"], doc["mean_total_bits"],
                    t["decoded"], [msg["bits"] for msg in t["messages"]])
             assert got == expected, (name, model)
+
+    # fixed upper-triangular bases drawn as in acceptance criterion 11
+    TRI3_MC = {"n": 3, "columns": [[1.25, 0, 0], [-0.5, 0.75, 0],
+                                   [0.625, 0.375, 1.5]]}
+    TRI4_MC = {"n": 4, "columns": [[0.875, 0, 0, 0], [0.5, 1.125, 0, 0],
+                                   [-0.75, 0.25, 0.625, 0],
+                                   [0.375, -0.625, 0.5, 1.375]]}
+    # the whole `perror --method mc --samples 20000` output, per seed
+    MONTE_CARLO = {
+        ("HEX", 3): {"a": 0.4999999999999999, "b": 0.8660254037844386,
+                     "method": "mc", "n_samples": 20000, "pe": 0.0849,
+                     "seed": 3, "std_error": 0.001970938735729754},
+        ("SKEW5", 5): {"a": 0.0, "b": 0.9999999999999998, "method": "mc",
+                       "n_samples": 20000, "pe": 0.5071, "seed": 5,
+                       "std_error": 0.0035351774354337577},
+        ("TRI3_MC", 7): {"method": "mc", "n_samples": 20000, "pe": 0.1841,
+                         "seed": 7, "std_error": 0.002740503512130572},
+        ("TRI4_MC", 9): {"method": "mc", "n_samples": 20000, "pe": 0.18385,
+                         "seed": 9, "std_error": 0.0027390616778378684},
+    }
+
+    def test_monte_carlo_outputs(self, capsys, files):
+        bases = {"HEX": HEX_MATRIX, "SKEW5": SKEW5_MATRIX,
+                 "TRI3_MC": self.TRI3_MC, "TRI4_MC": self.TRI4_MC}
+        for (name, seed), expected in self.MONTE_CARLO.items():
+            m = files("m.json", bases[name])
+            code, out, err = run(capsys, "perror", "--matrix", m, "--method",
+                                 "mc", "--samples", "20000", "--seed",
+                                 str(seed))
+            assert (code, err) == (0, "")
+            assert json.loads(out) == expected, name

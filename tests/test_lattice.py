@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import latcomm.lattice
 from latcomm import (
     DegenerateBasisError,
     GeneratorMatrix,
@@ -223,6 +224,13 @@ class TestGeneratorMatrix:
         with pytest.raises(ValueError):
             hexagonal.scaled(0.0)
 
+    def test_scaled_cached_per_scale(self, ratio311):
+        W = ratio311.scaled(0.25)
+        assert ratio311.scaled(0.25) is W
+        X = ratio311.scaled(0.5)
+        assert X is not W and X.rational[1][1] == Fraction(101, 200)
+        assert ratio311.scaled(0.25).matrix.tolist() == W.matrix.tolist()
+
     def test_column_copy(self, hexagonal):
         c = hexagonal.column(0)
         c[0] = 99.0
@@ -433,6 +441,26 @@ def _dyadic_cvp_case(draw):
     return M, np.array(rows, dtype=float), exact
 
 
+def _criterion11_basis(rng, n):
+    R = (np.triu(rng.uniform(-0.8, 0.8, (n, n)), 1)
+         + np.diag(rng.uniform(0.6, 1.6, n)))
+    return np.linalg.qr(rng.normal(size=(n, n)))[0] @ R
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The row count of every block that goes through the sphere search."""
+    blocks = []
+    search = latcomm.lattice._sphere_leaves
+
+    def counting(R, T, r2):
+        blocks.append(len(T))
+        return search(R, T, r2)
+
+    monkeypatch.setattr(latcomm.lattice, "_sphere_leaves", counting)
+    return blocks
+
+
 class TestCvp:
     @given(_dyadic_cvp_case())
     @settings(max_examples=150)
@@ -567,3 +595,80 @@ class TestCvp:
             d_found = float(np.linalg.norm(found - x))
             d_best, _ = _exhaustive_cvp(V, x, radius=120)
             assert d_found <= d_best + 1e-9
+
+    def test_rows_near_lattice_points_skip_the_search(self, searched):
+        rng = np.random.default_rng(21)
+        for n in (1, 3, 6):
+            M = _criterion11_basis(rng, n)
+            V = GeneratorMatrix(M)
+            U0 = rng.integers(-5, 6, size=(64, n))
+            X = U0 @ M.T + 1e-6 * rng.uniform(-1, 1, size=(64, n))
+            assert cvp_bruteforce_batch(V, X).tolist() == U0.tolist()
+            assert cvp_bruteforce_batch(V, X[7]).tolist() == U0[7].tolist()
+            for x, u in zip(X[:4], U0[:4]):
+                assert _box_cvp(M, x)[1].tolist() == u.tolist()
+        assert sum(searched) == 0
+
+    def test_batch_with_every_row_searched(self, searched):
+        # Z^3: cube centres (8 equidistant points, the least wins) and
+        # points 0.57 from their unique closest point, beyond 1/2
+        rng = np.random.default_rng(22)
+        V = GeneratorMatrix(np.eye(3))
+        U0 = rng.integers(-5, 6, size=(40, 3))
+        off = np.where(rng.random((20, 2)) < 0.5, -0.4, 0.4)
+        X = np.vstack([U0[:20] + 0.5,
+                       U0[20:] + np.column_stack([off, np.zeros(20)])])
+        U = cvp_bruteforce_batch(V, X)
+        assert sum(searched) == 40
+        assert U.tolist() == U0.tolist()
+        for x, u in zip(X, U):
+            assert _box_cvp(V.matrix, x)[1].tolist() == u.tolist()
+
+    def test_accepted_and_searched_rows_interleaved(self, searched):
+        rng = np.random.default_rng(23)
+        M = _criterion11_basis(rng, 4)
+        V = GeneratorMatrix(M)
+        U0 = rng.integers(-5, 6, size=(100, 4))
+        X = np.empty((200, 4))
+        X[0::2] = U0 @ M.T + 1e-6 * rng.uniform(-1, 1, size=(100, 4))
+        X[1::2] = rng.uniform(-4, 4, size=(100, 4))
+        U = cvp_bruteforce_batch(V, X)
+        assert 0 < sum(searched) <= 100
+        assert U[0::2].tolist() == U0.tolist()
+        for x, u in zip(X, U):
+            assert cvp_bruteforce_batch(V, x).tolist() == u.tolist()
+            assert _box_cvp(M, x)[1].tolist() == u.tolist()
+
+    def test_exact_ties_across_search_blocks(self, searched):
+        # a dyadic needle, so that every distance below is an exact float:
+        # the midpoint of p and p + s, with s = v2 - v1 a shortest vector,
+        # is equally far from both, and the lexicographically smaller
+        # coefficient vector, that of p + s, wins
+        h = 2.0 ** -7
+        M = np.array([[1.0, 1.0 - h], [0.0, h]])
+        V = GeneratorMatrix(M)
+        rng = np.random.default_rng(3)
+        X = rng.uniform(-0.5, 0.5, size=(65536, 2)) * np.diag(M)
+        U0 = rng.integers(-8, 9, size=(512, 2))
+        X[::128] = (U0 + [-0.5, 0.5]) @ M.T
+        U = cvp_bruteforce_batch(V, X)
+        assert len(searched) >= 2
+        assert U[::128].tolist() == (U0 + [-1, 1]).tolist()
+        for x, u in zip(X[::128][:64], U[::128]):
+            assert _box_cvp(M, x)[1].tolist() == u.tolist()
+
+    def test_near_singular_basis_near_midpoints(self):
+        # |det| / (||v1|| ||v2||) = 2^-27 (about 7.5e-9), and s = v2 - v1
+        # is a shortest vector; targets (1 +- 1e-12) of the way from p to
+        # the midpoint of p and p + s lie just past it or just short of it
+        M = np.array([[1.0, 1.0], [0.0, 2.0 ** -27]])
+        V = GeneratorMatrix(M)
+        s = M[:, 1] - M[:, 0]
+        U0 = np.array(list(itertools.product(range(-3, 4), repeat=2)))
+        for t, shift in ((1 + 1e-12, [-1, 1]), (1 - 1e-12, [0, 0])):
+            X = U0 @ M.T + t * s / 2
+            U = cvp_bruteforce_batch(V, X)
+            assert U.tolist() == (U0 + shift).tolist()
+            for x, u in zip(X, U):
+                assert cvp_bruteforce_batch(V, x).tolist() == u.tolist()
+                assert _box_cvp(M, x)[1].tolist() == u.tolist()
