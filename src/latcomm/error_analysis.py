@@ -270,6 +270,7 @@ def monte_carlo_pe(V: GeneratorMatrix, n_samples: int,
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     Q, R = V.qr()
+    V._search_frame()  # the CVP frame, cached before the threads share it
     half = np.abs(np.diag(R)) / 2.0
     chunks = [(i, min(_MC_CHUNK, n_samples - start))
               for i, start in enumerate(range(0, n_samples, _MC_CHUNK))]

@@ -7,6 +7,7 @@ protocols) consumes the types defined here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,13 +28,17 @@ _MAGNITUDE_ERROR = (
     f"in [{_MAGNITUDE_LO:.3g}, {_MAGNITUDE_HI:.3g}]")
 
 # Largest dimension of the exact CVP search, whose node count grows
-# exponentially with n; n <= 6 has a timed test.
-MAX_CVP_DIM = 6
+# exponentially with n; n <= 10 has a timed test.
+MAX_CVP_DIM = 10
 # CVP target rows are searched in blocks of about this many nodes.
 _CVP_BLOCK_NODES = 1 << 16
 # Relative slack on the CVP search radius and, in coefficient units, on each
 # level's half-width, so that float rounding drops no candidate.
 _CVP_SLACK = 1e-9
+# Lovasz constant of the LLL reduction that precedes the CVP search, and a
+# cap on its steps (each swap shrinks a positive potential by this factor).
+_LLL_DELTA = 0.99
+_LLL_MAX_STEPS = 100000
 
 
 class DegenerateBasisError(ValueError):
@@ -128,6 +133,7 @@ class GeneratorMatrix:
         self._inv = None
         self._upper = None
         self._scaled = None
+        self._frame = None
 
     @classmethod
     def from_columns(cls, columns):
@@ -224,6 +230,27 @@ class GeneratorMatrix:
                 a.setflags(write=False)
         return self._qr
 
+    def _search_frame(self):
+        """(Q, R, U^T, U^-T) for the CVP search: W = V U = Q R is an
+        LLL-reduced basis of the same lattice, with U unimodular.
+
+        U^T is int64.  Where V is reduced already, or where U and U^-1 are
+        too large for the search to map its points back without overflow,
+        W is V itself: (Q, R) is `qr()` and U^T, U^-T are None.  The arrays
+        are read-only and the result is cached.
+        """
+        if self._frame is None:
+            Q, R = self.qr()
+            reduced = _lll_triangular(R.tolist())
+            if reduced is None:
+                self._frame = Q, R, None, None
+            else:
+                G, RW, Ut, Uit = reduced
+                self._frame = Q @ G.T, RW, Ut, Uit
+                for a in self._frame:
+                    a.setflags(write=False)
+        return self._frame
+
     def inverse(self):
         if self._inv is None:
             self._inv = np.linalg.inv(self.matrix)
@@ -240,9 +267,10 @@ def round_half_up(z):
 
     [0.5] = 1, [-0.5] = 0, [-1.5] = -1.  Takes a scalar (returns a Python
     int) or an array (returns an int64 array of the same shape).  Rounds up
-    iff 2z >= 2 floor(z) + 1; for |z| < 2^52 both sides are exact doubles,
-    so a value just below a tie is never misrounded.  Non-finite values
-    and |z| >= 2^52 raise ValueError.
+    iff z - floor(z) >= 1/2.  For |z| < 2^52 that difference is exact
+    (Sterbenz), except for -1/2 < z < 0, where it exceeds 1/2 and rounds
+    to at least 1/2; so a value just below a tie is never misrounded.
+    Non-finite values and |z| >= 2^52 raise ValueError.
     """
     a = np.asarray(z, dtype=float)
     ok = np.abs(a) < ROUND_LIMIT  # False for nan and inf too
@@ -250,7 +278,7 @@ def round_half_up(z):
         bad = float(a[~ok].flat[0]) if a.ndim else float(a)
         raise ValueError(f"cannot round {bad!r}: need a finite |z| < 2**52")
     fl = np.floor(a)
-    r = (fl + (a + a >= fl + fl + 1.0)).astype(np.int64)
+    r = (fl + (a - fl >= 0.5)).astype(np.int64)
     return int(r) if r.ndim == 0 else r
 
 
@@ -341,6 +369,76 @@ def canonicalize_2d(V: GeneratorMatrix):
     return ReducedBasis2D(a=a, b=b), scale, Q
 
 
+def _lll_triangular(R):
+    """LLL reduction (Lovasz constant _LLL_DELTA) of the columns of an upper
+    triangular R with a positive diagonal, given as nested lists.
+
+    Returns arrays (G, RW, U^T, U^-T) with RW = G R U upper triangular with
+    a positive diagonal, G orthogonal and U unimodular (U^T in int64, the
+    rest in floats); or None where U = I, or where U and U^-1 are so large
+    that the CVP search could not map its points through U exactly.
+    Column k is size-reduced against column j only where |RW_jk / RW_jj|
+    > 1/2, so a reduced basis (hexagonal: ratio exactly 1/2) keeps U = I.
+    A swap of columns k - 1 and k is followed by a reflection of rows k - 1
+    and k that makes RW triangular again, accumulated in G.  Runs in Python
+    floats and ints; the loop stops after _LLL_MAX_STEPS steps, and what it
+    has then is still a basis of the same lattice.
+    """
+    n = len(R)
+    b = [list(col) for col in zip(*R)]  # columns of RW
+    u = [[0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]  # columns of U
+    ui = [col[:] for col in u]  # rows of U^-1
+    g = [list(map(float, col)) for col in u]  # rows of G
+    changed = False
+
+    def size_reduce(k, j):
+        nonlocal changed
+        mu = b[k][j] / b[j][j]
+        if abs(mu) > 0.5:
+            m = math.floor(mu + 0.5)
+            b[k] = [x - m * y for x, y in zip(b[k], b[j])]
+            u[k] = [x - m * y for x, y in zip(u[k], u[j])]
+            ui[j] = [x + m * y for x, y in zip(ui[j], ui[k])]
+            changed = True
+
+    k = 1
+    for _ in range(_LLL_MAX_STEPS):
+        if k >= n:
+            break
+        size_reduce(k, k - 1)
+        x, y = b[k][k - 1], b[k][k]
+        if _LLL_DELTA * b[k - 1][k - 1] ** 2 <= x * x + y * y:
+            for j in range(k - 2, -1, -1):
+                size_reduce(k, j)
+            k += 1
+            continue
+        b[k - 1], b[k] = b[k], b[k - 1]
+        u[k - 1], u[k] = u[k], u[k - 1]
+        ui[k - 1], ui[k] = ui[k], ui[k - 1]
+        h = math.hypot(x, y)
+        c, s = x / h, y / h
+        for col in b[k - 1:]:
+            col[k - 1], col[k] = (c * col[k - 1] + s * col[k],
+                                  s * col[k - 1] - c * col[k])
+        b[k - 1][k] = 0.0
+        x, y = g[k - 1], g[k]
+        g[k - 1] = [c * p + s * q for p, q in zip(x, y)]
+        g[k] = [s * p - c * q for p, q in zip(x, y)]
+        changed = True
+        k = max(k - 1, 1)
+    if not changed:
+        return None
+    # the search rounds offsets d with |d_i| <= n max|U^-1| / 2 + 1 and
+    # maps them through U in int64: under these bounds d is in the domain
+    # of round_half_up and no partial sum overflows
+    big_u = n * max(map(abs, itertools.chain(*u)))
+    big_ui = n * max(map(abs, itertools.chain(*ui)))
+    if big_ui >= 2.0 ** 52 or big_u * (big_ui / 2 + 1) >= 2.0 ** 62:
+        return None
+    G, RW, Uit = np.array([g, b, ui], dtype=float)
+    return G, RW.T, np.array(u, dtype=np.int64), Uit.T
+
+
 def _sphere_leaves(R, T, r2):
     """Row index and offset o of every integer o with ||t - R o||^2 <= r2,
     for each row t of T: breadth-first over the levels of R from n-1 down
@@ -350,8 +448,8 @@ def _sphere_leaves(R, T, r2):
     rows = np.arange(k)
     O = np.zeros((k, n))
     rem = r2
+    c = T[:, n - 1] / R[n - 1, n - 1]
     for i in range(n - 1, -1, -1):
-        c = (T[rows, i] - O[:, i + 1:] @ R[i, i + 1:]) / R[i, i]
         w = np.sqrt(np.maximum(rem, 0.0)) / R[i, i] + _CVP_SLACK
         lo = np.ceil(c - w)
         count = np.maximum(np.floor(c + w) - lo + 1, 0).astype(np.int64)
@@ -359,7 +457,9 @@ def _sphere_leaves(R, T, r2):
         o_i = (lo + count - count.cumsum())[node] + np.arange(len(node))
         rows, O = rows[node], O[node]
         O[:, i] = o_i
-        rem = rem[node] - (R[i, i] * (c[node] - o_i)) ** 2
+        if i:
+            rem = rem[node] - (R[i, i] * (c[node] - o_i)) ** 2
+            c = (T[rows, i - 1] - O[:, i:] @ R[i - 1, i:]) / R[i - 1, i - 1]
     return rows, O
 
 
@@ -367,15 +467,20 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
     """Exact closest-vector solve for one target (shape (n,)) or each row of
     X (shape (k, n)), for n <= MAX_CVP_DIM.
 
-    Every nonzero lattice vector is at least min_i R_ii long, so a row
-    whose rounded real solve lies within half of that (less the search's
-    slack) is its own unique answer and is not searched.  Every other row
-    goes through a sphere search (Fincke-Pohst) in the QR frame, whose
-    radius is the distance to the rounded real solve; it finds every
-    coefficient vector at least as close, compares them in the original
-    frame and keeps the least distance, and only where several candidates
-    share it exactly does the lexicographically smallest win.  Rows are
-    searched in blocks of about _CVP_BLOCK_NODES nodes.
+    The search runs on an LLL-reduced basis W = V U of the same lattice
+    (Lenstra-Lenstra-Lovasz; the preprocessing of Agrell et al., IEEE
+    Trans. IT 48(8), 2002), in W's QR frame W = Q R, so its cost does not
+    depend on how skewed V is.  Every nonzero lattice vector is at least
+    min_i R_ii long, so a row whose rounded real solve in W's coefficients
+    lies within half of that (less the search's slack) is its own unique
+    answer and is not searched.  Every other row goes through a sphere
+    search (Fincke-Pohst), whose radius is the distance to that rounded
+    point; it finds every lattice point at least as close, maps each back
+    through U to V's coefficients, compares distances in the original frame
+    and keeps the least, and only where several candidates share it
+    exactly does the lexicographically smallest coefficient vector (in V's
+    coefficients) win.  Rows are searched in blocks of about
+    _CVP_BLOCK_NODES nodes.
     """
     _require(V.n <= MAX_CVP_DIM, UnsupportedDimensionError,
              f"exhaustive CVP supports n <= {MAX_CVP_DIM}")
@@ -384,10 +489,15 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
              "target dimension mismatch")
     single = X.ndim == 1
     X = np.atleast_2d(X)
-    _require(np.all(np.isfinite(X)), ValueError, "target must be finite")
-    Q, R = V.qr()
-    diag = np.diag(R)
-    C0 = round_half_up(X @ V.inverse().T)
+    _require(np.isfinite(X).all(), ValueError, "target must be finite")
+    Q, R, Ut, Uit = V._search_frame()
+    diag = R.diagonal()
+    C = X @ V.inverse().T
+    C0 = round_half_up(C)
+    if Ut is not None:
+        # the rounded real solve in W's coefficients, taken as an offset
+        # from C0 so that the map back through U stays far from overflow
+        C0 += round_half_up((C - C0) @ Uit) @ Ut
     R0 = X - C0.astype(float) @ V.matrix.T
     r2 = np.einsum("ij,ij->i", R0, R0) * (1.0 + _CVP_SLACK)
     # a leaf o != 0 lies at least min R_ii - ||t|| from the residual t, as
@@ -400,14 +510,18 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
     # level i gives a node at most 2 reach_i + 1 children
     reach = np.sqrt(r2[rest])[:, None] / diag + _CVP_SLACK
     nodes = np.cumsum(np.prod(2.0 * reach + 1.0, axis=1)) // _CVP_BLOCK_NODES
-    cuts = np.flatnonzero(np.diff(nodes)) + 1
-    for block in np.split(rest, cuts):
+    cuts = np.flatnonzero(nodes[1:] != nodes[:-1]) + 1
+    for block in np.split(rest, cuts) if len(rest) else ():
         # leaves come grouped by row, in ascending row order
         rows, O = _sphere_leaves(R, R0[block] @ Q, r2[block])
-        U = C0[block[rows]] + O.astype(np.int64)
-        D = X[block[rows]] - U.astype(float) @ V.matrix.T
+        O = O.astype(np.int64)
+        if Ut is not None:
+            O = O @ Ut
+        idx = block[rows]
+        U = C0[idx] + O
+        D = X[idx] - U.astype(float) @ V.matrix.T
         d = np.einsum("ij,ij->i", D, D)
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
         keep = d == np.minimum.reduceat(d, starts)[rows]
         rows, U = rows[keep], U[keep]
         tied = np.bincount(rows, minlength=len(block))[rows] > 1

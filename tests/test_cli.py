@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -164,6 +165,18 @@ class TestPerror:
         doc = json.loads(out)
         assert abs(doc["pe"] - 1 / 12) <= 4 * doc["std_error"]
         assert doc["n_samples"] == 20000 and doc["seed"] == 5
+
+    def test_mc_on_unreduced_basis_at_large_scale(self, capsys, files):
+        # 1e103 [[1,1,0],[0,1e-6,0],[0,0,1]]: the given basis needs about
+        # 10^6 search nodes per sample, its reduced one is orthogonal
+        cols = [[1e103, 0, 0], [1e103, 1e97, 0], [0, 0, 1e103]]
+        m = files("m.json", {"n": 3, "columns": cols})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "perror", "--matrix", m, "--method", "mc",
+                             "--samples", "2000")
+        assert time.perf_counter() - start < 2.0
+        assert (code, err) == (0, "")
+        assert json.loads(out)["pe"] == 0.0
 
     def test_csv_output(self, capsys, files):
         m = files("m.json", HEX_MATRIX)
@@ -624,10 +637,11 @@ class TestPinnedOutputs:
                  ([-8, 10, 9], [-7.5, 2.0000000000000018, 9.9], True),
                  ([1, 0, 0], [0.72, 0.96, 0.0], True)],
     }
-    # upper-triangular 7D basis, 1 on the diagonal and 1/2 above it: one
-    # dimension beyond the exact search
-    TRI7 = {"n": 7, "columns": [[1 if i == j else "1/2" if i < j else 0
-                                 for i in range(7)] for j in range(7)]}
+    # upper-triangular bases, 1 on the diagonal and 1/2 above it: 7D, and
+    # 11D, one dimension beyond the exact search
+    TRI7, TRI11 = ({"n": n, "columns": [[1 if i == j else "1/2" if i < j
+                                         else 0 for i in range(n)]
+                                        for j in range(n)]} for n in (7, 11))
     SCENARIOS = {
         "readme": {"matrix": {"n": 2, "columns": [["5/4", 0], [0, "4/5"]]},
                    "alpha": 2.0 ** -10, "trials": 1000, "seed": 1,
@@ -671,18 +685,31 @@ class TestPinnedOutputs:
                 got.append((doc["coeffs"], doc["point"], doc["match"]))
             assert got == expected, name
 
-    def test_beyond_max_cvp_dim(self, capsys, files):
+    def test_7d_babai_and_cvp(self, capsys, files):
+        # the answer is that of a complete box of 1,944 coefficient vectors
         m = files("m.json", self.TRI7)
         x = "--x=0.3,1.6,-2.2,0.7,4.1,-0.5,2.5"
+        expected = {"coeffs": [0, 2, -4, -2, 4, -2, 3],
+                    "point": [0.5, 1.5, -2.5, 0.5, 4.5, -0.5, 3.0],
+                    "match": True}
+        for command in ("babai", "cvp"):
+            code, out, _ = run(capsys, command, "--matrix", m, x)
+            assert code == 0
+            assert json.loads(out) == expected, command
+
+    def test_beyond_max_cvp_dim(self, capsys, files):
+        m = files("m.json", self.TRI11)
+        x = "--x=0.3,1.6,-2.2,0.7,4.1,-0.5,2.5,1.2,-3.3,0.6,2.9"
         code, out, _ = run(capsys, "babai", "--matrix", m, x)
         assert code == 0
         assert json.loads(out) == {
-            "coeffs": [0, 2, -4, -2, 4, -2, 3],
-            "point": [0.5, 1.5, -2.5, 0.5, 4.5, -0.5, 3.0],
+            "coeffs": [0, 2, -4, -2, 4, -2, 3, 2, -4, -1, 3],
+            "point": [0.5, 1.5, -2.5, 0.5, 4.5, -0.5, 3.0, 1.0, -3.0, 0.5,
+                      3.0],
             "match": None}
         code, out, err = run(capsys, "cvp", "--matrix", m, x)
         assert (code, out) == (1, "")
-        assert err == "error: exhaustive CVP supports n <= 6\n"
+        assert err == "error: exhaustive CVP supports n <= 10\n"
 
     def test_simulate_bits(self, capsys, files):
         for (name, model), expected in self.SIMULATE.items():

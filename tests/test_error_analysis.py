@@ -1,5 +1,6 @@
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -244,14 +245,21 @@ class TestMonteCarlo:
         e3 = monte_carlo_pe(hexagonal, 40000, seed=8)
         assert e3.estimate != e1.estimate
 
-    def test_worker_count_does_not_change_result(self, hexagonal,
+    def test_worker_count_does_not_change_result(self, hexagonal, skew5,
                                                  monkeypatch):
-        # 150,000 samples are three chunks: one thread, then three
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        e1 = monte_carlo_pe(hexagonal, 150000, seed=3)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        e4 = monte_carlo_pe(hexagonal, 150000, seed=3)
-        assert e1 == e4
+        # 150,000 samples are three chunks: one thread, then three on a
+        # fresh basis, whose CVP frame the threads share; skew5 is searched
+        # in an LLL-reduced frame (U != I), the hexagonal basis in its own
+        for V in (hexagonal, skew5):
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+            e1 = monte_carlo_pe(V, 150000, seed=3)
+            monkeypatch.setattr(os, "cpu_count", lambda: 4)
+            fresh = GeneratorMatrix(V.matrix)
+            e4 = monte_carlo_pe(fresh, 150000, seed=3)
+            assert e1 == e4
+            frame = fresh._search_frame()
+            assert (frame[2] is None) == (V is hexagonal)
+            assert not any(a.flags.writeable for a in frame if a is not None)
 
     def test_single_chunk_runs_on_calling_thread(self, hexagonal,
                                                  monkeypatch):
@@ -262,6 +270,15 @@ class TestMonteCarlo:
         monkeypatch.setattr(latcomm.error_analysis, "ThreadPoolExecutor",
                             no_pool)
         assert monte_carlo_pe(hexagonal, 1 << 16, seed=3).n_samples == 1 << 16
+
+    def test_needle_basis_in_bounded_time(self):
+        # searched in the basis as given, about 100 nodes per sample on the
+        # short level made this take about 0.5 s
+        V = GeneratorMatrix(np.array([[1.0, 0.99], [0.0, 0.01]]))
+        start = time.perf_counter()
+        est = monte_carlo_pe(V, 200000, seed=0)
+        assert time.perf_counter() - start < 0.2
+        assert abs(est.estimate - exact_pe_area(V)) <= 4 * est.std_error
 
     def test_hexagonal_estimate(self, hexagonal):
         est = monte_carlo_pe(hexagonal, 100000, seed=0)

@@ -67,6 +67,10 @@ class TestRoundHalfUp:
     @example(2.0 ** 52 - 1.5)
     @example(-(2.0 ** 52 - 0.5))
     @example(-(2.0 ** 52 - 1.5))
+    @example(-(2.0 ** -60))  # z - floor(z) = 1 + z rounds, to at least 1/2
+    @example(math.nextafter(-0.5, 0.0))
+    @example(math.nextafter(-0.5, -1.0))
+    @example(math.nextafter(0.5, 0.0))
     def test_exact_up_to_2_52(self, z):
         expected = math.floor(Fraction(z) + Fraction(1, 2))
         assert round_half_up(z) == expected
@@ -447,6 +451,17 @@ def _criterion11_basis(rng, n):
     return np.linalg.qr(rng.normal(size=(n, n)))[0] @ R
 
 
+def _mixed(rng, B, min_cond):
+    """(M, B M) for a unimodular M of random column operations, added
+    until cond(B M) >= min_cond."""
+    n = len(B)
+    mix = np.eye(n, dtype=np.int64)
+    while np.linalg.cond(B @ mix) < min_cond:
+        i, j = rng.choice(n, 2, replace=False)
+        mix[:, j] += rng.choice([-1, 1]) * mix[:, i]
+    return mix, B @ mix
+
+
 @pytest.fixture
 def searched(monkeypatch):
     """The row count of every block that goes through the sphere search."""
@@ -492,8 +507,8 @@ class TestCvp:
                         d_ref, rel=1e-12, abs=1e-12)
 
     def test_memory_bounded_on_needle_basis(self):
-        # an unreduced basis: about 100 candidates per target on the short
-        # level, so the search must run in blocks of rows
+        # an unreduced basis, about 100 candidates per target on the short
+        # level if it were searched as given
         M = np.array([[1.0, 0.99], [0.0, 0.01]])
         V = GeneratorMatrix(M)
         X = np.random.default_rng(3).uniform(-0.5, 0.5, size=(65536, 2)) \
@@ -529,6 +544,85 @@ class TestCvp:
             assert float(np.sum((x - M @ u) ** 2)) == pytest.approx(
                 d_ref, rel=1e-12, abs=1e-12)
 
+    def test_10d_batch_in_bounded_time(self):
+        rng = np.random.default_rng(10)
+        n = 10
+        R = _criterion11_basis(rng, n)
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        M = Q @ R
+        V = GeneratorMatrix(M)
+        # in-box targets, as Monte Carlo draws them
+        Qm, Rm = np.linalg.qr(M)
+        X = (rng.uniform(-0.5, 0.5, size=(4096, n)) * np.abs(np.diag(Rm))) @ Qm.T
+        start = time.perf_counter()
+        U = cvp_bruteforce_batch(V, X)
+        assert time.perf_counter() - start < 5.0
+        d = np.linalg.norm(X - U @ M.T, axis=1)
+        d_np = np.linalg.norm(X - nearest_plane(V, X).point, axis=1)
+        assert np.all(d <= d_np + 1e-9)
+        # no coefficient neighbour is closer, for a sample of rows
+        steps = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
+        for x, u, du in zip(X[:8], U[:8], d[:8]):
+            d_nb = np.linalg.norm(x - (u + steps) @ M.T, axis=1)
+            assert d_nb.min() >= du - 1e-12
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_mixed_basis_in_bounded_time(self, n):
+        # R M with M unimodular and cond >= 4,000: searched as given, one
+        # target of the 4D batch asked for half a gigabyte
+        rng = np.random.default_rng(n)
+        B = _criterion11_basis(rng, n)
+        mix, M = _mixed(rng, B, 4000)
+        V = GeneratorMatrix(M)
+        X = rng.uniform(-4, 4, size=(4096, n))
+        start = time.perf_counter()
+        U = cvp_bruteforce_batch(V, X)
+        assert time.perf_counter() - start < 1.0
+        d = np.linalg.norm(X - U @ M.T, axis=1)
+        d_np = np.linalg.norm(X - nearest_plane(V, X).point, axis=1)
+        assert np.all(d <= d_np + 1e-9)
+        # the same lattice points as a complete box on the unmixed basis
+        for x, u in zip(X[:16], U[:16]):
+            assert (mix @ u).tolist() == _box_cvp(B, x)[1].tolist()
+
+    def test_mixed_integer_lattice_ties(self):
+        # Z^3 in a unimodularly mixed basis; half-integer targets have up
+        # to 8 closest points, and the least original coefficients win
+        rng = np.random.default_rng(30)
+        M = _mixed(rng, np.eye(3), 40)[1]
+        V = GeneratorMatrix(M)
+        assert V._search_frame()[2] is not None
+        X = rng.integers(-4, 5, size=(40, 3)) + rng.choice([0.0, 0.5], (40, 3))
+        U = cvp_bruteforce_batch(V, X)
+        for x, u in zip(X, U):
+            assert _box_cvp(M, x)[1].tolist() == u.tolist()
+            assert cvp_bruteforce_batch(V, x).tolist() == u.tolist()
+
+    def test_near_singular_rotated_basis(self):
+        # V = Q [[1,1],[0,1e-8]], s = v2 - v1 a shortest vector, targets
+        # (1 +- 1e-12) of the way from p to the midpoint of p and p + s:
+        # where the real solve of such a target rounds to a point about
+        # ||v1|| away, searching V as given asked for up to 1.49 GiB
+        Q = np.array([[0.6, -0.8], [0.8, 0.6]])
+        M = Q @ np.array([[1.0, 1.0], [0.0, 1e-8]])
+        V = GeneratorMatrix(M)
+        s = M[:, 1] - M[:, 0]
+        P = np.array(list(itertools.product(range(-2, 3), repeat=2)))
+        X = np.vstack([P @ M.T + t * s / 2 for t in (1 + 1e-12, 1 - 1e-12)])
+        tracemalloc.start()
+        try:
+            U = cvp_bruteforce_batch(V, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        # about the origin the offset from the midpoint is resolved: s,
+        # then 0; elsewhere it is below the float error of the target,
+        # and p and p + s are equally good
+        assert U[[12, 37]].tolist() == [[-1, 1], [0, 0]]
+        for p, u in zip(np.vstack([P, P]), U):
+            assert u.tolist() in (p.tolist(), (p + [-1, 1]).tolist())
+
     def test_target_shapes(self, hexagonal):
         for X in (1.0, np.zeros((2, 2, 2)), np.zeros(3), np.zeros((4, 3))):
             with pytest.raises(ValueError, match="target dimension mismatch"):
@@ -550,9 +644,9 @@ class TestCvp:
         assert tuple(cvp_bruteforce_batch(skew5, p)) == (3, -2)
 
     def test_dimension_guard(self):
-        V = GeneratorMatrix(np.eye(7))
-        with pytest.raises(UnsupportedDimensionError):
-            cvp_bruteforce_batch(V, np.zeros(7))
+        V = GeneratorMatrix(np.eye(11))
+        with pytest.raises(UnsupportedDimensionError, match="n <= 10"):
+            cvp_bruteforce_batch(V, np.zeros(11))
 
     def test_non_finite_target(self, hexagonal):
         with pytest.raises(ValueError):
@@ -672,3 +766,51 @@ class TestCvp:
             for x, u in zip(X, U):
                 assert cvp_bruteforce_batch(V, x).tolist() == u.tolist()
                 assert _box_cvp(M, x)[1].tolist() == u.tolist()
+
+
+class TestSearchFrame:
+    """The LLL-reduced basis W = V U = Q R that the CVP search runs on."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_reduced_basis_of_the_same_lattice(self, n):
+        rng = np.random.default_rng(40 + n)
+        R0 = _criterion11_basis(rng, n)
+        for M in (R0, _mixed(rng, R0, 1000)[1], 1e-5 * _mixed(rng, R0, 50)[1]):
+            V = GeneratorMatrix(M)
+            Q, R, Ut, Uit = V._search_frame()
+            if Ut is None:  # a criterion-11 basis may be reduced already
+                assert M is R0
+                continue
+            assert Ut.dtype == np.int64
+            assert not any(a.flags.writeable for a in (Q, R, Ut, Uit))
+            # U is unimodular and U^-T its exact inverse transpose
+            assert (Ut @ Uit == np.eye(n)).all()
+            U = Ut.T.astype(float)
+            assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-12
+            assert np.abs(Q @ R - M @ U).max() <= 1e-12 * np.abs(M @ U).max()
+            diag = R.diagonal()
+            assert not np.tril(R, -1).any() and (diag > 0).all()
+            # size-reduced and Lovasz, with delta = 0.99
+            assert (np.abs(np.triu(R, 1)) <= (0.5 + 1e-9) * diag[:, None]).all()
+            assert (0.99 * diag[:-1] ** 2
+                    <= (np.diag(R, 1) ** 2 + diag[1:] ** 2) * (1 + 1e-12)).all()
+
+    def test_reduced_basis_searched_as_given(self, hexagonal):
+        # hexagonal: <v1, v2> / ||v1||^2 is exactly 1/2, so no size reduction
+        for V in (hexagonal, GeneratorMatrix(np.eye(4)),
+                  GeneratorMatrix(np.diag([1.0, 2.0, 3.0]))):
+            frame = V._search_frame()
+            assert frame[2:] == (None, None)
+            assert frame[0] is V.qr()[0] and frame[1] is V.qr()[1]
+            assert V._search_frame() is frame
+
+    def test_transform_too_large_for_int64(self):
+        # U and U^-1 have entries about 1e10, beyond the bound under which
+        # int64 holds every partial sum of the map through U, so the frame
+        # is V's own; at 1e9 they are within it
+        for m, reduced in ((1e9, True), (1e10, False)):
+            V = GeneratorMatrix(np.array([[1.0, m + 0.5], [0.0, 15.0]]))
+            Ut = V._search_frame()[2]
+            assert (Ut is not None) == reduced
+            if reduced:
+                assert Ut.tolist() == [[1, 0], [-m - 1, 1]]
