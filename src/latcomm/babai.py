@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import GeneratorMatrix, round_half_up
+from .lattice import GeneratorMatrix, _nearest_plane_levels
 
 
 @dataclass(frozen=True)
@@ -40,34 +40,28 @@ def nearest_plane(V: GeneratorMatrix, X, method="auto") -> NearestPlaneResult:
     X = np.asarray(X, dtype=float)
     if X.ndim not in (1, 2) or X.shape[-1] != V.n:
         raise ValueError("target dimension mismatch")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("target must be finite")
     if method not in ("auto", "triangular"):
         raise ValueError(f"unknown method {method!r}")
     if method == "triangular" and not V.is_upper_triangular():
         raise ValueError("triangular method needs an upper-triangular matrix")
     Q, r = V.qr()
-    n = V.n
     X2 = np.atleast_2d(X)
-    # Y holds each target in the QR frame, minus the columns already fixed;
-    # once level i is done, Y[:, i] is its real coefficient before rounding.
-    # Every sum is accumulated term by term, never through a BLAS product,
-    # so a row's arithmetic does not depend on how many rows the batch has.
-    Y = np.zeros(X2.shape)
-    for j in range(n):
-        Y += X2[:, j, None] * Q[j]
-    B = np.empty(X2.shape, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        Y[:, i] /= r[i, i]
-        b = round_half_up(Y[:, i])
-        B[:, i] = b
-        Y[:, :i] -= b[:, None] * r[:i, i]
+    # Y holds each target in the QR frame, one per column.  The projection
+    # is accumulated term by term, never through a BLAS product, so a row's
+    # arithmetic does not depend on how many rows the batch has.
+    Y = np.zeros(X2.shape[::-1])
+    for j in range(V.n):
+        Y += Q[j, :, None] * X2[:, j]
+    B = _nearest_plane_levels(r, Y)
     if X.ndim == 1:
-        b = B[0]
+        b = B[:, 0]
         return NearestPlaneResult(coeffs=b, point=V.matrix @ b.astype(float),
-                                  residuals=Y[0])
+                                  residuals=Y[:, 0])
+    B = B.T.copy()
     return NearestPlaneResult(coeffs=B, point=B.astype(float) @ V.matrix.T,
-                              residuals=Y)
+                              residuals=Y.T)
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,13 @@ _MAGNITUDE_ERROR = (
     f"in [{_MAGNITUDE_LO:.3g}, {_MAGNITUDE_HI:.3g}]")
 
 # Largest dimension of the exact CVP search, whose node count grows
-# exponentially with n; n <= 10 has a timed test.
-MAX_CVP_DIM = 10
-# CVP target rows are searched in blocks of about this many nodes.
+# exponentially with n; n <= 12 has a timed test.
+MAX_CVP_DIM = 12
+# A CVP search level whose children would pass this many nodes is expanded
+# in slices of whole rows.
 _CVP_BLOCK_NODES = 1 << 16
-# Relative slack on the CVP search radius and, in coefficient units, on each
-# level's half-width, so that float rounding drops no candidate.
+# Relative float error allowed for on the terms of each CVP search level,
+# so that rounding drops no candidate.
 _CVP_SLACK = 1e-9
 # Lovasz constant of the LLL reduction that precedes the CVP search, and a
 # cap on its steps (each swap shrinks a positive potential by this factor).
@@ -224,31 +225,33 @@ class GeneratorMatrix:
                 Q, R = np.eye(self.n), self.matrix
             else:
                 Q, R = np.linalg.qr(self.matrix)
-            signs = np.where(np.diag(R) < 0, -1.0, 1.0)
-            self._qr = Q * signs, R * signs[:, None]
+            self._qr = _positive_diagonal(Q, R)
             for a in self._qr:
                 a.setflags(write=False)
         return self._qr
 
     def _search_frame(self):
-        """(Q, R, U^T, U^-T) for the CVP search: W = V U = Q R is an
-        LLL-reduced basis of the same lattice, with U unimodular.
+        """(Q, R, U^T) for the CVP search: W = V U = Q R is an LLL-reduced
+        basis of the same lattice, with U unimodular and U^T in int64.
 
-        U^T is int64.  Where V is reduced already, or where U and U^-1 are
-        too large for the search to map its points back without overflow,
-        W is V itself: (Q, R) is `qr()` and U^T, U^-T are None.  The arrays
-        are read-only and the result is cached.
+        Where V is reduced already, or where U and U^-1 are too large for
+        the search to map its points back without overflow, W is V itself:
+        (Q, R) is `qr()` and U = I.  The arrays are read-only and the result
+        is cached.
         """
         if self._frame is None:
             Q, R = self.qr()
-            reduced = _lll_triangular(R.tolist())
-            if reduced is None:
-                self._frame = Q, R, None, None
+            Ut = _lll_triangular(R.tolist())
+            if Ut is None:
+                self._frame = Q, R, np.eye(self.n, dtype=np.int64)
             else:
-                G, RW, Ut, Uit = reduced
-                self._frame = Q @ G.T, RW, Ut, Uit
-                for a in self._frame:
-                    a.setflags(write=False)
+                # factored afresh from W's own columns: the direction of a
+                # short w_j is then as exact as w_j, where one taken from R
+                # would carry R's absolute error
+                Q, R = np.linalg.qr(self.matrix @ Ut.T)
+                self._frame = *_positive_diagonal(Q, R), Ut
+            for a in self._frame:
+                a.setflags(write=False)
         return self._frame
 
     def inverse(self):
@@ -369,26 +372,30 @@ def canonicalize_2d(V: GeneratorMatrix):
     return ReducedBasis2D(a=a, b=b), scale, Q
 
 
+def _positive_diagonal(Q, R):
+    """(Q S, S R) for the diagonal sign matrix S that makes R_ii > 0."""
+    signs = np.where(np.diag(R) < 0, -1.0, 1.0)
+    return Q * signs, R * signs[:, None]
+
+
 def _lll_triangular(R):
     """LLL reduction (Lovasz constant _LLL_DELTA) of the columns of an upper
     triangular R with a positive diagonal, given as nested lists.
 
-    Returns arrays (G, RW, U^T, U^-T) with RW = G R U upper triangular with
-    a positive diagonal, G orthogonal and U unimodular (U^T in int64, the
-    rest in floats); or None where U = I, or where U and U^-1 are so large
-    that the CVP search could not map its points through U exactly.
-    Column k is size-reduced against column j only where |RW_jk / RW_jj|
-    > 1/2, so a reduced basis (hexagonal: ratio exactly 1/2) keeps U = I.
-    A swap of columns k - 1 and k is followed by a reflection of rows k - 1
-    and k that makes RW triangular again, accumulated in G.  Runs in Python
-    floats and ints; the loop stops after _LLL_MAX_STEPS steps, and what it
-    has then is still a basis of the same lattice.
+    Returns U^T in int64 for the unimodular U that reduces R U; or None
+    where U = I, or where U and U^-1 are so large that the CVP search could
+    not map its points through U exactly.  Column k is size-reduced against
+    column j only where |mu_jk| > 1/2, so a reduced basis (hexagonal: ratio
+    exactly 1/2) keeps U = I.  A swap of columns k - 1 and k is followed by
+    a reflection of rows k - 1 and k that makes the working copy triangular
+    again.  Runs in Python floats and ints; the loop stops after
+    _LLL_MAX_STEPS steps, and what it has then is still a basis of the same
+    lattice.
     """
     n = len(R)
-    b = [list(col) for col in zip(*R)]  # columns of RW
+    b = [list(col) for col in zip(*R)]  # columns of the reduced R
     u = [[0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]  # columns of U
     ui = [col[:] for col in u]  # rows of U^-1
-    g = [list(map(float, col)) for col in u]  # rows of G
     changed = False
 
     def size_reduce(k, j):
@@ -421,46 +428,86 @@ def _lll_triangular(R):
             col[k - 1], col[k] = (c * col[k - 1] + s * col[k],
                                   s * col[k - 1] - c * col[k])
         b[k - 1][k] = 0.0
-        x, y = g[k - 1], g[k]
-        g[k - 1] = [c * p + s * q for p, q in zip(x, y)]
-        g[k] = [s * p - c * q for p, q in zip(x, y)]
         changed = True
         k = max(k - 1, 1)
     if not changed:
         return None
-    # the search rounds offsets d with |d_i| <= n max|U^-1| / 2 + 1 and
-    # maps them through U in int64: under these bounds d is in the domain
-    # of round_half_up and no partial sum overflows
+    # the search rounds offsets d with |d_i| <= n max|U^-1| / 2 + 1.5^n (the
+    # real solve plus the drift of nearest plane from it on a size-reduced
+    # basis) and maps them through U in int64: under these bounds d is in
+    # the domain of round_half_up and no partial sum overflows
     big_u = n * max(map(abs, itertools.chain(*u)))
-    big_ui = n * max(map(abs, itertools.chain(*ui)))
-    if big_ui >= 2.0 ** 52 or big_u * (big_ui / 2 + 1) >= 2.0 ** 62:
+    big_ui = n * max(map(abs, itertools.chain(*ui))) / 2 + 1.5 ** n
+    if big_ui >= 2.0 ** 52 or big_u * big_ui >= 2.0 ** 62:
         return None
-    G, RW, Uit = np.array([g, b, ui], dtype=float)
-    return G, RW.T, np.array(u, dtype=np.int64), Uit.T
+    return np.array(u, dtype=np.int64)
 
 
-def _sphere_leaves(R, T, r2):
-    """Row index and offset o of every integer o with ||t - R o||^2 <= r2,
-    for each row t of T: breadth-first over the levels of R from n-1 down
-    to 0, each node spawning every o_i within its level's remaining radius.
-    """
-    k, n = T.shape
-    rows = np.arange(k)
-    O = np.zeros((k, n))
-    rem = r2
-    c = T[:, n - 1] / R[n - 1, n - 1]
-    for i in range(n - 1, -1, -1):
-        w = np.sqrt(np.maximum(rem, 0.0)) / R[i, i] + _CVP_SLACK
-        lo = np.ceil(c - w)
-        count = np.maximum(np.floor(c + w) - lo + 1, 0).astype(np.int64)
-        node = np.repeat(np.arange(len(rows)), count)
-        o_i = (lo + count - count.cumsum())[node] + np.arange(len(node))
-        rows, O = rows[node], O[node]
-        O[:, i] = o_i
+def _nearest_plane_levels(R, Y):
+    """Nearest-plane recursion on the upper-triangular R, level-major: each
+    column of Y (shape (n, k)) is one target in R's frame.  Returns the
+    int64 coefficients (shape (n, k)) and leaves in Y[i] level i's real
+    coefficient just before it was rounded.  Every operation is
+    elementwise, so a target's arithmetic does not depend on k."""
+    B = np.empty(Y.shape, dtype=np.int64)
+    for i in range(len(R) - 1, -1, -1):
+        y = Y[i]
+        y /= R[i, i]
+        b = B[i] = round_half_up(y)
         if i:
-            rem = rem[node] - (R[i, i] * (c[node] - o_i)) ** 2
-            c = (T[rows, i - 1] - O[:, i:] @ R[i - 1, i:]) / R[i - 1, i - 1]
-    return rows, O
+            Y[:i] -= R[:i, i, None] * b
+    return B
+
+
+def _sphere_leaves(R, Z, h, P):
+    """Offsets e from each target's nearest-plane start b that may put
+    R (b + e) at least as close to it as b is.
+
+    Column j of Z holds target j's residual after the start, per level in
+    coefficient units, and h its error bound; P is the prefix sum over
+    levels of R_ii^2 (|Z_i| + h_i)^2.  Breadth-first from level n-1 down,
+    each node spawns every e_i within what is left of P, counted as the
+    change from the start path, which is exactly 0 along it.  Yields (row,
+    E) slices of leaves grouped by row in ascending order; a level whose
+    children would pass _CVP_BLOCK_NODES is expanded in slices of rows.
+    """
+    diag = R.diagonal()
+    unit = R / diag[:, None]
+
+    def descend(i, rows, E, S):
+        while len(rows):
+            # e_i is centred on c, the start's residual less the shift that
+            # the offsets above i cause; u = c - e_i is its new residual
+            g = E[:, i + 1:] @ unit[i, i + 1:]
+            z = Z[i, rows]
+            c = z - g
+            w = np.sqrt(np.maximum(P[i, rows] - S, 0.0)) / diag[i] + h[i, rows]
+            lo = np.ceil(c - w)
+            count = (np.floor(c + w) - lo + 1).astype(np.int64)  # w > 0
+            before = count.cumsum() - count
+            if count.sum() > _CVP_BLOCK_NODES:
+                first = np.flatnonzero(np.diff(rows, prepend=-1))
+                cuts = first[np.diff(before[first] // _CVP_BLOCK_NODES, prepend=0) != 0]
+                if len(cuts):
+                    for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(rows)]):
+                        yield from descend(i, rows[a:b], E[a:b], S[a:b])
+                    return
+            node = np.repeat(np.arange(len(rows)), count)
+            e = (lo - before)[node] + np.arange(len(node))
+            rows, E = rows[node], E[node]
+            E[:, i] = e
+            if i == 0:
+                yield rows, E
+                return
+            # R_ii^2 (u^2 - z^2) = R_ii^2 d (d - 2 z) for d = z - u, less
+            # what an error of h_i in z could hide
+            d = g[node] + e
+            t = d * (d - 2.0 * z[node]) - 2.0 * h[i, rows] * np.abs(d)
+            S = S[node] + diag[i] ** 2 * t
+            i -= 1
+
+    k, n = Z.shape[1], len(R)
+    yield from descend(n - 1, np.arange(k), np.zeros((k, n)), np.zeros(k))
 
 
 def cvp_bruteforce_batch(V: GeneratorMatrix, X):
@@ -470,17 +517,21 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
     The search runs on an LLL-reduced basis W = V U of the same lattice
     (Lenstra-Lenstra-Lovasz; the preprocessing of Agrell et al., IEEE
     Trans. IT 48(8), 2002), in W's QR frame W = Q R, so its cost does not
-    depend on how skewed V is.  Every nonzero lattice vector is at least
-    min_i R_ii long, so a row whose rounded real solve in W's coefficients
-    lies within half of that (less the search's slack) is its own unique
-    answer and is not searched.  Every other row goes through a sphere
-    search (Fincke-Pohst), whose radius is the distance to that rounded
-    point; it finds every lattice point at least as close, maps each back
-    through U to V's coefficients, compares distances in the original frame
-    and keeps the least, and only where several candidates share it
+    depend on how skewed V is.  Each row starts at the nearest-plane point
+    of W (Babai), from the same level loop as `nearest_plane`, run on the
+    row's residual from C0, its rounded real solve in V's coefficients,
+    which only keeps the integers small.  That start lies within
+    sqrt(sum R_ii^2) / 2 of the target, and the sphere search
+    (Fincke-Pohst) around it keeps every point at least as close, with a
+    float slack for each level from that level's own terms.  A row whose
+    start path spawns no second child at any level is its own unique
+    answer and is not searched.  Every candidate is mapped back through U
+    to its offset e from the start in V's coefficients and compared with
+    the start by ||V e||^2 - 2 <x - V u_start, V e>, which keeps the
+    relative precision of the offset rather than of the whole distance;
+    each row keeps its least, and only where several candidates share it
     exactly does the lexicographically smallest coefficient vector (in V's
-    coefficients) win.  Rows are searched in blocks of about
-    _CVP_BLOCK_NODES nodes.
+    coefficients) win.
     """
     _require(V.n <= MAX_CVP_DIM, UnsupportedDimensionError,
              f"exhaustive CVP supports n <= {MAX_CVP_DIM}")
@@ -490,45 +541,40 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
     single = X.ndim == 1
     X = np.atleast_2d(X)
     _require(np.isfinite(X).all(), ValueError, "target must be finite")
-    Q, R, Ut, Uit = V._search_frame()
+    Q, R, Ut = V._search_frame()
     diag = R.diagonal()
-    C = X @ V.inverse().T
-    C0 = round_half_up(C)
-    if Ut is not None:
-        # the rounded real solve in W's coefficients, taken as an offset
-        # from C0 so that the map back through U stays far from overflow
-        C0 += round_half_up((C - C0) @ Uit) @ Ut
+    C0 = round_half_up(X @ V.inverse().T)
     R0 = X - C0.astype(float) @ V.matrix.T
-    r2 = np.einsum("ij,ij->i", R0, R0) * (1.0 + _CVP_SLACK)
-    # a leaf o != 0 lies at least min R_ii - ||t|| from the residual t, as
-    # ||R o|| >= min R_ii, and the search keeps only leaves within
-    # sqrt(r2) + _CVP_SLACK * sum R_ii of t: where 2 sqrt(r2) falls short of
-    # the difference by a further relative _CVP_SLACK, C0 is the only leaf
-    half = max(diag.min() - _CVP_SLACK * diag.sum(), 0.0) / 2.0
-    rest = np.flatnonzero(r2 * (1.0 + _CVP_SLACK) >= half * half)
-    best_u = C0.copy()
-    # level i gives a node at most 2 reach_i + 1 children
-    reach = np.sqrt(r2[rest])[:, None] / diag + _CVP_SLACK
-    nodes = np.cumsum(np.prod(2.0 * reach + 1.0, axis=1)) // _CVP_BLOCK_NODES
-    cuts = np.flatnonzero(nodes[1:] != nodes[:-1]) + 1
-    for block in np.split(rest, cuts) if len(rest) else ():
-        # leaves come grouped by row, in ascending row order
-        rows, O = _sphere_leaves(R, R0[block] @ Q, r2[block])
-        O = O.astype(np.int64)
-        if Ut is not None:
-            O = O @ Ut
-        idx = block[rows]
-        U = C0[idx] + O
-        D = X[idx] - U.astype(float) @ V.matrix.T
-        d = np.einsum("ij,ij->i", D, D)
-        starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-        keep = d == np.minimum.reduceat(d, starts)[rows]
-        rows, U = rows[keep], U[keep]
-        tied = np.bincount(rows, minlength=len(block))[rows] > 1
-        best_u[block[rows[~tied]]] = U[~tied]
+    Y = Q.T @ R0.T
+    B = _nearest_plane_levels(R, Y)
+    Z = Y - B
+    D0 = B.T @ Ut
+    best_u = C0 + D0
+    # error bound of each level's residual from the magnitude of its terms
+    h = _CVP_SLACK * (1.0 + (np.abs(Q).T @ np.abs(R0).T
+                             + np.abs(np.triu(R, 1)) @ np.abs(B)) / diag[:, None])
+    A = np.abs(Z) + h
+    P = np.cumsum((diag[:, None] * A) ** 2, axis=0)
+    # along the start path, the search spawns a second child at level i
+    # only where |z_i| + h_i + sqrt(P_i) / R_ii reaches the next integer;
+    # where no level does, the start is the only leaf and the answer
+    rest = np.flatnonzero((A + np.sqrt(P) / diag[:, None] >= 1.0).any(axis=0))
+    # each target relative to its start, in V's frame
+    T = R0[rest] - D0[rest].astype(float) @ V.matrix.T
+    for rows, E in _sphere_leaves(R, Z[:, rest], h[:, rest], P[:, rest]):
+        D = E.astype(np.int64) @ Ut
+        VE = D.astype(float) @ V.matrix.T
+        f = np.einsum("ij,ij->i", VE, VE - 2.0 * T[rows])
+        new_row = np.diff(rows, prepend=-1) != 0
+        group = np.cumsum(new_row) - 1
+        keep = f == np.minimum.reduceat(f, np.flatnonzero(new_row))[group]
+        rows, group = rest[rows[keep]], group[keep]
+        U = best_u[rows] + D[keep]
+        tied = np.bincount(group)[group] > 1
+        best_u[rows[~tied]] = U[~tied]
         if tied.any():
             rows, U = rows[tied], U[tied]
             order = np.lexsort((*U.T[::-1], rows))
             first = order[np.diff(rows[order], prepend=-1) != 0]
-            best_u[block[rows[first]]] = U[first]
+            best_u[rows[first]] = U[first]
     return best_u[0] if single else best_u

@@ -639,9 +639,9 @@ class TestPinnedOutputs:
     }
     # upper-triangular bases, 1 on the diagonal and 1/2 above it: 7D, and
     # 11D, one dimension beyond the exact search
-    TRI7, TRI11 = ({"n": n, "columns": [[1 if i == j else "1/2" if i < j
+    TRI7, TRI13 = ({"n": n, "columns": [[1 if i == j else "1/2" if i < j
                                          else 0 for i in range(n)]
-                                        for j in range(n)]} for n in (7, 11))
+                                        for j in range(n)]} for n in (7, 13))
     SCENARIOS = {
         "readme": {"matrix": {"n": 2, "columns": [["5/4", 0], [0, "4/5"]]},
                    "alpha": 2.0 ** -10, "trials": 1000, "seed": 1,
@@ -698,18 +698,18 @@ class TestPinnedOutputs:
             assert json.loads(out) == expected, command
 
     def test_beyond_max_cvp_dim(self, capsys, files):
-        m = files("m.json", self.TRI11)
-        x = "--x=0.3,1.6,-2.2,0.7,4.1,-0.5,2.5,1.2,-3.3,0.6,2.9"
+        m = files("m.json", self.TRI13)
+        x = "--x=0.3,1.6,-2.2,0.7,4.1,-0.5,2.5,1.2,-3.3,0.6,2.9,-1.4,0.8"
         code, out, _ = run(capsys, "babai", "--matrix", m, x)
         assert code == 0
         assert json.loads(out) == {
-            "coeffs": [0, 2, -4, -2, 4, -2, 3, 2, -4, -1, 3],
-            "point": [0.5, 1.5, -2.5, 0.5, 4.5, -0.5, 3.0, 1.0, -3.0, 0.5,
-                      3.0],
+            "coeffs": [0, 2, -4, -2, 4, -2, 3, 2, -4, 0, 3, -2, 1],
+            "point": [0.5, 1.5, -2.5, 0.5, 4.5, -0.5, 3.0, 1.0, -3.0, 1.0,
+                      2.5, -1.5, 1.0],
             "match": None}
         code, out, err = run(capsys, "cvp", "--matrix", m, x)
         assert (code, out) == (1, "")
-        assert err == "error: exhaustive CVP supports n <= 10\n"
+        assert err == "error: exhaustive CVP supports n <= 12\n"
 
     def test_simulate_bits(self, capsys, files):
         for (name, model), expected in self.SIMULATE.items():

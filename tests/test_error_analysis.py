@@ -258,8 +258,8 @@ class TestMonteCarlo:
             e4 = monte_carlo_pe(fresh, 150000, seed=3)
             assert e1 == e4
             frame = fresh._search_frame()
-            assert (frame[2] is None) == (V is hexagonal)
-            assert not any(a.flags.writeable for a in frame if a is not None)
+            assert (frame[2] == np.eye(2)).all() == (V is hexagonal)
+            assert not any(a.flags.writeable for a in frame)
 
     def test_single_chunk_runs_on_calling_thread(self, hexagonal,
                                                  monkeypatch):
@@ -291,6 +291,15 @@ class TestMonteCarlo:
         V = GeneratorMatrix.from_columns([[2, 0], [0, 3]])
         est = monte_carlo_pe(V, 20000, seed=1)
         assert est.estimate == 0.0
+
+    @pytest.mark.parametrize("k", [7, 8, 9])
+    def test_tiny_orthogonal_level_never_errs(self, k):
+        # the box of diag(1, 10^-k) is its Voronoi cell; candidates compared
+        # by their distance in the original frame gave P_e 1.5e-4, 0.045 and
+        # 0.772 for k = 7, 8, 9
+        Q = np.array([[0.6, -0.8], [0.8, 0.6]])
+        for M in (np.diag([1.0, 10.0 ** -k]), Q @ np.diag([1.0, 10.0 ** -k])):
+            assert monte_carlo_pe(GeneratorMatrix(M), 100000, seed=1).estimate == 0.0
 
     def test_three_dimensional_runs(self):
         V = GeneratorMatrix(np.triu([[1.0, 0.3, 0.2],

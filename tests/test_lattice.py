@@ -417,6 +417,25 @@ def _box_cvp(M, x):
     return float(d[k]), U[k].astype(np.int64)
 
 
+def _fraction_nearest(M, W, x, u):
+    """The lexicographically least of the points closest to x among u + W s,
+    s in {-1, 0, 1}^n (W holds basis vectors as coefficient columns),
+    compared exactly in Fractions on the float entries of M and x.  For a
+    2D reduced W that set holds u plus every Voronoi-relevant vector, so it
+    returns u iff u is the exact answer."""
+    Mf = [[Fraction(v) for v in row] for row in M.tolist()]
+    xf = [Fraction(v) for v in x.tolist()]
+    n = len(xf)
+
+    def dist(c):
+        return sum((xf[i] - sum(Mf[i][j] * c[j] for j in range(n))) ** 2
+                   for i in range(n))
+
+    points = [(np.asarray(u) + np.asarray(W) @ s).tolist()
+              for s in itertools.product((-1, 0, 1), repeat=n)]
+    return min(points, key=lambda c: (dist(c), c))
+
+
 @st.composite
 def _dyadic_cvp_case(draw):
     """An upper-triangular 3D or 4D basis with entries k/8 (diagonal of
@@ -451,6 +470,13 @@ def _criterion11_basis(rng, n):
     return np.linalg.qr(rng.normal(size=(n, n)))[0] @ R
 
 
+def _in_box(rng, M, k):
+    """k targets uniform in the nearest-plane box of M, as Monte Carlo draws
+    them."""
+    Q, R = np.linalg.qr(M)
+    return (rng.uniform(-0.5, 0.5, size=(k, len(M))) * np.abs(np.diag(R))) @ Q.T
+
+
 def _mixed(rng, B, min_cond):
     """(M, B M) for a unimodular M of random column operations, added
     until cond(B M) >= min_cond."""
@@ -464,16 +490,17 @@ def _mixed(rng, B, min_cond):
 
 @pytest.fixture
 def searched(monkeypatch):
-    """The row count of every block that goes through the sphere search."""
-    blocks = []
+    """The row count of every slice that the sphere search yields."""
+    slices = []
     search = latcomm.lattice._sphere_leaves
 
-    def counting(R, T, r2):
-        blocks.append(len(T))
-        return search(R, T, r2)
+    def counting(*args):
+        for rows, E in search(*args):
+            slices.append(len(np.unique(rows)))
+            yield rows, E
 
     monkeypatch.setattr(latcomm.lattice, "_sphere_leaves", counting)
-    return blocks
+    return slices
 
 
 class TestCvp:
@@ -566,6 +593,83 @@ class TestCvp:
             d_nb = np.linalg.norm(x - (u + steps) @ M.T, axis=1)
             assert d_nb.min() >= du - 1e-12
 
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_far_targets_in_bounded_time(self, n):
+        # 16,384 targets in [-4, 4]^n: started at the rounded real solve,
+        # the search took 0.2 s at n = 8 and 1.7 s at n = 10 on these bases
+        rng = np.random.default_rng(n)
+        M = _criterion11_basis(rng, n)
+        V = GeneratorMatrix(M)
+        X = rng.uniform(-4, 4, size=(16384, n))
+        start = time.perf_counter()
+        U = cvp_bruteforce_batch(V, X)
+        assert time.perf_counter() - start < 1.0
+        d = np.linalg.norm(X - U @ M.T, axis=1)
+        d_np = np.linalg.norm(X - nearest_plane(V, X).point, axis=1)
+        assert np.all(d <= d_np + 1e-9)
+        steps = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
+        for x, u, du in zip(X[:2], U[:2], d[:2]):
+            assert cvp_bruteforce_batch(V, x).tolist() == u.tolist()
+            d_nb = np.linalg.norm(x - (u + steps) @ M.T, axis=1)
+            assert d_nb.min() >= du - 1e-12
+
+    def test_12d_batch_in_bounded_time(self):
+        rng = np.random.default_rng(12)
+        n = 12
+        M = _criterion11_basis(rng, n)
+        V = GeneratorMatrix(M)
+        X = np.vstack([_in_box(rng, M, 4096), rng.uniform(-4, 4, (4096, n))])
+        start = time.perf_counter()
+        U = cvp_bruteforce_batch(V, X)
+        assert time.perf_counter() - start < 5.0
+        d = np.linalg.norm(X - U @ M.T, axis=1)
+        d_np = np.linalg.norm(X - nearest_plane(V, X).point, axis=1)
+        assert np.all(d <= d_np + 1e-9)
+        # no neighbour that differs by +-1 in one or two coefficients is
+        # closer, for a sample of in-box and far rows
+        eye = np.eye(n, dtype=int)
+        steps = np.vstack([eye, -eye] + [a * eye[i] + b * eye[j]
+                                         for i, j in itertools.combinations(range(n), 2)
+                                         for a in (-1, 1) for b in (-1, 1)])
+        for x, u, du in zip(X[::1024], U[::1024], d[::1024]):
+            d_nb = np.linalg.norm(x - (u + steps) @ M.T, axis=1)
+            assert d_nb.min() >= du - 1e-12
+
+    def test_exact_on_tiny_and_near_singular_levels(self):
+        # candidates compared by their distance in the original frame lost
+        # the offsets along a level 10^8 or 10^9 times shorter than the
+        # other: 766 of 1,000 rows on diag(1, 1e-9) and 165 of 5,000 on the
+        # rotated near-singular basis were not the nearest point
+        rng = np.random.default_rng(12)
+        Q = np.array([[0.6, -0.8], [0.8, 0.6]])
+        for M, W, k in ((np.diag([1.0, 1e-9]), np.eye(2, dtype=int), 1000),
+                        (Q @ [[1.0, 1.0], [0.0, 1e-8]], [[-1, 1], [1, 0]], 5000)):
+            X = _in_box(rng, M, k)
+            U = cvp_bruteforce_batch(GeneratorMatrix(M), X)
+            for x, u in zip(X, U):
+                assert _fraction_nearest(M, W, x, u) == u.tolist()
+
+    def test_tiny_level_in_bounded_time_and_memory(self):
+        # a slack relative to the whole radius gave the short level of
+        # diag(1, 1e-9) about 16,000 nodes per row, and diag(1, 1e-12) ran
+        # out of memory
+        rng = np.random.default_rng(13)
+        for k, bound in ((9, 0.05), (12, 2.0)):
+            M = np.diag([1.0, 10.0 ** -k])
+            V = GeneratorMatrix(M)
+            X = _in_box(rng, M, 1000)
+            tracemalloc.start()
+            try:
+                start = time.perf_counter()
+                U = cvp_bruteforce_batch(V, X)
+                elapsed = time.perf_counter() - start
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert elapsed < bound and peak < 64 * 2 ** 20
+            for x, u in zip(X, U):
+                assert _fraction_nearest(M, np.eye(2, dtype=int), x, u) == u.tolist()
+
     @pytest.mark.parametrize("n", [4, 6])
     def test_mixed_basis_in_bounded_time(self, n):
         # R M with M unimodular and cond >= 4,000: searched as given, one
@@ -591,7 +695,7 @@ class TestCvp:
         rng = np.random.default_rng(30)
         M = _mixed(rng, np.eye(3), 40)[1]
         V = GeneratorMatrix(M)
-        assert V._search_frame()[2] is not None
+        assert (V._search_frame()[2] != np.eye(3)).any()
         X = rng.integers(-4, 5, size=(40, 3)) + rng.choice([0.0, 0.5], (40, 3))
         U = cvp_bruteforce_batch(V, X)
         for x, u in zip(X, U):
@@ -644,9 +748,9 @@ class TestCvp:
         assert tuple(cvp_bruteforce_batch(skew5, p)) == (3, -2)
 
     def test_dimension_guard(self):
-        V = GeneratorMatrix(np.eye(11))
-        with pytest.raises(UnsupportedDimensionError, match="n <= 10"):
-            cvp_bruteforce_batch(V, np.zeros(11))
+        V = GeneratorMatrix(np.eye(13))
+        with pytest.raises(UnsupportedDimensionError, match="n <= 12"):
+            cvp_bruteforce_batch(V, np.zeros(13))
 
     def test_non_finite_target(self, hexagonal):
         with pytest.raises(ValueError):
@@ -705,13 +809,13 @@ class TestCvp:
 
     def test_batch_with_every_row_searched(self, searched):
         # Z^3: cube centres (8 equidistant points, the least wins) and
-        # points 0.57 from their unique closest point, beyond 1/2
+        # points 0.45 from their unique closest point in every coordinate,
+        # whose sphere reaches past the next integer at level 1
         rng = np.random.default_rng(22)
         V = GeneratorMatrix(np.eye(3))
         U0 = rng.integers(-5, 6, size=(40, 3))
-        off = np.where(rng.random((20, 2)) < 0.5, -0.4, 0.4)
-        X = np.vstack([U0[:20] + 0.5,
-                       U0[20:] + np.column_stack([off, np.zeros(20)])])
+        off = np.where(rng.random((20, 3)) < 0.5, -0.45, 0.45)
+        X = np.vstack([U0[:20] + 0.5, U0[20:] + off])
         U = cvp_bruteforce_batch(V, X)
         assert sum(searched) == 40
         assert U.tolist() == U0.tolist()
@@ -733,11 +837,13 @@ class TestCvp:
             assert cvp_bruteforce_batch(V, x).tolist() == u.tolist()
             assert _box_cvp(M, x)[1].tolist() == u.tolist()
 
-    def test_exact_ties_across_search_blocks(self, searched):
+    def test_exact_ties_across_search_blocks(self, searched, monkeypatch):
         # a dyadic needle, so that every distance below is an exact float:
         # the midpoint of p and p + s, with s = v2 - v1 a shortest vector,
         # is equally far from both, and the lexicographically smaller
-        # coefficient vector, that of p + s, wins
+        # coefficient vector, that of p + s, wins.  The node budget is
+        # lowered so that the search runs in several slices of rows.
+        monkeypatch.setattr(latcomm.lattice, "_CVP_BLOCK_NODES", 64)
         h = 2.0 ** -7
         M = np.array([[1.0, 1.0 - h], [0.0, h]])
         V = GeneratorMatrix(M)
@@ -746,7 +852,8 @@ class TestCvp:
         U0 = rng.integers(-8, 9, size=(512, 2))
         X[::128] = (U0 + [-0.5, 0.5]) @ M.T
         U = cvp_bruteforce_batch(V, X)
-        assert len(searched) >= 2
+        # the tied rows, and only they, are searched, each in one slice
+        assert len(searched) >= 2 and sum(searched) == len(U0)
         assert U[::128].tolist() == (U0 + [-1, 1]).tolist()
         for x, u in zip(X[::128][:64], U[::128]):
             assert _box_cvp(M, x)[1].tolist() == u.tolist()
@@ -777,13 +884,14 @@ class TestSearchFrame:
         R0 = _criterion11_basis(rng, n)
         for M in (R0, _mixed(rng, R0, 1000)[1], 1e-5 * _mixed(rng, R0, 50)[1]):
             V = GeneratorMatrix(M)
-            Q, R, Ut, Uit = V._search_frame()
-            if Ut is None:  # a criterion-11 basis may be reduced already
+            Q, R, Ut = V._search_frame()
+            assert Ut.dtype == np.int64
+            assert not any(a.flags.writeable for a in (Q, R, Ut))
+            if (Ut == np.eye(n)).all():  # a criterion-11 basis may be reduced already
                 assert M is R0
                 continue
-            assert Ut.dtype == np.int64
-            assert not any(a.flags.writeable for a in (Q, R, Ut, Uit))
-            # U is unimodular and U^-T its exact inverse transpose
+            # U is unimodular: its inverse is an integer matrix too
+            Uit = np.round(np.linalg.inv(Ut)).astype(np.int64)
             assert (Ut @ Uit == np.eye(n)).all()
             U = Ut.T.astype(float)
             assert np.abs(Q.T @ Q - np.eye(n)).max() <= 1e-12
@@ -800,7 +908,8 @@ class TestSearchFrame:
         for V in (hexagonal, GeneratorMatrix(np.eye(4)),
                   GeneratorMatrix(np.diag([1.0, 2.0, 3.0]))):
             frame = V._search_frame()
-            assert frame[2:] == (None, None)
+            assert frame[2].dtype == np.int64 and not frame[2].flags.writeable
+            assert frame[2].tolist() == np.eye(V.n, dtype=int).tolist()
             assert frame[0] is V.qr()[0] and frame[1] is V.qr()[1]
             assert V._search_frame() is frame
 
@@ -811,6 +920,25 @@ class TestSearchFrame:
         for m, reduced in ((1e9, True), (1e10, False)):
             V = GeneratorMatrix(np.array([[1.0, m + 0.5], [0.0, 15.0]]))
             Ut = V._search_frame()[2]
-            assert (Ut is not None) == reduced
+            assert (Ut != np.eye(2)).any() == reduced
             if reduced:
                 assert Ut.tolist() == [[1, 0], [-m - 1, 1]]
+
+    def test_transform_too_large_for_int64_answers(self):
+        # searched as given from its nearest-plane start; from the rounded
+        # real solve one target asked numpy for 26.5 PiB
+        M = np.array([[1.0, 1e10 + 0.5], [0.0, 15.0]])
+        V = GeneratorMatrix(M)
+        rng = np.random.default_rng(14)
+        X = np.vstack([_in_box(rng, M, 1000), rng.uniform(-4, 4, (1000, 2))])
+        tracemalloc.start()
+        try:
+            U = cvp_bruteforce_batch(V, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        # w1 = v1 and w2 = v2 - 10^10 v1 = (0.5, 15) are a reduced basis
+        W = [[1, -10 ** 10], [0, 1]]
+        for x, u in zip(X, U):
+            assert _fraction_nearest(M, W, x, u) == u.tolist()
