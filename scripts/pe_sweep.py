@@ -27,16 +27,17 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
 
-    lines = [PE_CSV_HEADER]
+    pairs = []
     for a in np.linspace(0.0, 0.5, args.a_grid):
         for b in np.linspace(0.85, args.b_max, args.b_grid):
             try:
                 ReducedBasis2D(float(a), float(b))
             except ValueError:
                 continue
-            row = pe_row(float(a), float(b), args.samples, args.seed)
-            lines.append(pe_csv_line(*row))
-    text = "\n".join(lines) + "\n"
+            pairs.append((float(a), float(b)))
+    a, b = np.array(pairs).reshape(-1, 2).T
+    rows = pe_row(a, b, args.samples, args.seed)
+    text = "\n".join([PE_CSV_HEADER] + [pe_csv_line(*r) for r in rows]) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

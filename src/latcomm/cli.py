@@ -164,17 +164,18 @@ def _cmd_perror(args) -> str:
 
 
 def _cmd_levelcurves(args) -> str:
-    rows = []
+    pairs = []
     for k in _parse_k_list(args.k):
         if k < 0:
             raise ValueError(f"k out of range: {k}")
         if k == 0:
             # the zero level set is the orthogonal boundary a = 0; choose a
             # bounded slice of the unbounded ray so the curve is plottable
-            pairs = [(0.0, float(b)) for b in np.linspace(1.0, 3.0, args.grid)]
+            pairs += [(0.0, float(b)) for b in np.linspace(1.0, 3.0, args.grid)]
         else:
-            pairs = level_curve_points(k, args.grid)
-        rows.extend(pe_row(a, b, args.samples, args.seed) for a, b in pairs)
+            pairs += level_curve_points(k, args.grid)
+    a, b = np.array(pairs).reshape(-1, 2).T
+    rows = pe_row(a, b, args.samples, args.seed)
     if args.format == "json":
         return _json_text({"points": [dict(zip(_PE_HEADER, r))
                                       for r in rows]})

@@ -18,6 +18,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,24 +27,33 @@ from .lattice import (
     ReducedBasis2D,
     UnsupportedDimensionError,
     cvp_bruteforce_batch,
+    _dot,
+    _gauss_reduce_rows,
     gauss_reduce_2d,
     is_minkowski_reduced_2d,
 )
 
 PE_CSV_HEADER = "a,b,pe_analytic,pe_exact,pe_mc,mc_stderr"
 
-# A vertex counts as inside the half-plane <x, n> <= offset when it exceeds
-# the offset by at most this fraction of it, which is the same test at every
-# scale of the lattice.
-_CLIP_TOL = 1e-10
+# Float error allowed for on <p - w/2, w> in the clip, in ulps of the size
+# of its terms: a vertex on a bisector, as a corner of a rectangular cell
+# is on the bisector of w1 + w2, reads within a few ulps of it.
+_CLIP_ULPS = 16
+
+# Corners of a box or of the parallelogram |<x, w1>| <= ||w1||^2 / 2,
+# |<x, w2>| <= ||w2||^2 / 2 as signs, counterclockwise (for the
+# parallelogram where det [w1 w2] > 0), and the index in [w1, w2, -w1, -w2]
+# of the vector whose bisector carries the parallelogram's edge from each
+# corner to the next.
+_CORNERS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+_CORNER_EDGES = np.array([1, 2, 3, 0])
 
 
 @dataclass(frozen=True)
 class VoronoiPolygon2D:
     """Convex, centrally symmetric Voronoi cell of the origin.
 
-    vertices: (k, 2) array in counterclockwise order, k in {4, 6} (5 where a
-    near-rectangular cell's two short edges straddle the clipping tolerance);
+    vertices: (k, 2) array in counterclockwise order, k in {4, 6};
     relevant_vectors: (m, 2) array, one representative per +- pair of the
     lattice vectors whose bisectors support the cell edges (m in {2, 3}).
     """
@@ -53,7 +63,9 @@ class VoronoiPolygon2D:
 
     @property
     def area(self) -> float:
-        return _polygon_area(self.vertices)
+        """Shoelace area, as a fan from the first vertex."""
+        D = self.vertices[1:] - self.vertices[0]
+        return 0.5 * float(_cross(D[:-1], D[1:]).sum())
 
 
 @dataclass(frozen=True)
@@ -66,40 +78,87 @@ class PeEstimate:
     seed: int
 
 
-def _polygon_area(vertices) -> float:
-    """Shoelace area; positive for counterclockwise orientation."""
-    v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _cross(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _clip_halfplanes(poly, normals):
-    """Clip a convex polygon that contains the origin by the half-planes
-    <x, w> <= ||w||^2 / 2 of the rows w of `normals`, in order
-    (Sutherland-Hodgman).
+def _clip_halfplanes(P, n, labels, normals, active):
+    """Clip k convex polygons that contain the origin by half-planes
+    <x - w/2, w> <= 0, one half-plane at a time across all rows
+    (Sutherland-Hodgman, CACM 17(1), 1974).
 
-    Returns the polygon and, for each edge poly[i] -> poly[i+1], the index
-    of the row whose bisector carries it (-1 for an edge of the input): a
-    kept edge keeps its label, and an edge cut along a line gets that line's.
+    P (shape (k, m, 2)) holds row r's vertices in its first n[r] slots,
+    counterclockwise, and labels (shape (k, m)) a label for each edge
+    P[r, i] -> P[r, i+1]; normals (shape (k, h, 2)) holds each row's w in
+    the order they clip, and where active[r, j] is False row r skips its
+    j-th.
+    A vertex p is outside where the float value of <p - w/2, w> exceeds
+    _CLIP_ULPS ulps of rho ||w||_1 + ||w||^2 / 2 (rho the input polygon's
+    largest coordinate), a bound on the rounding in p and in that value
+    that holds at every scale.
+
+    Returns (P, n, labels, cut): the clipped polygons and their edge labels
+    in the same layout, where a kept edge keeps its label and an edge cut
+    along the bisector of normals[r, j] gets the label j; and the area each
+    row lost.  Every piece cut off is summed as a fan from its first
+    vertex outside, with each crossing taken as an offset from its own end
+    outside, so that a thin piece keeps its relative precision.
     """
-    labels = [-1] * len(poly)
-    for label, w in enumerate(normals):
-        offset = float(w @ w) / 2.0
-        d = poly @ w - offset
-        inside = d <= _CLIP_TOL * offset
-        out, out_labels = [], []
-        k = len(poly)
-        for i in range(k):
-            j = (i + 1) % k
-            if inside[i]:
-                out.append(poly[i])
-                out_labels.append(labels[i])
-            if inside[i] != inside[j]:
-                t = d[i] / (d[i] - d[j])
-                out.append(poly[i] + t * (poly[j] - poly[i]))
-                out_labels.append(label if inside[i] else labels[i])
-        poly, labels = np.array(out), out_labels
-    return poly, labels
+    # contiguous, so that every row's products take the same path
+    P = np.ascontiguousarray(P, dtype=float)
+    k = len(P)
+    rows = np.arange(k)[:, None]
+    cut = np.zeros(k)
+    half = normals / 2.0
+    # |p| . |w| <= rho ||w||_1 for every vertex p of the clipped polygons,
+    # rho being the largest coordinate of the input one
+    rho = np.abs(P).max(axis=(1, 2))[:, None]
+    bound = _CLIP_ULPS * np.finfo(float).eps * (
+        rho * np.abs(normals).sum(axis=2) + _dot(half, normals))
+    bound[~active] = np.inf
+    for j in range(normals.shape[1]):
+        # the zero padding is the origin, inside every half-plane
+        d = np.matmul(P - half[:, j, None], normals[:, j, :, None])[..., 0]
+        out = d > bound[:, j, None]
+        if not out.any():
+            continue
+        m = P.shape[1]
+        after = np.arange(1, m + 1)
+        valid = after <= n[:, None]
+        nxt = np.where(after < n[:, None], after, 0)
+        Pn, dn, out_next = P[rows, nxt], d[rows, nxt], out[rows, nxt]
+        keep = valid & ~out
+        cross = (out != out_next) & valid
+        leave, enter = cross & keep, cross & out
+        # a crossing lies at q + s (p - q), q its end outside and p inside
+        Q = np.where(leave[..., None], Pn, P)
+        dq, dp = np.where(leave, dn, d), np.where(leave, d, dn)
+        s = np.divide(dq, dq - dp, out=np.zeros(d.shape), where=cross)
+        step = np.where(leave, s, -s)[..., None] * (P - Pn)
+        # the piece cut off, as a fan from q0, the end of the edge that
+        # leaves, through its vertices outside and the crossing that enters
+        l, e = leave.argmax(axis=1)[:, None], enter.argmax(axis=1)[:, None]
+        q0 = Pn[rows, l]
+        D = P - q0
+        B = np.where(enter[..., None], D + step, Pn - q0)
+        cut += 0.5 * (np.where(out, _cross(D, B), 0.0).sum(axis=1)
+                      + _cross(B[rows, e], step[rows, l])[:, 0])
+        # the clipped polygon: each kept vertex, then its edge's crossing
+        take = np.empty((k, m, 2), dtype=bool)
+        take[..., 0], take[..., 1] = keep, cross
+        src = np.empty((k, m, 2, 2))
+        src[:, :, 0], src[:, :, 1] = P, Q + step
+        src_labels = np.empty((k, m, 2), dtype=labels.dtype)
+        src_labels[..., 0], src_labels[..., 1] = labels, np.where(leave, j, labels)
+        r, c = np.nonzero(take.reshape(k, -1))
+        n = take.sum(axis=(1, 2))
+        at = np.arange(len(r)) - (np.cumsum(n) - n)[r]
+        new_P = np.zeros((k, n.max(), 2))
+        new_P[r, at] = src.reshape(k, -1, 2)[r, c]
+        new_labels = np.full((k, n.max()), -1)
+        new_labels[r, at] = src_labels.reshape(k, -1)[r, c]
+        P, labels = new_P, new_labels
+    return P, n, labels, cut
 
 
 def third_relevant_vector(a: float, b: float) -> np.ndarray:
@@ -148,52 +207,83 @@ def voronoi_vertices_reduced(a: float, b: float) -> VoronoiPolygon2D:
         _bisector_intersection(w3, -w1),
     ]
     vertices = np.array(upper + [-v for v in upper])
-    if _polygon_area(vertices) < 0:  # pragma: no cover - construction is CCW
-        vertices = vertices[::-1]
     return VoronoiPolygon2D(vertices=vertices,
                             relevant_vectors=np.array([w1, w2, w3]))
+
+
+def _voronoi_cells(w1, w2):
+    """Voronoi cells of the origin for k reduced bases (rows of w1, w2).
+
+    Returns (P, n, relevant, n_relevant): the cells in `_clip_halfplanes`'
+    layout, and each row's n_relevant (2 or 3) relevant vectors, one per
+    +- pair, in the first slots of relevant (shape (k, 3, 2)).
+    """
+    k = len(w1)
+    rows = np.arange(k)[:, None]
+    # +-w1 and +-w2 bound every such cell, so the clip starts from their
+    # parallelogram and has only +-(w1 + w2) and +-(w1 - w2) to try,
+    # shortest first
+    diag = np.stack([w1 + w2, w1 - w2], axis=1)
+    diag = np.concatenate([diag, -diag], axis=1)
+    order = np.argsort(np.sqrt(_dot(diag, diag)), axis=1, kind="stable")
+    normals = np.concatenate(
+        [diag[rows, order], np.stack([w1, w2, -w1, -w2], axis=1)], axis=1)
+    # corner (s1, s2) solves <x, w1> = s1 ||w1||^2 / 2, <x, w2> = s2 ||w2||^2 / 2
+    det = _cross(w1, w2)[:, None]
+    c1 = _CORNERS[:, 0] * (_dot(w1, w1)[:, None] / (2.0 * det))
+    c2 = _CORNERS[:, 1] * (_dot(w2, w2)[:, None] / (2.0 * det))
+    P = np.stack([c1 * w2[:, 1, None] - c2 * w1[:, 1, None],
+                  c2 * w1[:, 0, None] - c1 * w2[:, 0, None]], axis=2)
+    # clockwise where det < 0: walk the corners the other way round, so
+    # that the edge from each to the next is on [-w2, -w1, w2, w1]
+    cw = det[:, 0] < 0
+    P[cw] = P[cw][:, ::-1]
+    labels = 4 + np.where(cw[:, None], [3, 2, 1, 0], _CORNER_EDGES)
+    P, n, labels, _ = _clip_halfplanes(P, np.full(k, 4), labels,
+                                       normals[:, :4], np.ones((k, 4), dtype=bool))
+    # the relevant vectors carry the final edges: one per +- pair, in the
+    # order of the edge where the pair first appears
+    valid = np.arange(P.shape[1]) < n[:, None]
+    pair_of = np.concatenate([2 + order % 2, np.tile([0, 1], (k, 2))], axis=1)
+    pair = np.where(valid, pair_of[rows, np.where(valid, labels, 0)], 4)
+    seen = np.tril(pair[:, :, None] == pair[:, None, :], -1).any(axis=2)
+    r, i = np.nonzero(valid & ~seen)
+    n_relevant = np.bincount(r, minlength=k)
+    at = np.arange(len(r)) - (np.cumsum(n_relevant) - n_relevant)[r]
+    rel = np.zeros((k, 3, 2))
+    rel[r, at] = normals[r, labels[r, i]]
+    # one sign per pair: positive y, or positive x on the x-axis
+    tol = 2e-12 * np.sqrt(_dot(w2, w2))[:, None]
+    flip = (rel[..., 1] < -tol) | ((np.abs(rel[..., 1]) <= tol) & (rel[..., 0] < 0))
+    rel = np.where(flip[..., None], -rel, rel)
+    return P, n, rel, n_relevant
 
 
 def voronoi_polygon_general(V: GeneratorMatrix) -> VoronoiPolygon2D:
     """Voronoi cell of the origin for an arbitrary 2D basis, in the original
     coordinates.
 
-    Reduces the basis to bound the search, enumerates lattice vectors w with
-    ||w|| <= 2 ||w2||, and clips a bounding square by each half-plane
-    <x, w> <= ||w||^2 / 2.  The relevant vectors are the w whose bisectors
-    carry the edges of the final polygon, read off the clip's edge labels.
+    The relevant vectors are the strict minima of the three nonzero
+    cosets of L/2L (Voronoi; Conway & Sloane, SPLAG ch. 2).  For a reduced
+    basis w1, w2 these lie among the 8 candidates +-w1, +-w2, +-(w1 + w2),
+    +-(w1 - w2): every other vector of a coset, w2 + 2 i w1 or w1 + 2 j w2
+    and the rest, is longer, because ||w2 +- 2 w1||^2 > ||w2||^2 even where
+    float reduction leaves 2 |<w1, w2>| slightly above ||w1||^2.  And w1,
+    w2 are the minima of their own cosets.  So the basis is reduced
+    (Lagrange-Gauss), the clip starts from the parallelogram of the
+    bisectors of +-w1 and +-w2 and clips it by the half-planes
+    <x, w> <= ||w||^2 / 2 of +-(w1 + w2) and +-(w1 - w2), shortest first,
+    which picks between the two.  The relevant vectors are the w whose
+    bisectors carry the edges of the final polygon, read off the clip's
+    edge labels.
     """
     if V.n != 2:
         raise UnsupportedDimensionError("Voronoi construction needs n = 2")
     W, _ = gauss_reduce_2d(V)
-    w1 = W.column(0)
-    w2 = W.column(1)
-    bound = 2.0 * float(np.linalg.norm(w2))
-    h2 = abs(W.det) / float(np.linalg.norm(w1))
-    jmax = int(math.ceil(bound / h2)) + 1
-    imax = int(math.ceil((bound + jmax * float(np.linalg.norm(w2)))
-                         / float(np.linalg.norm(w1)))) + 1
-    ii, jj = np.meshgrid(np.arange(-imax, imax + 1),
-                         np.arange(-jmax, jmax + 1), indexing="ij")
-    nonzero = (ii != 0) | (jj != 0)
-    cands = ii[nonzero][:, None] * w1 + jj[nonzero][:, None] * w2
-    # each squared norm summed as a 1-D dot is
-    norms = np.sqrt(np.matmul(cands[:, None, :], cands[:, :, None])[:, 0, 0])
-    keep = np.flatnonzero(norms <= bound * (1.0 + 1e-9))
-    keep = keep[np.argsort(norms[keep], kind="stable")]
-    cands = cands[keep]
-
-    big = 2.0 * bound
-    square = np.array([[big, big], [-big, big], [-big, -big], [big, -big]])
-    poly, labels = _clip_halfplanes(square, cands)
-
-    relevant = []
-    for w in cands[labels]:
-        if w[1] < -1e-12 * bound or (abs(w[1]) <= 1e-12 * bound and w[0] < 0):
-            w = -w
-        if not any((w == r).all() for r in relevant):
-            relevant.append(w)
-    return VoronoiPolygon2D(vertices=poly, relevant_vectors=np.array(relevant))
+    P, n, rel, n_rel = _voronoi_cells(W.matrix[None, :, 0].copy(),
+                                      W.matrix[None, :, 1].copy())
+    return VoronoiPolygon2D(vertices=P[0, :n[0]],
+                            relevant_vectors=rel[0, :n_rel[0]])
 
 
 def analytic_pe(a: float, b: float) -> float:
@@ -217,32 +307,49 @@ def analytic_pe_polar(theta: float, rho: float) -> float:
     return (1.0 / (4.0 * rho)) * (c / s2) * (1.0 - rho * c)
 
 
-def _babai_box_polygon(V: GeneratorMatrix):
-    Q, R = V.qr()
-    h1 = abs(float(R[0, 0])) / 2.0
-    h2 = abs(float(R[1, 1])) / 2.0
-    corners = np.array([[h1, h2], [-h1, h2], [-h1, -h2], [h1, -h2]])
-    box = corners @ Q.T
-    if _polygon_area(box) < 0:  # Q may be a reflection
-        box = box[::-1]
-    return box
+def _qr_frame_2d(V: GeneratorMatrix):
+    """R of V = Q R with R_ii > 0, from exactly rounded <v1, v2> and det
+    (in Fractions), so that each entry keeps its relative precision where
+    the columns are nearly orthogonal."""
+    (x1, y1), (x2, y2) = V.matrix.T.tolist()
+    f1, g1, f2, g2 = map(Fraction, (x1, y1, x2, y2))
+    r11 = math.hypot(x1, y1)
+    return np.array([[r11, float(f1 * f2 + g1 * g2) / r11],
+                     [0.0, abs(float(f1 * g2 - g1 * f2)) / r11]])
+
+
+def _box_pe(R, rel, n_rel):
+    """P_e of k bases given by their R factors (shape (k, 2, 2)): the
+    fraction of each rounding box, [-R_00/2, R_00/2] x [-R_11/2, R_11/2]
+    in R's frame, outside the half-planes of +-rel (rel and n_rel as
+    `_voronoi_cells` gives them, in R's frame)."""
+    h = np.stack([R[:, 0, 0], R[:, 1, 1]], axis=1) / 2.0
+    box = h[:, None, :] * _CORNERS
+    normals = np.concatenate([rel, -rel], axis=1)
+    active = np.tile(np.arange(3) < n_rel[:, None], 2)
+    k = len(R)
+    cut = _clip_halfplanes(box, np.full(k, 4), np.full((k, 4), -1), normals,
+                           active)[3]
+    return np.minimum(1.0, cut / (R[:, 0, 0] * R[:, 1, 1]))
 
 
 def exact_pe_area(V: GeneratorMatrix) -> float:
     """Exact rounding-error probability of a 2D basis as an area ratio.
 
-    Clips the origin rounding box (axis-aligned in the QR frame) by the
-    half-planes <x, +-w> <= ||w||^2 / 2 of the Voronoi-relevant vectors w,
-    whose intersection is the origin Voronoi cell; the error probability is
-    the fraction of the box outside the cell.
+    Works in the QR frame V = Q R, where the origin rounding box is
+    axis-aligned, and clips it by the half-planes <x, +-w> <= ||w||^2 / 2
+    of the Voronoi-relevant vectors w, whose intersection is the origin
+    Voronoi cell; the error probability is the area of the pieces cut off
+    the box over its area.  This is one row of the batch that `pe_row`
+    runs.
     """
     if V.n != 2:
         raise UnsupportedDimensionError("area computation needs n = 2")
-    rel = voronoi_polygon_general(V).relevant_vectors
-    inter, _ = _clip_halfplanes(_babai_box_polygon(V), np.vstack([rel, -rel]))
-    area = _polygon_area(inter)
-    pe = 1.0 - area / abs(V.det)
-    return min(1.0, max(0.0, pe))
+    R = _qr_frame_2d(V)
+    rel = voronoi_polygon_general(GeneratorMatrix(R)).relevant_vectors
+    rel3 = np.zeros((1, 3, 2))
+    rel3[0, :len(rel)] = rel
+    return float(_box_pe(R[None], rel3, np.array([len(rel)]))[0])
 
 
 _MC_CHUNK = 1 << 16
@@ -328,14 +435,31 @@ def pe_csv_line(a, b, pe_analytic=None, pe_exact=None, pe_mc=None,
                     for v in (a, b, pe_analytic, pe_exact, pe_mc, mc_stderr))
 
 
-def pe_row(a, b, samples=0, seed=0) -> tuple:
-    """Row of the canonical basis {(1,0),(a,b)} in PE_CSV_HEADER order: the
+def pe_row(a, b, samples=0, seed=0):
+    """Rows of the canonical bases {(1,0),(a,b)} in PE_CSV_HEADER order: the
     closed form, the exact area and, for samples > 0, the Monte Carlo
-    estimate and its standard error (else None, None)."""
-    rb = ReducedBasis2D(a, b)
-    V = rb.matrix()
-    mc = (None, None)
-    if samples > 0:
-        est = monte_carlo_pe(V, samples, seed=seed)
-        mc = (est.estimate, est.std_error)
-    return (rb.a, rb.b, analytic_pe(rb.a, rb.b), exact_pe_area(V)) + mc
+    estimate and its standard error (else None, None).
+
+    a and b are scalars, for one row (a tuple), or arrays of the same
+    shape, for a list of rows; the exact areas of all rows come from one
+    batched reduction and clip, and each row equals its scalar call.
+    """
+    A, B = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    bases = [ReducedBasis2D(x, y) for x, y in zip(A.ravel().tolist(),
+                                                  B.ravel().tolist())]
+    if not bases:
+        return []
+    R = np.zeros((len(bases), 2, 2))
+    R[:, 0, 0], R[:, 0, 1], R[:, 1, 1] = 1.0, A.ravel(), B.ravel()
+    w1, w2, _ = _gauss_reduce_rows(R[:, :, 0], R[:, :, 1])
+    _, _, rel, n_rel = _voronoi_cells(w1, w2)
+    exact = _box_pe(R, rel, n_rel).tolist()
+    rows = []
+    for rb, pe in zip(bases, exact):
+        mc = (None, None)
+        if samples > 0:
+            est = monte_carlo_pe(rb.matrix(), samples, seed=seed)
+            mc = (est.estimate, est.std_error)
+        rows.append((rb.a, rb.b, analytic_pe(rb.a, rb.b), pe) + mc)
+    return rows[0] if A.ndim == 0 else rows

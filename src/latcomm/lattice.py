@@ -19,8 +19,9 @@ import numpy as np
 NEAR_SINGULAR_RTOL = 1e-9
 
 # Supported magnitudes: every squared column norm and |det| must be a normal
-# float, with 2^16 of headroom for the squared lengths of the 2D Voronoi
-# search (at most 144 times the longest basis vector's).
+# float, with 2^16 of headroom for the products of the 2D Voronoi and P_e
+# clip (squared lengths of w1 +- w2 at most 4 times the longest basis
+# vector's, and its error bound at most about 16 times).
 _MAGNITUDE_LO = float(np.finfo(float).tiny)
 _MAGNITUDE_HI = float(np.finfo(float).max) / 2.0 ** 16
 _MAGNITUDE_ERROR = (
@@ -289,6 +290,47 @@ def _norm_sq(v):
     return float(v @ v)
 
 
+def _dot(x, y):
+    """Dot products of x and y along the last axis, each summed as numpy's
+    1-D `x @ y` sums it, so a batch row's value is that of the row alone."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _gauss_reduce_rows(v1, v2):
+    """Lagrange-Gauss reduction of k 2D bases at once, the rows of v1 and
+    v2 (shape (k, 2)) being each basis's vectors.
+
+    Returns (w1, w2, U) with U (shape (k, 2, 2), int64) unimodular and
+    [w1_r w2_r] = [v1_r v2_r] U_r.  Every row takes the scalar steps: swap
+    so that w1 is the shorter, translate w2 by the rounded Gram ratio, and
+    stop at the first step that does not strictly shorten w2; a row that
+    has stopped is left alone while the others move on.
+    """
+    w1, w2 = np.array(v1, dtype=float), np.array(v2, dtype=float)
+    n1, n2 = _dot(w1, w1), _dot(w2, w2)
+    U = np.tile(np.eye(2, dtype=np.int64), (len(w1), 1, 1))
+    moving = np.ones(len(w1), dtype=bool)
+    for _ in range(10000):
+        if not moving.any():
+            break
+        swap = moving & (n1 > n2)
+        w1, w2 = np.where(swap[:, None], w2, w1), np.where(swap[:, None], w1, w2)
+        n1, n2 = np.where(swap, n2, n1), np.where(swap, n1, n2)
+        U = np.where(swap[:, None, None], U[:, :, ::-1], U)
+        m = round_half_up(_dot(w1, w2) / n1)
+        c = w2 - m[:, None] * w1
+        nc = _dot(c, c)
+        moving &= nc < n2  # False where m = 0
+        w2, n2 = np.where(moving[:, None], c, w2), np.where(moving, nc, n2)
+        U[:, :, 1] -= np.where(moving, m, 0)[:, None] * U[:, :, 0]
+    else:  # pragma: no cover - each step strictly shortens w2
+        raise RuntimeError("reduction did not terminate")
+    flip = _dot(w1, w2) < 0
+    w2[flip] = -w2[flip]
+    U[flip, :, 1] = -U[flip, :, 1]
+    return w1, w2, U
+
+
 def gauss_reduce_2d(V: GeneratorMatrix):
     """Lagrange-Gauss reduction of a 2D basis.
 
@@ -298,30 +340,11 @@ def gauss_reduce_2d(V: GeneratorMatrix):
     step no longer strictly shortens the longer vector, so a strictly reduced
     basis is returned unchanged; at exact ties (equal norms, half-integer
     Gram ratio) float rounding picks one of the equivalent reduced outputs.
+    This is one row of the batched reduction that the P_e sweep runs.
     """
     _require(V.n == 2, UnsupportedDimensionError, "2D reduction needs n = 2")
-    v1 = V.column(0)
-    v2 = V.column(1)
-    U = np.eye(2, dtype=np.int64)
-    for _ in range(10000):
-        if _norm_sq(v1) > _norm_sq(v2):
-            v1, v2 = v2, v1
-            U = U[:, ::-1].copy()
-        mcoef = round_half_up(float(v1 @ v2) / _norm_sq(v1))
-        if mcoef == 0:
-            break
-        w = v2 - mcoef * v1
-        if _norm_sq(w) >= _norm_sq(v2):
-            break
-        v2 = w
-        U[:, 1] -= mcoef * U[:, 0]
-    else:  # pragma: no cover - loop always terminates by norm descent
-        raise RuntimeError("reduction did not terminate")
-    if float(v1 @ v2) < 0:
-        v2 = -v2
-        U[:, 1] = -U[:, 1]
-    W = GeneratorMatrix(np.column_stack([v1, v2]))
-    return W, U
+    w1, w2, U = _gauss_reduce_rows(V.matrix[None, :, 0], V.matrix[None, :, 1])
+    return GeneratorMatrix(np.column_stack([w1[0], w2[0]])), U[0]
 
 
 def is_minkowski_reduced_2d(V: GeneratorMatrix) -> bool:
