@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -205,6 +206,26 @@ class TestPerror:
                            "--method", "analytic")
         doc = json.loads(out)
         assert code == 0 and doc["a"] == 0.0 and doc["pe"] == 0.0
+
+    def test_area_on_near_singular_bases_in_bounded_memory(self, capsys, files):
+        # a Voronoi candidate box sized by ||w2|| / ||w1|| asked numpy for
+        # 74.5 GiB on diag(1, 1e-9) and 8.94 GiB on the rotated basis
+        Q = np.array([[0.6, -0.8], [0.8, 0.6]])
+        for M in (np.diag([1.0, 1e-9]), Q @ np.array([[1.0, 1.0], [0.0, 1e-8]])):
+            m = files("m.json", {"n": 2, "columns": M.T.tolist()})
+            tracemalloc.start()
+            try:
+                code, out, err = run(capsys, "perror", "--matrix", m,
+                                     "--method", "area")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, err) == (0, "") and peak < 64 << 20
+            doc = json.loads(out)
+            F = (doc["a"] - doc["a"] ** 2) / (4 * doc["b"] ** 2)
+            assert abs(doc["pe"] - F) <= 1e-9
+            if M[1, 0] == 0.0:
+                assert doc["pe"] == 0.0
 
     def test_analytic_needs_2d(self, capsys, files):
         m = files("m.json", {"n": 3, "columns": [[1, 0, 0], [0, 1, 0],

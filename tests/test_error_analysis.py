@@ -1,6 +1,7 @@
 import math
 import os
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -442,3 +443,114 @@ class TestNearRectangular:
         a, b = ab
         V = GeneratorMatrix(_rotation(theta) @ np.array([[1.0, a], [0.0, b]]))
         assert exact_pe_area(V) == pytest.approx(analytic_pe(a, b), rel=1e-5)
+
+
+def _exact_canonical_pe(M):
+    """F(a, b) of the exact canonical form of the float basis M, in
+    Fractions: a = <v1, v2> / ||v1||^2 and b = |det| / ||v1||^2."""
+    (x1, x2), (y1, y2) = [[Fraction(v) for v in row] for row in M.tolist()]
+    n1 = x1 * x1 + y1 * y1
+    a = (x1 * x2 + y1 * y2) / n1
+    det = x1 * y2 - y1 * x2
+    return float((a - a * a) * n1 * n1 / (4 * det * det))
+
+
+# below the old clipping tolerance of 1e-10 b^2: the area method printed 0
+TINY_TILT = [(1e-11, 1.0), (1e-11, 1.5), (1e-11, 2.0), (1e-10, 1.5)]
+
+
+class TestTinyTilt:
+    """The cell keeps its short edges and P_e its relative precision."""
+
+    @pytest.mark.parametrize("ab", TINY_TILT)
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_exact_area_matches_closed_form(self, ab, theta):
+        # F of the float input itself: rotating the basis by 0.7 rad moves
+        # its exact canonical a by up to 7e-6 of a
+        a, b = ab
+        M = _rotation(theta) @ np.array([[1.0, a], [0.0, b]])
+        V = GeneratorMatrix(M)
+        F = _exact_canonical_pe(M)
+        if theta == 0.0:
+            assert F == pytest.approx(analytic_pe(a, b), rel=1e-15)
+        assert exact_pe_area(V) == pytest.approx(F, rel=1e-6)
+        cell = voronoi_polygon_general(V)
+        assert len(cell.vertices) == 6 and len(cell.relevant_vectors) == 3
+
+    def test_cells_have_four_or_six_vertices(self):
+        # (1,0),(1e-10,1) rotated by 0.7 rad had a 5-vertex cell, one short
+        # edge on either side of the old tolerance
+        rng = np.random.default_rng(12)
+        for a in [0.0, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 0.3, 0.5]:
+            for b in (1.0, 1.3):
+                for theta in [0.7, *rng.uniform(0.0, 2.0 * math.pi, size=10)]:
+                    M = _rotation(theta) @ np.array([[1.0, a], [0.0, b]])
+                    cell = voronoi_polygon_general(GeneratorMatrix(M))
+                    assert len(cell.vertices) in (4, 6), (a, b, theta)
+
+
+def _reference_relevant(M):
+    """Voronoi-relevant vectors of the lattice of M, one per +- pair: the
+    strict minima of the nonzero cosets of L/2L among i v1 + j v2 with
+    |i|, |j| <= 4 (ties within 1e-9 of the norm are not strict)."""
+    ij = np.array([(i, j) for i in range(-4, 5) for j in range(-4, 5) if i or j])
+    vecs = ij @ M.T
+    norms = np.einsum("ij,ij->i", vecs, vecs)
+    found = []
+    for coset in [(1, 0), (0, 1), (1, 1)]:
+        mine = np.all(ij % 2 == coset, axis=1)
+        low = norms[mine].min()
+        tied = mine & (norms <= low * (1.0 + 1e-9))
+        if tied.sum() == 2:
+            found.append(vecs[np.flatnonzero(tied)[0]])
+    return found
+
+
+class TestRelevantVectorsReference:
+    def test_against_coset_minima(self):
+        rng = np.random.default_rng(2026)
+        mixes = [np.eye(2), [[1, 1], [0, 1]], [[1, 0], [-1, 1]],
+                 [[2, 1], [1, 1]], [[1, -1], [1, 0]]]
+        checked = 0
+        while checked < 2000:
+            a = 0.0 if checked % 10 == 0 else rng.uniform(0.02, 0.5)
+            b = rng.uniform(SQRT3_2, 3.0)
+            if a * a + b * b < 1.0:
+                continue
+            M = (10.0 ** rng.uniform(-8, 8) * _rotation(rng.uniform(0, 2 * math.pi))
+                 @ np.array([[1.0, a], [0.0, b]]) @ np.array(mixes[checked % 5], float))
+            got = voronoi_polygon_general(GeneratorMatrix(M)).relevant_vectors
+            ref = _reference_relevant(M)
+            assert len(got) == len(ref) == (2 if a == 0.0 else 3), M
+            scale = np.abs(M).max()
+            for r in ref:
+                off = min(np.abs(got - r).max(axis=1).min(),
+                          np.abs(got + r).max(axis=1).min())
+                assert off <= 1e-9 * scale, M
+            checked += 1
+
+
+class TestBatchRows:
+    """A batch row is its single call, bit for bit."""
+
+    def pairs(self):
+        rng = np.random.default_rng(31)
+        pairs = [(0.5, SQRT3_2), (0.0, 1.0), (0.0, 2.7), (1e-11, 1.5),
+                 (0.5, 1.0), (0.3, 1.1)]
+        while len(pairs) < 300:
+            a, b = rng.uniform(0.0, 0.5), rng.uniform(0.85, 3.0)
+            if a * a + b * b >= 1.0:
+                pairs.append((a, b))
+        return np.array(pairs).T
+
+    def test_array_pe_row_equals_scalar_calls(self):
+        A, B = self.pairs()
+        rows = pe_row(A, B)
+        assert rows == [pe_row(float(a), float(b)) for a, b in zip(A, B)]
+        assert pe_row(A[:0], B[:0]) == []
+
+    def test_exact_pe_area_equals_its_batch_row(self):
+        A, B = self.pairs()
+        for (a, b), row in zip(zip(A, B), pe_row(A, B)):
+            V = ReducedBasis2D(float(a), float(b)).matrix()
+            assert exact_pe_area(V) == row[3]
