@@ -48,6 +48,12 @@ _CLIP_ULPS = 16
 _CORNERS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 _CORNER_EDGES = np.array([1, 2, 3, 0])
 
+# Coefficients (i, j) of the 8 candidates i w1 + j w2 of a reduced basis:
+# the diagonals first, then w1, w2, -w1, -w2; and the +- pair of each.
+_CANDIDATES = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0],
+                        [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+_PAIRS = np.array([2, 3, 2, 3, 0, 1, 0, 1])
+
 
 @dataclass(frozen=True)
 class VoronoiPolygon2D:
@@ -100,14 +106,14 @@ def _clip_halfplanes(P, n, labels, normals, active):
     Returns (P, n, labels, cut): the clipped polygons and their edge labels
     in the same layout, where a kept edge keeps its label and an edge cut
     along the bisector of normals[r, j] gets the label j; and the area each
-    row lost.  Every piece cut off is summed as a fan from its first
-    vertex outside, with each crossing taken as an offset from its own end
-    outside, so that a thin piece keeps its relative precision.
+    row lost.  Every piece cut off is summed as a fan from one of its own
+    points, with each crossing taken as an offset from its end outside, so
+    that a thin piece keeps its relative precision.
     """
     # contiguous, so that every row's products take the same path
     P = np.ascontiguousarray(P, dtype=float)
     k = len(P)
-    rows = np.arange(k)[:, None]
+    rows, ar = np.arange(k)[:, None], np.arange(k)
     cut = np.zeros(k)
     half = normals / 2.0
     # |p| . |w| <= rho ||w||_1 for every vertex p of the clipped polygons,
@@ -126,38 +132,37 @@ def _clip_halfplanes(P, n, labels, normals, active):
         after = np.arange(1, m + 1)
         valid = after <= n[:, None]
         nxt = np.where(after < n[:, None], after, 0)
-        Pn, dn, out_next = P[rows, nxt], d[rows, nxt], out[rows, nxt]
-        keep = valid & ~out
-        cross = (out != out_next) & valid
-        leave, enter = cross & keep, cross & out
-        # a crossing lies at q + s (p - q), q its end outside and p inside
+        Pn, dn = P[rows, nxt], d[rows, nxt]
+        cross = (out != out[rows, nxt]) & valid
+        leave = cross & ~out
+        # the crossing on edge i -> i+1 lies at q + step, q its end outside
+        s = np.divide(np.where(leave, dn, d), dn - d, out=np.zeros(d.shape),
+                      where=cross)
+        step = s[..., None] * (P - Pn)
         Q = np.where(leave[..., None], Pn, P)
-        dq, dp = np.where(leave, dn, d), np.where(leave, d, dn)
-        s = np.divide(dq, dq - dp, out=np.zeros(d.shape), where=cross)
-        step = np.where(leave, s, -s)[..., None] * (P - Pn)
-        # the piece cut off, as a fan from q0, the end of the edge that
-        # leaves, through its vertices outside and the crossing that enters
-        l, e = leave.argmax(axis=1)[:, None], enter.argmax(axis=1)[:, None]
-        q0 = Pn[rows, l]
-        D = P - q0
-        B = np.where(enter[..., None], D + step, Pn - q0)
-        cut += 0.5 * (np.where(out, _cross(D, B), 0.0).sum(axis=1)
-                      + _cross(B[rows, e], step[rows, l])[:, 0])
+        # the piece cut off, as a fan from the crossing on the edge that
+        # leaves, q0 + L with q0 the piece's first vertex: A is each vertex
+        # outside and B the next point of the piece (the next vertex, or the
+        # crossing that enters), both relative to that crossing
+        l = leave.argmax(axis=1)
+        A = P - Pn[ar, l][:, None] - step[ar, l][:, None]
+        B = A + np.where((cross & out)[..., None], step, Pn - P)
+        cut += 0.5 * (out * _cross(A, B)).sum(axis=1)
         # the clipped polygon: each kept vertex, then its edge's crossing
         take = np.empty((k, m, 2), dtype=bool)
-        take[..., 0], take[..., 1] = keep, cross
+        take[..., 0], take[..., 1] = valid & ~out, cross
         src = np.empty((k, m, 2, 2))
         src[:, :, 0], src[:, :, 1] = P, Q + step
         src_labels = np.empty((k, m, 2), dtype=labels.dtype)
         src_labels[..., 0], src_labels[..., 1] = labels, np.where(leave, j, labels)
-        r, c = np.nonzero(take.reshape(k, -1))
-        n = take.sum(axis=(1, 2))
+        take = take.reshape(k, -1)
+        r, c = np.nonzero(take)
+        n = take.sum(axis=1)
         at = np.arange(len(r)) - (np.cumsum(n) - n)[r]
-        new_P = np.zeros((k, n.max(), 2))
-        new_P[r, at] = src.reshape(k, -1, 2)[r, c]
-        new_labels = np.full((k, n.max()), -1)
-        new_labels[r, at] = src_labels.reshape(k, -1)[r, c]
-        P, labels = new_P, new_labels
+        P = np.zeros((k, n.max(), 2))
+        P[r, at] = src.reshape(k, -1, 2)[r, c]
+        labels = np.full((k, n.max()), -1)
+        labels[r, at] = src_labels.reshape(k, -1)[r, c]
     return P, n, labels, cut
 
 
@@ -220,14 +225,15 @@ def _voronoi_cells(w1, w2):
     """
     k = len(w1)
     rows = np.arange(k)[:, None]
+    cands = (_CANDIDATES[:, 0, None] * w1[:, None, :]
+             + _CANDIDATES[:, 1, None] * w2[:, None, :])
     # +-w1 and +-w2 bound every such cell, so the clip starts from their
     # parallelogram and has only +-(w1 + w2) and +-(w1 - w2) to try,
-    # shortest first
-    diag = np.stack([w1 + w2, w1 - w2], axis=1)
-    diag = np.concatenate([diag, -diag], axis=1)
-    order = np.argsort(np.sqrt(_dot(diag, diag)), axis=1, kind="stable")
-    normals = np.concatenate(
-        [diag[rows, order], np.stack([w1, w2, -w1, -w2], axis=1)], axis=1)
+    # shortest first; +-w1, +-w2 stay in the last four slots
+    key = np.sqrt(_dot(cands, cands))
+    key[:, 4:] = np.inf
+    order = np.argsort(key, axis=1, kind="stable")
+    normals = cands[rows, order]
     # corner (s1, s2) solves <x, w1> = s1 ||w1||^2 / 2, <x, w2> = s2 ||w2||^2 / 2
     det = _cross(w1, w2)[:, None]
     c1 = _CORNERS[:, 0] * (_dot(w1, w1)[:, None] / (2.0 * det))
@@ -242,10 +248,9 @@ def _voronoi_cells(w1, w2):
     P, n, labels, _ = _clip_halfplanes(P, np.full(k, 4), labels,
                                        normals[:, :4], np.ones((k, 4), dtype=bool))
     # the relevant vectors carry the final edges: one per +- pair, in the
-    # order of the edge where the pair first appears
+    # order of the edge where the pair first appears (padding is label -1)
     valid = np.arange(P.shape[1]) < n[:, None]
-    pair_of = np.concatenate([2 + order % 2, np.tile([0, 1], (k, 2))], axis=1)
-    pair = np.where(valid, pair_of[rows, np.where(valid, labels, 0)], 4)
+    pair = np.where(valid, _PAIRS[order][rows, labels], 4)
     seen = np.tril(pair[:, :, None] == pair[:, None, :], -1).any(axis=2)
     r, i = np.nonzero(valid & ~seen)
     n_relevant = np.bincount(r, minlength=k)
@@ -323,10 +328,9 @@ def _box_pe(R, rel, n_rel):
     fraction of each rounding box, [-R_00/2, R_00/2] x [-R_11/2, R_11/2]
     in R's frame, outside the half-planes of +-rel (rel and n_rel as
     `_voronoi_cells` gives them, in R's frame)."""
-    h = np.stack([R[:, 0, 0], R[:, 1, 1]], axis=1) / 2.0
-    box = h[:, None, :] * _CORNERS
+    box = R.diagonal(axis1=1, axis2=2)[:, None, :] / 2.0 * _CORNERS
     normals = np.concatenate([rel, -rel], axis=1)
-    active = np.tile(np.arange(3) < n_rel[:, None], 2)
+    active = np.arange(6) % 3 < n_rel[:, None]
     k = len(R)
     cut = _clip_halfplanes(box, np.full(k, 4), np.full((k, 4), -1), normals,
                            active)[3]
