@@ -308,21 +308,23 @@ def _gauss_reduce_rows(v1, v2):
     """
     w1, w2 = np.array(v1, dtype=float), np.array(v2, dtype=float)
     n1, n2 = _dot(w1, w1), _dot(w2, w2)
-    U = np.tile(np.eye(2, dtype=np.int64), (len(w1), 1, 1))
+    U = np.zeros((len(w1), 2, 2), dtype=np.int64)
+    U[:, 0, 0] = U[:, 1, 1] = 1
     moving = np.ones(len(w1), dtype=bool)
     for _ in range(10000):
-        if not moving.any():
-            break
         swap = moving & (n1 > n2)
-        w1, w2 = np.where(swap[:, None], w2, w1), np.where(swap[:, None], w1, w2)
-        n1, n2 = np.where(swap, n2, n1), np.where(swap, n1, n2)
-        U = np.where(swap[:, None, None], U[:, :, ::-1], U)
+        if swap.any():
+            w1[swap], w2[swap] = w2[swap], w1[swap]
+            n1[swap], n2[swap] = n2[swap], n1[swap]
+            U[swap] = U[swap][:, :, ::-1]
         m = round_half_up(_dot(w1, w2) / n1)
         c = w2 - m[:, None] * w1
         nc = _dot(c, c)
         moving &= nc < n2  # False where m = 0
-        w2, n2 = np.where(moving[:, None], c, w2), np.where(moving, nc, n2)
-        U[:, :, 1] -= np.where(moving, m, 0)[:, None] * U[:, :, 0]
+        if not moving.any():
+            break
+        w2[moving], n2[moving] = c[moving], nc[moving]
+        U[moving, :, 1] -= m[moving, None] * U[moving, :, 0]
     else:  # pragma: no cover - each step strictly shortens w2
         raise RuntimeError("reduction did not terminate")
     flip = _dot(w1, w2) < 0
