@@ -12,6 +12,7 @@ behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -215,6 +216,9 @@ def _cmd_simulate(args) -> str:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     fixed_x = obj.get("x")
+    # sampled targets are coded under their sources; a replayed target has
+    # no source model, so its payloads are counted with the varint
+    coded = None
     if fixed_x is not None:
         x0 = np.asarray([float(v) for v in fixed_x])
         if x0.shape != (V.n,):
@@ -225,13 +229,14 @@ def _cmd_simulate(args) -> str:
             raise ValueError('scenario needs "sources" or a fixed "x"')
         rng = np.random.Generator(np.random.Philox(key=seed))
         X = np.column_stack([s.sample(rng, trials) for s in sources])
+        coded = sources
 
     scaled = V.scaled(alpha)
     summary = {"model": model, "trials": trials, "seed": seed, "alpha": alpha}
     if model == "centralized":
         # the fusion center's integer decode, checked against the kernel
         reference = nearest_plane(scaled, X).coeffs
-        B, transcript = run_centralized(scaled, X)
+        B, transcript = run_centralized(scaled, X, coded)
         table = build_ratio_table(scaled)
         summary["side_info_bits_per_trial"] = sum(table.s_bits)
         summary["side_info_bound_bits"] = table.side_info_bound_bits
@@ -241,7 +246,7 @@ def _cmd_simulate(args) -> str:
     else:
         # the kernel, checked against the integer decode on alpha * Lambda,
         # which shares no code with it; null where that decode cannot run
-        B, transcript = run_interactive(V, X, alpha)
+        B, transcript = run_interactive(V, X, alpha, coded)
         try:
             reference = run_centralized(scaled, X)[0]
         except ProtocolError:
@@ -252,7 +257,7 @@ def _cmd_simulate(args) -> str:
         summary["analytic_rate_bound"] = (
             interactive_rate(sources, V, alpha)
             if sources is not None else None)
-    summary["mean_total_bits"] = int(transcript.total_bits.sum()) / trials
+    summary["mean_total_bits"] = transcript.wire_bits / trials
     summary["babai_match_count"] = (
         None if reference is None
         else int(np.all(B == reference, axis=1).sum()))
@@ -282,7 +287,11 @@ def _cmd_rates(args) -> str:
     return _json_text(out)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: argparse keeps no
+    state between parse_args calls, and each call returns a fresh
+    namespace."""
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0,
                         help="RNG seed (default 0)")

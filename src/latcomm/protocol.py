@@ -12,12 +12,18 @@ compute the nearest-plane coefficient vector:
   scaled lattice alpha * Lambda, last coordinate first; each node can then
   reproduce the full vector.
 
-Message payloads are counted in bits with a variable-length signed integer
-code (zigzag + base-128), so typical small coefficients cost one byte.
+Given the sources of x, each node's messages over a batch of rounds form
+one range-coded stream (Witten, Neal & Cleary, CACM 30(6), 1987) under a
+pmf that the sender and its receivers both compute: the probability of
+the cell of x_m that the node's symbol stands for.  Without sources, and
+for a symbol outside a model's coding window, the payload is counted (and
+escaped) with a variable-length signed integer code (zigzag + base-128),
+so typical small coefficients cost one byte.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,6 +82,11 @@ def varint_bits(value):
     return int(bits) if v.ndim == 0 else bits
 
 
+# a gaussian source's coding window spans mean +- 8 sigma; P(|z| > 8) is
+# about 1e-15, and a symbol beyond it is escaped
+_GAUSS_REACH = 8.0
+
+
 @dataclass(frozen=True)
 class SourceModel:
     """Per-coordinate source distribution, used for rate formulas and for
@@ -114,6 +125,25 @@ class SourceModel:
         if self.kind == "uniform":
             return rng.uniform(self.lo, self.hi, size=size)
         return rng.normal(self.mean, self.sigma, size=size)
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        """P(X <= x) for each entry of the float array x: linear for a
+        uniform source, from math.erf for a gaussian one."""
+        if self.kind == "uniform":
+            u = (x - self.lo) / (self.hi - self.lo)
+            return np.minimum(np.maximum(u, 0.0), 1.0)
+        z = (x - self.mean) / (self.sigma * math.sqrt(2.0))
+        erf = np.fromiter(map(math.erf, z.ravel().tolist()), float, z.size)
+        return 0.5 * (1.0 + erf.reshape(z.shape))
+
+    def coding_support(self) -> tuple:
+        """The x interval that a node's coding window covers: the whole
+        support of a uniform source, mean +- _GAUSS_REACH sigma of a
+        gaussian one (its tails are escaped)."""
+        if self.kind == "uniform":
+            return self.lo, self.hi
+        reach = _GAUSS_REACH * self.sigma
+        return self.mean - reach, self.mean + reach
 
     def to_json(self) -> dict:
         if self.kind == "uniform":
@@ -169,46 +199,346 @@ class CentralizedMessage:
 
 @dataclass(frozen=True)
 class Message:
+    """One node's message.  bits counts it once per receiver: the varint
+    length (an int), or under a source model the quantized
+    self-information -log2(freq / total) of its symbol (a float)."""
+
     sender: int
     receivers: tuple
     payload: dict
-    bits: int
+    bits: float
 
     def to_json(self) -> dict:
         return {"from": self.sender, "to": list(self.receivers),
                 "payload": {k: int(v) for k, v in self.payload.items()},
-                "bits": int(self.bits)}
+                "bits": _number(self.bits)}
+
+
+@dataclass(frozen=True)
+class CodedStream:
+    """A range-coded bit string: nbits bits, left-aligned in data."""
+
+    data: bytes
+    nbits: int
 
 
 @dataclass(frozen=True)
 class Transcript:
     """Messages of one round, or of k rounds at once: then every payload
-    value, bit count and decoded vector carries a leading axis of length k."""
+    value, bit count and decoded vector carries a leading axis of length k.
+    streams holds each message's coded stream over all rounds, in message
+    order, or None where the payloads are counted with the varint."""
 
     model: str
     messages: tuple
-    total_bits: int
+    total_bits: float
     decoded: dict
+    streams: tuple = None
+
+    @property
+    def wire_bits(self) -> int:
+        """Bits sent over all rounds, once per receiver: the coded streams'
+        lengths, or else the varint counts."""
+        if self.streams is None:
+            return int(np.sum(self.total_bits))
+        return sum(len(m.receivers) * s.nbits
+                   for m, s in zip(self.messages, self.streams))
 
     def row(self, i) -> "Transcript":
         """Round i of a batch transcript, as a single run on its target
-        reports it."""
+        reports it; it carries no stream."""
         messages = tuple(
             Message(m.sender, m.receivers,
                     {k: int(v[i]) for k, v in m.payload.items()},
-                    int(m.bits[i])) for m in self.messages)
-        return Transcript(self.model, messages, int(self.total_bits[i]),
+                    m.bits[i].item()) for m in self.messages)
+        return Transcript(self.model, messages, self.total_bits[i].item(),
                           {k: v[i] for k, v in self.decoded.items()})
 
     def to_json(self) -> dict:
         """JSON of a one-round transcript."""
         return {
             "model": self.model,
-            "total_bits": int(self.total_bits),
+            "total_bits": _number(self.total_bits),
             "messages": [m.to_json() for m in self.messages],
             "decoded": {str(k): [int(c) for c in v]
                         for k, v in self.decoded.items()},
         }
+
+
+def _number(v):
+    """A JSON number from a Python or numpy scalar."""
+    return v.item() if isinstance(v, np.generic) else v
+
+
+# The range coder.  A symbol has a count out of 2^32, and the coder takes
+# symbols two at a time: (c1, f1) then (c2, f2) is the symbol
+# (c1 2^32 + f1 c2, f1 f2) out of 2^64, exactly, in uint64 while every
+# count is below 2^32.  The low end and the range live in a _PREC-bit
+# window and are renormalized by whole bytes once the range falls below
+# 2^96: range >> 64 then keeps 32 bits, so truncation costs under 2^-31
+# bits a pair, and the wide window makes renormalizing rare.
+_CODE_BITS = 32
+_CODE_TOTAL = 1 << _CODE_BITS
+_PAIR_BITS = 2 * _CODE_BITS
+_PREC = 256
+_TOP = 1 << _PREC
+_BOT = 1 << (_PAIR_BITS + 32)
+# the widest window a model codes: its symbols' floor counts take at most
+# 2^-7 of the total.  Beyond it every symbol is escaped.
+_WINDOW_MAX = 1 << 24
+# an escaped symbol's varint bytes are coded as uniform symbols
+_BYTE_COUNT = _CODE_TOTAL >> 8
+# adds 0 and 1 to an array of symbols: the lower and upper edges of a cell
+_NEXT = np.array([0.0, 1.0]).reshape(2, 1, 1)
+
+
+def _paired(cum, freq):
+    """The symbols of each column (int64 arrays along axis 0) taken two at
+    a time, an odd one out padded with a symbol of count 2^32 - 1."""
+    if len(cum) % 2:
+        cum = np.concatenate([cum, np.zeros_like(cum[:1])])
+        freq = np.concatenate([freq, np.full_like(freq[:1], _CODE_TOTAL - 1)])
+    cum, freq = cum.astype(np.uint64), freq.astype(np.uint64)
+    return ((cum[0::2] << np.uint64(_CODE_BITS)) + freq[0::2] * cum[1::2],
+            freq[0::2] * freq[1::2])
+
+
+def _carry(out: bytearray) -> None:
+    """Add one to the bytes already sent."""
+    i = len(out) - 1
+    while out[i] == 0xFF:
+        out[i] = 0
+        i -= 1
+    out[i] += 1
+
+
+def _range_encode(cums, freqs) -> CodedStream:
+    """Range-code the paired symbols (cum, freq) out of 2^64, and end with
+    the shortest bit string that, read on with zeros, lies in the final
+    interval: at most -log2(width) + 1 bits in all."""
+    low, rng, out = 0, _TOP, bytearray()
+    bits, bot = _PAIR_BITS, _BOT
+    for cum, freq in zip(cums, freqs):
+        r = rng >> bits
+        low += r * cum
+        rng = r * freq
+        if rng < bot:
+            s = (_PREC - rng.bit_length()) & -8
+            head = low >> (_PREC - s)
+            if head >> s:
+                _carry(out)
+            out += (head & ((1 << s) - 1)).to_bytes(s >> 3, "big")
+            low = (low << s) & (_TOP - 1)
+            rng <<= s
+    if low:
+        hi = low + rng - 1
+        # hi with its bits below the top one where hi and low - 1 differ
+        # cleared: the value in [low, hi] with the most trailing zeros
+        zeros = ((low - 1) ^ hi).bit_length() - 1
+        v = hi >> zeros << zeros
+    else:
+        zeros, v = _PREC, 0
+    if v >> _PREC:
+        _carry(out)
+        v -= _TOP
+    tail = _PREC - zeros
+    value = (int.from_bytes(out, "big") << tail) | (v >> zeros)
+    nbits = 8 * len(out) + tail
+    if value:
+        trailing = (value & -value).bit_length() - 1
+        value >>= trailing
+        nbits -= trailing
+    else:
+        nbits = 0
+    return CodedStream((value << (-nbits % 8)).to_bytes((nbits + 7) // 8,
+                                                       "big"), nbits)
+
+
+class _RangeDecoder:
+    """Reads a stream of _range_encode symbol by symbol: target() gives the
+    next symbol's position in [0, 2^32), and consume(cum, freq) takes the
+    symbol whose counts cover it.  Bits past the end read as zeros."""
+
+    def __init__(self, stream: CodedStream):
+        self.data = stream.data
+        self.pos = _PREC // 8
+        self.d = int.from_bytes(self.data[:self.pos].ljust(self.pos, b"\0"),
+                                "big")
+        self.rng = _TOP
+        self.second = False  # the next symbol is the second of a pair
+
+    def target(self) -> int:
+        if self.second:
+            return self.t
+        self.r = self.rng >> _PAIR_BITS
+        self.t = self.d // self.r
+        return self.t >> _CODE_BITS
+
+    def consume(self, cum: int, freq: int) -> None:
+        if not self.second:
+            # the second symbol's position is what is left, over freq
+            self.first = cum, freq
+            self.t = (self.t - (cum << _CODE_BITS)) // freq
+            self.second = True
+            return
+        c1, f1 = self.first
+        self.second = False
+        self.d -= self.r * ((c1 << _CODE_BITS) + f1 * cum)
+        self.rng = self.r * f1 * freq
+        if self.rng < _BOT:
+            s = (_PREC - self.rng.bit_length()) & -8
+            chunk = self.data[self.pos:self.pos + s // 8]
+            self.pos += s // 8
+            self.d = (self.d << s) | int.from_bytes(chunk.ljust(s // 8, b"\0"),
+                                                    "big")
+            self.rng <<= s
+
+
+class _CellModel:
+    """The pmf that each node codes its symbols under, one column per node.
+
+    Symbol j of column m stands for the cell of x_m between the edges
+    e(j) = off + a_m (j / q_m - 1/2) and e(j + 1): the grid the node rounds
+    on, shifted by what its receivers already know.  A window of W symbols
+    from j0 covers the source's coding support, with spare cells.  Symbol
+    j0 + i has cum floor(S G(e(j))) + 2 i, G the CDF of x_m, and a count of
+    at least 1 even where G is off by an ulp; S = 2^32 - 2 W - 1.  The rest
+    of the total, from S + 2 W, is the escape, after which the symbol
+    follows as a varint relative to j0.  Where W would exceed _WINDOW_MAX,
+    or the window lies beyond exact floats, W = S = 0 and every symbol is
+    escaped with a count of 2^32 - 1, at almost no cost but its varint.
+    """
+
+    def __init__(self, sources, a, q):
+        if len(sources) != len(a):
+            raise ProtocolError("one source per coordinate required")
+        self.sources, self.a, self.q = tuple(sources), a, q
+        columns = []
+        for source, am, qm in zip(self.sources, a, q):
+            am, qm = float(am), float(qm)
+            lo, hi = source.coding_support()
+            # j0 = floor(q ((start - off) / a + 1/2)) - 1 as
+            # floor(base - off gain), and e(j) = j slope + off - a/2
+            base = qm * (lo if am > 0 else hi) / am + 0.5 * qm - 1.0
+            width = qm * (hi - lo) / abs(am)
+            # symbols near j0 = floor(base), the window at offset 0, must
+            # be exact floats; a centralized node's offset is 0, and an
+            # interactive node's symbols stay below 2^52 anyway
+            W = (math.floor(width) + 5.0 if width < _WINDOW_MAX - 5
+                 and abs(base) < ROUND_LIMIT - _WINDOW_MAX else 0.0)
+            S = _CODE_TOTAL - 2.0 * W - 1.0 if W else 0.0
+            escape = S + 2.0 * W if W else 1.0  # its count is below 2^32
+            columns.append((qm / am, base, am / qm, -0.5 * am, W, S,
+                            escape, 0.5 * (W - 1.0), am))
+        (self.gain, self.base, self.slope, self.shift, self.W, self.S,
+         self.escape, self.mid, sign) = np.array(columns).reshape(-1, 9).T
+        self.rising = sign > 0
+        if self.rising.all():
+            self.rising = None
+        if len(set(self.sources)) == 1:
+            self.cdf = self.sources[0].cdf
+
+    def cdf(self, x):
+        F = np.empty_like(x)
+        for m, source in enumerate(self.sources):
+            F[..., m] = source.cdf(x[..., m])
+        return F
+
+    def column(self, m) -> "_CellModel":
+        return _CellModel(self.sources[m:m + 1], self.a[m:m + 1],
+                          self.q[m:m + 1])
+
+    def first(self, off):
+        """The window's first symbol j0 at offsets off (floats)."""
+        return np.floor(self.base - off * self.gain)
+
+    def edges(self, off, j):
+        """floor(S G(e(j))) at the edges e(j), as floats holding integers;
+        G is the CDF, or 1 - CDF where a < 0, so that these rise with j.
+        The encoder and the decoder take every count from here."""
+        F = self.cdf(j * self.slope + (off + self.shift))
+        if self.rising is not None:
+            F = np.where(self.rising, F, 1.0 - F)
+        return np.floor(self.S * F)
+
+    def encode(self, off, J):
+        """Code the symbols J (shape (k, n), ints or object ints) at offsets
+        off: one stream per column, and each symbol's quantized
+        self-information in bits, shape (k, n)."""
+        Jf = np.asarray(J, dtype=float)
+        j0 = self.first(off)
+        j = Jf + _NEXT  # each cell's lower and upper edge
+        i = j - j0
+        cum, nxt = (self.edges(off, j) + 2.0 * i).astype(np.int64)
+        freq = nxt - cum
+        out = np.abs(i[0] - self.mid) > self.mid  # escaped
+        escaped = out.any()
+        if escaped:
+            escape = np.broadcast_to(self.escape, Jf.shape)[out]
+            cum[out], freq[out] = escape, _CODE_TOTAL - escape
+        info = _CODE_BITS - np.log2(freq)
+        if not escaped:
+            C, F = _paired(cum, freq)
+            return tuple(map(_range_encode, C.T.tolist(), F.T.tolist())), info
+        columns = list(zip(cum.T.tolist(), freq.T.tolist()))
+        j0 = np.broadcast_to(j0, Jf.shape)
+        for r, m in reversed(np.argwhere(out).tolist()):
+            extra = varint_encode(int(J[r, m]) - int(j0[r, m]))
+            columns[m][0][r + 1:r + 1] = [b * _BYTE_COUNT for b in extra]
+            columns[m][1][r + 1:r + 1] = [_BYTE_COUNT] * len(extra)
+            info[r, m] += 8 * len(extra)
+        paired = (_paired(np.array(c, np.int64), np.array(f, np.int64))
+                  for c, f in columns)
+        return tuple(_range_encode(C.tolist(), F.tolist())
+                     for C, F in paired), info
+
+    def decode(self, m, stream, off, rounds) -> list:
+        """The symbols of column m over `rounds` rounds from its stream;
+        off is that column's offset in each round."""
+        column = self.column(m)
+        off = np.broadcast_to(off, (rounds,))[:, None]
+        escape = int(column.escape[0])
+        dec = _RangeDecoder(stream)
+        symbols = []
+        for o, first in zip(off, column.first(off)[:, 0]):
+            def cum(i):
+                return int(column.edges(o, np.array([first + i]))[0]) + 2 * i
+
+            t = dec.target()
+            if t >= escape:  # the escape, then the varint bytes
+                dec.consume(escape, _CODE_TOTAL - escape)
+                extra = bytearray()
+                while not extra or extra[-1] & 0x80:
+                    byte = dec.target() // _BYTE_COUNT
+                    dec.consume(byte * _BYTE_COUNT, _BYTE_COUNT)
+                    extra.append(byte)
+                symbols.append(int(first) + varint_decode(extra)[0])
+                continue
+            lo, hi = 0, int(column.W[0])  # cum(lo) <= t < cum(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if cum(mid) <= t else (lo, mid)
+            c = cum(lo)
+            dec.consume(c, cum(lo + 1) - c)
+            symbols.append(int(first) + lo)
+        return symbols
+
+
+@functools.lru_cache(maxsize=16)
+def _cell_model(sources: tuple, a: tuple, q: tuple) -> _CellModel:
+    """The model for diagonal entries a and grid steps q under the sources:
+    per-basis set-up, built once for each combination in use."""
+    return _CellModel(sources, a, q)
+
+
+def _offsets(M, U) -> np.ndarray:
+    """off[:, i] = sum over l > i of M[i, l] U[:, l], added in order of l:
+    the same floats at the sender and at each receiver, which knows only
+    the columns l > i of U."""
+    off = np.zeros(U.shape)
+    for l in range(1, U.shape[1]):
+        off[:, :l] += U[:, l, None] * M[:l, l]
+    return off
 
 
 def build_ratio_table(V: GeneratorMatrix) -> RatioTable:
@@ -242,6 +572,25 @@ def _grid_position(z: float, q: int):
 
 
 _grid_positions = np.frompyfunc(_grid_position, 2, 2)
+_divmod = np.frompyfunc(divmod, 2, 2)
+
+
+def _grid_positions_batch(z: np.ndarray, q: int):
+    """_grid_position over an array, as object arrays.  Where q (|z| + 1)
+    stays below 2^51, every half-integer in reach is a float and rounding
+    is monotone, so y = fl(fl(q z) + q/2) has floor(q (z + 1/2)) as its
+    floor unless y is an integer itself; _grid_position decides there,
+    and for the whole array beyond that reach."""
+    if q >= 2 ** 51 or not q * (np.max(np.abs(z), initial=0.0) + 1.0) < 2.0 ** 51:
+        return _grid_positions(z, q)
+    y = q * z + 0.5 * q
+    c = np.floor(y)
+    slow = c == y
+    c = c.astype(np.int64)
+    b_tilde, s = (c // q).astype(object), (c % q).astype(object)
+    if slow.any():
+        b_tilde[slow], s[slow] = _grid_positions(z[slow], q)
+    return b_tilde, s
 
 
 def node_encode(x_m, v_mm: float, q_m: int,
@@ -267,7 +616,7 @@ def node_encode(x_m, v_mm: float, q_m: int,
         bad = z if scalar else float(z[~ok][0])
         raise ProtocolError(
             f"cannot encode x/v = {bad!r}: need a finite |x/v| < 2**52")
-    b_tilde, s = (_grid_position if scalar else _grid_positions)(z, q_m)
+    b_tilde, s = (_grid_position if scalar else _grid_positions_batch)(z, q_m)
     return CentralizedMessage(sender=sender, b_tilde=b_tilde, s=s)
 
 
@@ -298,42 +647,107 @@ def _targets(V: GeneratorMatrix, X) -> np.ndarray:
     return X
 
 
-def run_centralized(V: GeneratorMatrix, X):
+def run_centralized(V: GeneratorMatrix, X, sources=None):
     """The centralized protocol on one target (shape (n,)) or one round per
     row of X (shape (k, n)): n reports to the fusion center (node 0), then
     exact reconstruction.  Returns (b, Transcript); b and every transcript
-    value carry the leading shape of X."""
+    value carry the leading shape of X.
+
+    With sources (one SourceModel per coordinate, the law of x), node m
+    codes its grid position c = b_tilde q_m + s, all rounds in one stream,
+    with P(c) = P(x_m in v_mm [c / q_m - 1/2, (c + 1) / q_m - 1/2)).
+    Without, each report is counted as a varint plus ceil(log2 q_m) bits.
+    """
     table = build_ratio_table(V)
     X = _targets(V, X)
     reports = [node_encode(X.T[m], V.matrix[m, m], table.q[m], sender=m + 1)
                for m in range(V.n)]
+    streams = None
+    if sources is None:
+        bits = [varint_bits(r.b_tilde) + s_bits
+                for r, s_bits in zip(reports, table.s_bits)]
+    else:
+        model = _cell_model(tuple(sources), tuple(np.diag(V.matrix).tolist()),
+                            table.q)
+        J = np.array([r.b_tilde if qm == 1 else r.b_tilde * qm + r.s
+                      for r, qm in zip(reports, table.q)],
+                     dtype=object).T.reshape(-1, V.n)
+        streams, info = model.encode(0.0, J)
+        bits = list(info.T if X.ndim == 2 else info[0])
     messages = tuple(
         Message(sender=r.sender, receivers=(0,),
-                payload={"b_tilde": r.b_tilde, "s": r.s},
-                bits=varint_bits(r.b_tilde) + s_bits)
-        for r, s_bits in zip(reports, table.s_bits))
+                payload={"b_tilde": r.b_tilde, "s": r.s}, bits=b)
+        for r, b in zip(reports, bits))
     coeffs = fusion_decode(reports, table)
     return coeffs, Transcript(model="centralized", messages=messages,
                               total_bits=sum(m.bits for m in messages),
-                              decoded={0: coeffs})
+                              decoded={0: coeffs}, streams=streams)
 
 
-def run_interactive(V: GeneratorMatrix, X, alpha: float):
+def run_interactive(V: GeneratorMatrix, X, alpha: float, sources=None):
     """The interactive protocol on the scaled lattice alpha * Lambda, for one
     target or one round per row of X: node n broadcasts first, then n-1,
     ..., then 1; every node ends up with the full coefficient vector.
-    Returns (b, Transcript), shaped as in run_centralized."""
+    Returns (b, Transcript), shaped as in run_centralized.
+
+    With sources, node i codes u_i, all rounds in one stream, given the
+    broadcasts u_{>i} already heard: P(u_i = b) = P(x_i in alpha v_ii
+    [b - 1/2, b + 1/2) + alpha sum_{l>i} v_il u_l), as x_i is independent
+    of u_{>i}.  Without, each u_i is counted as a varint.  Either way a
+    broadcast counts once per receiver.
+    """
     coeffs = interactive_coefficients_batch(V, X, alpha)
     n = V.n
+    order = range(n - 1, -1, -1)
+    streams = None
+    if sources is None:
+        bits = [(n - 1) * varint_bits(coeffs.T[i]) for i in range(n)]
+    else:
+        M = float(alpha) * V.matrix
+        U = coeffs.reshape(-1, n)
+        model = _cell_model(tuple(sources), tuple(np.diag(M).tolist()),
+                            (1,) * n)
+        coded, info = model.encode(_offsets(M, U), U)
+        bits = list((n - 1) * (info.T if coeffs.ndim == 2 else info[0]))
+        streams = tuple(coded[i] for i in order)
     messages = tuple(
         Message(sender=i + 1,
                 receivers=tuple(j + 1 for j in range(n) if j != i),
-                payload={"u": coeffs.T[i]},
-                bits=(n - 1) * varint_bits(coeffs.T[i]))
-        for i in range(n - 1, -1, -1))
+                payload={"u": coeffs.T[i]}, bits=bits[i])
+        for i in order)
     return coeffs, Transcript(model="interactive", messages=messages,
                               total_bits=sum(m.bits for m in messages),
-                              decoded=dict.fromkeys(range(1, n + 1), coeffs))
+                              decoded=dict.fromkeys(range(1, n + 1), coeffs),
+                              streams=streams)
+
+
+def decode_centralized(V: GeneratorMatrix, streams, sources,
+                       rounds: int) -> list:
+    """The fusion center's reading of run_centralized's coded streams: each
+    node's reports over `rounds` rounds, object arrays as node_encode gives
+    them, ready for fusion_decode."""
+    table = build_ratio_table(V)
+    model = _cell_model(tuple(sources), tuple(np.diag(V.matrix).tolist()),
+                        table.q)
+    reports = []
+    for m, (stream, qm) in enumerate(zip(streams, table.q)):
+        c = np.array(model.decode(m, stream, 0.0, rounds), dtype=object)
+        b_tilde, s = _divmod(c, qm)
+        reports.append(CentralizedMessage(m + 1, b_tilde, s))
+    return reports
+
+
+def decode_interactive(V: GeneratorMatrix, streams, sources, alpha: float,
+                       rounds: int) -> np.ndarray:
+    """What every node reads from run_interactive's coded streams (in
+    message order, node n first): the coefficients, shape (rounds, n)."""
+    n = V.n
+    M = float(alpha) * V.matrix
+    model = _cell_model(tuple(sources), tuple(np.diag(M).tolist()), (1,) * n)
+    U = np.zeros((rounds, n), dtype=np.int64)
+    for i, stream in zip(range(n - 1, -1, -1), streams):
+        U[:, i] = model.decode(i, stream, _offsets(M, U)[:, i], rounds)
+    return U
 
 
 def interactive_coefficients_batch(V: GeneratorMatrix, X,

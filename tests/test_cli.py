@@ -416,6 +416,46 @@ class TestSimulate:
                            files("sc2.json", scenario))
         assert code == 1 and "2**52" in err
 
+    @pytest.mark.parametrize("model", ["centralized", "interactive"])
+    def test_fixed_target_keeps_the_varint(self, model, capsys, files):
+        # a replayed target has no source model, even where the scenario
+        # names sources: its output is byte for byte the varint count
+        sc = files("sc.json", {
+            "matrix": RATIO311_MATRIX, "alpha": 0.5, "model": model,
+            "x": [1.0, -2.75], "trials": 3,
+            "sources": [{"dist": "uniform", "lo": 0, "hi": 1}] * 2})
+        _, out, _ = run(capsys, "simulate", "--scenario", sc)
+        common = {"alpha": 0.5, "babai_match_count": 3, "model": model,
+                  "seed": 0, "trials": 3}
+        decoded = [4, -5]
+        if model == "centralized":
+            expected = dict(
+                common, analytic_rate_bound=11.951428991685017,
+                mean_total_bits=26.0, side_info_bits_per_trial=10,
+                side_info_bound_bits=9.965784284662087,
+                sample_transcript={
+                    "decoded": {"0": decoded},
+                    "messages": [
+                        {"bits": 18, "from": 1, "to": [0],
+                         "payload": {"b_tilde": 2, "s": 500}},
+                        {"bits": 8, "from": 2, "to": [0],
+                         "payload": {"b_tilde": -5, "s": 0}}],
+                    "model": model, "total_bits": 26})
+        else:
+            expected = dict(
+                common, analytic_rate_bound=1.98564470702293,
+                empirical_entropy_bits=[-0.0, -0.0], empirical_rate_bits=0.0,
+                mean_total_bits=16.0,
+                sample_transcript={
+                    "decoded": {"1": decoded, "2": decoded},
+                    "messages": [
+                        {"bits": 8, "from": 2, "to": [1],
+                         "payload": {"u": -5}},
+                        {"bits": 8, "from": 1, "to": [2],
+                         "payload": {"u": 4}}],
+                    "model": model, "total_bits": 16})
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
     def test_gaussian_sources_run(self, capsys, files):
         sc = files("sc.json", {
             "matrix": HEX_MATRIX, "alpha": 0.5, "model": "centralized",
@@ -540,6 +580,45 @@ class TestOutputContract:
                             "--samples", "70000")
             results.append(out)
         assert results[0] == results[1]
+
+    def test_cached_parser_matches_a_fresh_one(self, capsys, files,
+                                              tmp_path, monkeypatch):
+        # main() builds its parser once per process: calls in a row, across
+        # subcommands, with and without --out and --format, give the bytes
+        # of calls that each build their own parser
+        m = files("m.json", HEX_MATRIX)
+        sc = files("sc.json", {
+            "matrix": RATIO311_MATRIX, "alpha": 0.25, "model": "interactive",
+            "sources": [{"dist": "uniform", "lo": 0, "hi": 1}] * 2,
+            "trials": 20, "seed": 5})
+        argvs = [
+            ["perror", "--matrix", m, "--method", "mc", "--samples", "500",
+             "--format", "csv"],
+            ["simulate", "--scenario", sc, "--out", "{}.json"],
+            ["reduce", "--matrix", m],
+            ["levelcurves", "--k", "0.02", "--grid", "3", "--format", "json"],
+            ["rates", "--scenario", sc, "--format", "csv"],
+            ["perror", "--matrix", m],
+            ["babai", "--matrix", m, "--x=0.3,0.4", "--out", "{}.b.json"],
+            ["simulate", "--scenario", sc],
+        ]
+
+        def run_all(tag):
+            results = []
+            for argv in argvs:
+                argv = [str(tmp_path / a.format(tag)) if "{}" in a else a
+                        for a in argv]
+                results.append(run(capsys, *argv))
+            for name in ("{}.json", "{}.b.json"):
+                results.append((tmp_path / name.format(tag)).read_bytes())
+            return results
+
+        cached = run_all("cached")
+        assert latcomm.cli._build_parser() is latcomm.cli._build_parser()
+        monkeypatch.setattr(latcomm.cli, "_build_parser",
+                            latcomm.cli._build_parser.__wrapped__)
+        assert cached == run_all("fresh")
+        assert cached[4][0] == 2 and cached[1][1] == ""
 
     def test_out_file_written(self, capsys, files, tmp_path):
         m = files("m.json", HEX_MATRIX)
@@ -672,17 +751,22 @@ class TestPinnedOutputs:
                  "alpha": 2.0 ** -6, "trials": 500, "seed": 7,
                  "sources": [{"dist": "uniform", "lo": 0, "hi": 1}] * 3},
     }
-    # (babai_match_count, mean_total_bits, decoded, per-message bits)
+    # (babai_match_count, mean_total_bits, decoded, per-message bits): the
+    # range-coded stream length per trial, and the first trial's quantized
+    # self-information per message
     SIMULATE = {
-        ("readme", "centralized"): (1000, 30.944, {"0": [249, 514]},
-                                    [16, 16]),
+        ("readme", "centralized"): (
+            1000, 19.999, {"0": [249, 514]},
+            [9.678071905112638, 10.32192818087869]),
         ("readme", "interactive"): (
-            1000, 30.944, {"1": [249, 514], "2": [249, 514]}, [16, 16]),
-        ("tri3", "centralized"): (500, 32.792, {"0": [22, 45, 33]},
-                                  [11, 12, 8]),
+            1000, 19.999, {"1": [249, 514], "2": [249, 514]},
+            [10.32192818087869, 9.678071905112638]),
+        ("tri3", "centralized"): (
+            500, 24.582, {"0": [22, 45, 33]},
+            [8.584962586712486, 10.3219277509221, 5.678071905112638]),
         ("tri3", "interactive"): (
-            500, 53.024, {str(i): [22, 45, 33] for i in (1, 2, 3)},
-            [16, 16, 16]),
+            500, 36.232, {str(i): [22, 45, 33] for i in (1, 2, 3)},
+            [11.356143810225277, 12.830074998557684, 12.0]),
     }
 
     def test_babai_coeffs(self, capsys, files):

@@ -13,6 +13,8 @@ from latcomm import (
     SourceModel,
     build_ratio_table,
     centralized_rate_bound,
+    decode_centralized,
+    decode_interactive,
     empirical_entropy,
     fusion_decode,
     interactive_coefficients_batch,
@@ -26,6 +28,7 @@ from latcomm import (
     varint_decode,
     varint_encode,
 )
+from latcomm import protocol
 
 
 def _round_fraction(f: Fraction) -> int:
@@ -247,6 +250,28 @@ class TestNodeEncode:
         assert node_encode(z, 1.0, 2).b_tilde == 2 ** 52
         assert list(node_encode(np.array([-z]), 1.0, 2).b_tilde) \
             == [-(2 ** 52) + 1]
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 1000, 9973, 2 ** 20 + 1,
+                                   2 ** 31 - 1, 2 ** 40, 2 ** 51 - 1, 2 ** 52,
+                                   10 ** 30])
+    def test_batch_fast_path_is_exact(self, q):
+        # the float path of a batch must agree with the exact one on ties
+        # k/q - 1/2 and their float neighbours, where q z + q/2 rounds onto
+        # an integer from below or above, and on tiny and huge z
+        rng = np.random.default_rng(q % 1000)
+        ties = rng.integers(-10 ** 6, 10 ** 6, 3000) / min(q, 2 ** 52) - 0.5
+        reach = min(2.0 ** 51, 2.0 ** 52 / q)
+        for z in (rng.uniform(-5, 5, 3000), rng.uniform(-1e6, 1e6, 3000),
+                  rng.normal(size=500) * 1e-20, ties,
+                  np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+                  rng.uniform(-1, 1, 3000) * reach,
+                  np.array([0.0, -0.0, 0.5, -0.5, 5e-324, -5e-324]),
+                  np.array([2.0 ** 52 - 0.5])):
+            fast = protocol._grid_positions_batch(z, q)
+            exact = protocol._grid_positions(z, q)
+            for got, want in zip(fast, exact):
+                assert got.tolist() == want.tolist()
+                assert all(type(v) is int for v in got)
 
     def test_monotone_step_exhaustive_large_q(self):
         q = 10**4
@@ -560,3 +585,217 @@ class TestRateConvergence:
             gaps.append(gap)
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 0.1
+
+
+UNIFORM = SourceModel.uniform(0.0, 1.0)
+GAUSSIAN = SourceModel.gaussian(0.25, 0.5)
+
+
+def _negative_tri3():
+    # negative diagonal entries flip the cells' order along x
+    return GeneratorMatrix.from_columns(
+        [[-2, 0, 0], ["1/2", "3/4", 0], ["1/3", "-1/5", "-5/4"]])
+
+
+def _coded_runs(V, X, sources, alpha):
+    """Both protocols with sources, on alpha * Lambda, and what the
+    receivers decode from the streams alone."""
+    scaled = V.scaled(alpha)
+    rounds = 1 if np.ndim(X) == 1 else len(X)
+    _, tc = run_centralized(scaled, X, sources)
+    reports = decode_centralized(scaled, tc.streams, sources, rounds)
+    bi, ti = run_interactive(V, X, alpha, sources)
+    U = decode_interactive(V, ti.streams, sources, alpha, rounds)
+    return (tc, reports), (ti, bi.reshape(rounds, -1), U)
+
+
+def _assert_within_information(transcript):
+    # each stream is at most its summed quantized self-information + 2 bits
+    for m, stream in zip(transcript.messages, transcript.streams):
+        info = float(np.sum(m.bits)) / len(m.receivers)
+        assert stream.nbits <= info + 2.0, (stream.nbits, info)
+        assert len(stream.data) == (stream.nbits + 7) // 8
+
+
+class TestCodedStreams:
+    """Range-coded streams under the sources' model: every receiver decodes
+    every round's payload from the stream alone."""
+
+    @pytest.mark.parametrize("basis", ["ratio311", "tri3", "negative"])
+    @pytest.mark.parametrize("source", [UNIFORM, GAUSSIAN],
+                             ids=["uniform", "gaussian"])
+    @pytest.mark.parametrize("rounds", [1, 57])
+    def test_decodes_every_round(self, basis, source, rounds, ratio311):
+        V = {"ratio311": ratio311, "tri3": _rational_tri3(),
+             "negative": _negative_tri3()}[basis]
+        rng = np.random.Generator(np.random.Philox(key=rounds))
+        X = np.column_stack([source.sample(rng, rounds)
+                             for _ in range(V.n)])
+        if rounds == 1:
+            X = X[0]  # a single run, not a batch of one
+        (tc, reports), (ti, B, U) = _coded_runs(V, X, [source] * V.n,
+                                                2.0 ** -6)
+        for r, m in zip(reports, tc.messages):
+            assert list(r.b_tilde) == list(np.ravel(m.payload["b_tilde"]))
+            assert list(r.s) == list(np.ravel(m.payload["s"]))
+        table = build_ratio_table(V.scaled(2.0 ** -6))
+        assert np.array_equal(fusion_decode(reports, table),
+                              np.reshape(tc.decoded[0], (rounds, V.n)))
+        assert np.array_equal(U, B)
+        _assert_within_information(tc)
+        _assert_within_information(ti)
+
+    def test_mixed_sources(self, ratio311):
+        sources = [GAUSSIAN, SourceModel.uniform(-3.0, 2.0)]
+        rng = np.random.Generator(np.random.Philox(key=3))
+        X = np.column_stack([s.sample(rng, 80) for s in sources])
+        (tc, reports), (ti, B, U) = _coded_runs(ratio311, X, sources, 0.125)
+        assert list(reports[0].s) == list(tc.messages[0].payload["s"])
+        assert np.array_equal(U, B)
+        _assert_within_information(tc)
+
+    def test_escape_outside_the_window(self, ratio311):
+        # targets outside the sources' coding support (a uniform source's
+        # range, a gaussian's mean +- 8 sigma) are escaped: the escape's
+        # count, then the varint bytes as uniform bytes
+        for source, far in ((UNIFORM, [1.5, -40.0]),
+                            (GAUSSIAN, [100.0, -9.0])):
+            X = np.array([[0.3, 0.7], far, [0.6, 0.1], far[::-1]])
+            (tc, reports), (ti, B, U) = _coded_runs(ratio311, X,
+                                                    [source] * 2, 0.25)
+            assert list(reports[1].b_tilde) == list(
+                tc.messages[1].payload["b_tilde"])
+            assert np.array_equal(U, B)
+            # an escaped round pays its varint bytes on top of 32 bits
+            assert tc.messages[1].bits[1] >= 32 + 8
+            assert tc.messages[1].bits[0] < 32
+            _assert_within_information(tc)
+            _assert_within_information(ti)
+
+    def test_symbols_beyond_exact_floats_are_escaped(self, ratio311):
+        # node 1's grid position is about 1000 * 2^45 = 2^55, where a float
+        # cannot tell neighbours apart: it codes no window, and sends each
+        # position as a varint from the window's first symbol
+        source = SourceModel.uniform(2.0 ** 45, 2.0 ** 45 + 1.0)
+        X = np.random.default_rng(5).uniform(0.0, 1.0, (20, 2)) + 2.0 ** 45
+        (tc, reports), (ti, B, U) = _coded_runs(ratio311, X, [source] * 2,
+                                                1.0)
+        assert list(reports[0].s) == list(tc.messages[0].payload["s"])
+        bits = tc.messages[0].bits
+        assert np.all(np.abs(bits - 8 * np.round(bits / 8)) < 1e-6)
+        assert np.array_equal(U, B)
+
+    def test_empty_batch(self, ratio311):
+        for b, t in (run_centralized(ratio311, np.zeros((0, 2)),
+                                     [UNIFORM] * 2),
+                     run_interactive(ratio311, np.zeros((0, 2)), 0.5,
+                                     [UNIFORM] * 2)):
+            assert b.shape == (0, 2) and t.wire_bits == 0
+
+    def test_window_too_wide_escapes_at_varint_cost(self):
+        # 2^30 cells per unit: wider than the coder's window, so every
+        # symbol is an escape that takes all but 1 of the total (3.4e-10
+        # bits), then its varint
+        V = GeneratorMatrix.from_columns([[1, 0], [0, 1]])
+        X = np.random.default_rng(4).uniform(0.0, 1.0, size=(30, 2))
+        (tc, _), (ti, B, U) = _coded_runs(V, X, [UNIFORM] * 2, 2.0 ** -30)
+        assert np.array_equal(U, B)
+        for m in ti.messages:
+            assert np.all(np.abs(m.bits - 8 * np.round(m.bits / 8)) < 1e-6)
+            assert np.all(m.bits <= 40 + 1e-6)
+        _assert_within_information(ti)
+
+    def test_rows_equal_single_runs(self, hexagonal):
+        # a round's bits do not depend on the other rounds of its batch
+        X = np.random.default_rng(9).uniform(0.0, 1.0, size=(12, 2))
+        sources = [UNIFORM] * 2
+        for run in (lambda x: run_centralized(hexagonal.scaled(0.125), x,
+                                              sources),
+                    lambda x: run_interactive(hexagonal, x, 0.125, sources)):
+            _, T = run(X)
+            for i in range(len(X)):
+                assert T.row(i).to_json() == run(X[i])[1].to_json()
+
+    def test_counts_come_from_one_function(self, monkeypatch, ratio311):
+        # swap the edge counts for another monotone pmf: the streams still
+        # decode, because the encoder and the decoder take every count
+        # from the same function, and so agree bit for bit
+        original = protocol._CellModel.edges
+
+        def squared(self, off, j):
+            counts = original(self, off, j)
+            return np.floor(counts * counts / np.maximum(self.S, 1.0))
+
+        monkeypatch.setattr(protocol._CellModel, "edges", squared)
+        rng = np.random.Generator(np.random.Philox(key=11))
+        X = rng.uniform(0.0, 1.0, size=(64, 3))
+        (tc, reports), (ti, B, U) = _coded_runs(_rational_tri3(), X,
+                                                [UNIFORM] * 3, 2.0 ** -6)
+        assert np.array_equal(U, B)
+        for r, m in zip(reports, tc.messages):
+            assert list(r.s) == list(m.payload["s"])
+        _assert_within_information(tc)
+
+    def test_bits_approach_the_entropy(self):
+        # the README scenario: each node's cells are equiprobable, so the
+        # streams come within 1% of the analytic rate of 20.00 bits
+        V = GeneratorMatrix.from_columns([["5/4", 0], [0, "4/5"]])
+        sources = [UNIFORM] * 2
+        rng = np.random.Generator(np.random.Philox(key=1))
+        X = np.column_stack([s.sample(rng, 1000) for s in sources])
+        alpha = 2.0 ** -10
+        bound = interactive_rate(sources, V, alpha)
+        assert bound == pytest.approx(20.0)
+        assert centralized_rate_bound(sources, V, alpha) == pytest.approx(20.0)
+        _, tc = run_centralized(V.scaled(alpha), X, sources)
+        _, ti = run_interactive(V, X, alpha, sources)
+        for t in (tc, ti):
+            assert abs(t.wire_bits / 1000 - bound) <= 0.01 * bound
+
+    def test_source_count_checked(self, ratio311):
+        with pytest.raises(ProtocolError):
+            run_centralized(ratio311, [0.1, 0.2], [UNIFORM])
+        with pytest.raises(ProtocolError):
+            run_interactive(ratio311, [0.1, 0.2], 0.5, [UNIFORM] * 3)
+
+    def test_without_sources_the_varint_counts(self, ratio311):
+        _, t = run_centralized(ratio311, [[1.0, 1.0], [0.2, -3.0]])
+        assert t.streams is None
+        assert t.wire_bits == int(t.total_bits.sum()) == 2 * 26
+
+
+def _range_code(cums, freqs):
+    """Range-code symbols (cum, freq) out of 2^32 as the encoder does."""
+    C, F = protocol._paired(np.array(cums, dtype=np.int64),
+                            np.array(freqs, dtype=np.int64))
+    return protocol._range_encode(C.tolist(), F.tolist())
+
+
+class TestRangeCoder:
+    @given(st.lists(st.tuples(st.integers(1, 2 ** 32 - 1),
+                              st.floats(0.0, 1.0)), max_size=300))
+    def test_roundtrip_and_length(self, spec):
+        freqs = [f for f, _ in spec]
+        cums = [int(u * (2 ** 32 - f)) for f, u in spec]
+        stream = _range_code(cums, freqs)
+        info = sum(32 - math.log2(f) for f in freqs)
+        assert stream.nbits <= info + 2.0
+        dec = protocol._RangeDecoder(stream)
+        for c, f in zip(cums, freqs):
+            assert c <= dec.target() < c + f
+            dec.consume(c, f)
+
+    def test_carry_into_sent_bytes(self):
+        # symbols at the very top of every range push the low end into
+        # carries through runs of 0xFF bytes
+        cums = [2 ** 32 - 3] * 200 + [0, 2 ** 32 - 2] * 50
+        freqs = [1] * 200 + [2, 1] * 50
+        stream = _range_code(cums, freqs)
+        dec = protocol._RangeDecoder(stream)
+        for c, f in zip(cums, freqs):
+            assert c <= dec.target() < c + f
+            dec.consume(c, f)
+
+    def test_empty_and_free_symbols(self):
+        assert _range_code([], []).nbits == 0
+        assert _range_code([0] * 5, [2 ** 32 - 1] * 5).nbits == 0
