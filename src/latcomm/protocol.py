@@ -581,7 +581,8 @@ def _grid_positions_batch(z: np.ndarray, q: int):
     is monotone, so y = fl(fl(q z) + q/2) has floor(q (z + 1/2)) as its
     floor unless y is an integer itself; _grid_position decides there,
     and for the whole array beyond that reach."""
-    if q >= 2 ** 51 or not q * (np.max(np.abs(z), initial=0.0) + 1.0) < 2.0 ** 51:
+    reach = np.max(np.abs(z), initial=0.0) + 1.0
+    if q >= 2 ** 51 or not q * reach < 2.0 ** 51:
         return _grid_positions(z, q)
     y = q * z + 0.5 * q
     c = np.floor(y)
