@@ -165,6 +165,10 @@ def _cmd_perror(args) -> str:
 
 
 def _cmd_levelcurves(args) -> str:
+    if args.grid < 1:
+        raise ValueError("--grid must be at least 1")
+    if args.samples < 0:
+        raise ValueError("--samples must be non-negative")
     pairs = []
     for k in _parse_k_list(args.k):
         if k < 0:
@@ -188,7 +192,8 @@ def _load_scenario(path):
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ValueError('scenario needs a "matrix"')
     V = GeneratorMatrix.from_json(obj["matrix"])
-    alpha = float(obj.get("alpha", 1.0))
+    alpha = obj.get("alpha", 1.0)
+    alpha = math.nan if isinstance(alpha, bool) else float(alpha)
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be a positive finite scale")
     sources = None
@@ -205,7 +210,7 @@ def _cmd_simulate(args) -> str:
     if model not in ("centralized", "interactive"):
         raise ValueError('scenario "model" must be centralized or interactive')
     trials = obj.get("trials", 1)
-    if int(trials) != trials:
+    if isinstance(trials, bool) or int(trials) != trials:
         raise ValueError(f"trials must be an integer, got {trials!r}")
     trials = int(trials)
     if trials < 1:

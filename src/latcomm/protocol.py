@@ -154,6 +154,8 @@ class SourceModel:
     def from_json(cls, obj) -> "SourceModel":
         if not isinstance(obj, dict) or "dist" not in obj:
             raise ValueError('source JSON needs a "dist"')
+        if any(isinstance(v, bool) for v in obj.values()):
+            raise ValueError("source parameters must be numbers")
         kind = obj["dist"]
         if kind == "uniform":
             return cls.uniform(obj.get("lo", 0.0), obj.get("hi", 1.0))
@@ -289,18 +291,7 @@ _WINDOW_MAX = 1 << 24
 # an escaped symbol's varint bytes are coded as uniform symbols
 _BYTE_COUNT = _CODE_TOTAL >> 8
 # adds 0 and 1 to an array of symbols: the lower and upper edges of a cell
-_NEXT = np.array([0.0, 1.0]).reshape(2, 1, 1)
-
-
-def _paired(cum, freq):
-    """The symbols of each column (int64 arrays along axis 0) taken two at
-    a time, an odd one out padded with a symbol of count 2^32 - 1."""
-    if len(cum) % 2:
-        cum = np.concatenate([cum, np.zeros_like(cum[:1])])
-        freq = np.concatenate([freq, np.full_like(freq[:1], _CODE_TOTAL - 1)])
-    cum, freq = cum.astype(np.uint64), freq.astype(np.uint64)
-    return ((cum[0::2] << np.uint64(_CODE_BITS)) + freq[0::2] * cum[1::2],
-            freq[0::2] * freq[1::2])
+_NEXT = np.array([[0.0], [1.0]])
 
 
 def _carry(out: bytearray) -> None:
@@ -312,16 +303,23 @@ def _carry(out: bytearray) -> None:
     out[i] += 1
 
 
-def _range_encode(cums, freqs) -> CodedStream:
-    """Range-code the paired symbols (cum, freq) out of 2^64, and end with
-    the shortest bit string that, read on with zeros, lies in the final
-    interval: at most -log2(width) + 1 bits in all."""
+def _range_encode(cum, freq) -> CodedStream:
+    """Range-code the symbols (cum, freq) out of 2^32 (int sequences), two
+    at a time, an odd one out padded with a symbol of count 2^32 - 1, and
+    end with the shortest bit string that, read on with zeros, lies in the
+    final interval: at most -log2(width) + 1 bits in all."""
+    if len(cum) % 2:
+        cum, freq = np.append(cum, 0), np.append(freq, _CODE_TOTAL - 1)
+    cum, freq = np.asarray(cum, np.uint64), np.asarray(freq, np.uint64)
+    pairs = zip(((cum[0::2] << np.uint64(_CODE_BITS))
+                 + freq[0::2] * cum[1::2]).tolist(),
+                (freq[0::2] * freq[1::2]).tolist())
     low, rng, out = 0, _TOP, bytearray()
     bits, bot = _PAIR_BITS, _BOT
-    for cum, freq in zip(cums, freqs):
+    for c, f in pairs:
         r = rng >> bits
-        low += r * cum
-        rng = r * freq
+        low += r * c
+        rng = r * f
         if rng < bot:
             s = (_PREC - rng.bit_length()) & -8
             head = low >> (_PREC - s)
@@ -394,59 +392,38 @@ class _RangeDecoder:
             self.rng <<= s
 
 
-class _CellModel:
-    """The pmf that each node codes its symbols under, one column per node.
+class _NodeModel:
+    """The pmf that one node codes every round of its stream under.
 
-    Symbol j of column m stands for the cell of x_m between the edges
-    e(j) = off + a_m (j / q_m - 1/2) and e(j + 1): the grid the node rounds
-    on, shifted by what its receivers already know.  A window of W symbols
-    from j0 covers the source's coding support, with spare cells.  Symbol
-    j0 + i has cum floor(S G(e(j))) + 2 i, G the CDF of x_m, and a count of
-    at least 1 even where G is off by an ulp; S = 2^32 - 2 W - 1.  The rest
-    of the total, from S + 2 W, is the escape, after which the symbol
-    follows as a varint relative to j0.  Where W would exceed _WINDOW_MAX,
-    or the window lies beyond exact floats, W = S = 0 and every symbol is
-    escaped with a count of 2^32 - 1, at almost no cost but its varint.
+    Symbol j stands for the cell of the node's coordinate x_m between the
+    edges e(j) = off + a (j / q - 1/2) and e(j + 1): the grid the node
+    rounds on, shifted by what its receivers already know.  A window of W
+    symbols from j0 covers the source's coding support, with spare cells.
+    Symbol j0 + i has cum floor(S G(e(j))) + 2 i, G the CDF of x_m, and a
+    count of at least 1 even where G is off by an ulp; S = 2^32 - 2 W - 1.
+    The rest of the total, from S + 2 W, is the escape, after which the
+    symbol follows as a varint relative to j0.  Where W would exceed
+    _WINDOW_MAX, or the window lies beyond exact floats, W = S = 0 and every
+    symbol is escaped with a count of 2^32 - 1, at almost no cost but its
+    varint.
     """
 
-    def __init__(self, sources, a, q):
-        if len(sources) != len(a):
-            raise ProtocolError("one source per coordinate required")
-        self.sources, self.a, self.q = tuple(sources), a, q
-        columns = []
-        for source, am, qm in zip(self.sources, a, q):
-            am, qm = float(am), float(qm)
-            lo, hi = source.coding_support()
-            # j0 = floor(q ((start - off) / a + 1/2)) - 1 as
-            # floor(base - off gain), and e(j) = j slope + off - a/2
-            base = qm * (lo if am > 0 else hi) / am + 0.5 * qm - 1.0
-            width = qm * (hi - lo) / abs(am)
-            # symbols near j0 = floor(base), the window at offset 0, must
-            # be exact floats; a centralized node's offset is 0, and an
-            # interactive node's symbols stay below 2^52 anyway
-            W = (math.floor(width) + 5.0 if width < _WINDOW_MAX - 5
-                 and abs(base) < ROUND_LIMIT - _WINDOW_MAX else 0.0)
-            S = _CODE_TOTAL - 2.0 * W - 1.0 if W else 0.0
-            escape = S + 2.0 * W if W else 1.0  # its count is below 2^32
-            columns.append((qm / am, base, am / qm, -0.5 * am, W, S,
-                            escape, 0.5 * (W - 1.0), am))
-        (self.gain, self.base, self.slope, self.shift, self.W, self.S,
-         self.escape, self.mid, sign) = np.array(columns).reshape(-1, 9).T
-        self.rising = sign > 0
-        if self.rising.all():
-            self.rising = None
-        if len(set(self.sources)) == 1:
-            self.cdf = self.sources[0].cdf
-
-    def cdf(self, x):
-        F = np.empty_like(x)
-        for m, source in enumerate(self.sources):
-            F[..., m] = source.cdf(x[..., m])
-        return F
-
-    def column(self, m) -> "_CellModel":
-        return _CellModel(self.sources[m:m + 1], self.a[m:m + 1],
-                          self.q[m:m + 1])
+    def __init__(self, source: SourceModel, a: float, q: int):
+        self.source, self.rising = source, a > 0
+        lo, hi = source.coding_support()
+        # j0 = floor(q ((start - off) / a + 1/2)) - 1 as
+        # floor(base - off gain), and e(j) = j slope + off - a/2
+        self.base = q * (lo if a > 0 else hi) / a + 0.5 * q - 1.0
+        self.gain, self.slope, self.shift = q / a, a / q, -0.5 * a
+        width = q * (hi - lo) / abs(a)
+        # symbols near j0 = floor(base), the window at offset 0, must be
+        # exact floats; a centralized node's offset is 0, and an
+        # interactive node's symbols stay below 2^52 anyway
+        self.W = (math.floor(width) + 5 if width < _WINDOW_MAX - 5
+                  and abs(self.base) < ROUND_LIMIT - _WINDOW_MAX else 0)
+        self.escape = _CODE_TOTAL - 1 if self.W else 1  # S + 2 W, or 1
+        self.S = _CODE_TOTAL - 2.0 * self.W - 1.0 if self.W else 0.0
+        self.mid = 0.5 * (self.W - 1.0)
 
     def first(self, off):
         """The window's first symbol j0 at offsets off (floats)."""
@@ -456,57 +433,43 @@ class _CellModel:
         """floor(S G(e(j))) at the edges e(j), as floats holding integers;
         G is the CDF, or 1 - CDF where a < 0, so that these rise with j.
         The encoder and the decoder take every count from here."""
-        F = self.cdf(j * self.slope + (off + self.shift))
-        if self.rising is not None:
-            F = np.where(self.rising, F, 1.0 - F)
-        return np.floor(self.S * F)
+        F = self.source.cdf(j * self.slope + (off + self.shift))
+        return np.floor(self.S * (F if self.rising else 1.0 - F))
 
     def encode(self, off, J):
-        """Code the symbols J (shape (k, n), ints or object ints) at offsets
-        off: one stream per column, and each symbol's quantized
-        self-information in bits, shape (k, n)."""
-        Jf = np.asarray(J, dtype=float)
+        """Code the symbols J (shape (k,), ints or object ints) at offsets
+        off (floats, shape (k,)): the stream, and each symbol's quantized
+        self-information in bits, shape (k,)."""
         j0 = self.first(off)
-        j = Jf + _NEXT  # each cell's lower and upper edge
+        j = np.asarray(J, dtype=float) + _NEXT  # a cell's lower, upper edge
         i = j - j0
         cum, nxt = (self.edges(off, j) + 2.0 * i).astype(np.int64)
         freq = nxt - cum
-        out = np.abs(i[0] - self.mid) > self.mid  # escaped
-        escaped = out.any()
-        if escaped:
-            escape = np.broadcast_to(self.escape, Jf.shape)[out]
-            cum[out], freq[out] = escape, _CODE_TOTAL - escape
+        out = (np.abs(i[0] - self.mid) > self.mid).nonzero()[0]  # escaped
+        cum[out], freq[out] = self.escape, _CODE_TOTAL - self.escape
         info = _CODE_BITS - np.log2(freq)
-        if not escaped:
-            C, F = _paired(cum, freq)
-            return tuple(map(_range_encode, C.T.tolist(), F.T.tolist())), info
-        columns = list(zip(cum.T.tolist(), freq.T.tolist()))
-        j0 = np.broadcast_to(j0, Jf.shape)
-        for r, m in reversed(np.argwhere(out).tolist()):
-            extra = varint_encode(int(J[r, m]) - int(j0[r, m]))
-            columns[m][0][r + 1:r + 1] = [b * _BYTE_COUNT for b in extra]
-            columns[m][1][r + 1:r + 1] = [_BYTE_COUNT] * len(extra)
-            info[r, m] += 8 * len(extra)
-        paired = (_paired(np.array(c, np.int64), np.array(f, np.int64))
-                  for c, f in columns)
-        return tuple(_range_encode(C.tolist(), F.tolist())
-                     for C, F in paired), info
+        cums, freqs, start = [], [], 0
+        for r in out.tolist():  # the varint bytes follow the escape
+            code = varint_encode(int(J[r]) - int(j0[r]))
+            cums += [cum[start:r + 1], [b * _BYTE_COUNT for b in code]]
+            freqs += [freq[start:r + 1], [_BYTE_COUNT] * len(code)]
+            info[r] += 8 * len(code)
+            start = r + 1
+        return _range_encode(np.concatenate(cums + [cum[start:]]),
+                             np.concatenate(freqs + [freq[start:]])), info
 
-    def decode(self, m, stream, off, rounds) -> list:
-        """The symbols of column m over `rounds` rounds from its stream;
-        off is that column's offset in each round."""
-        column = self.column(m)
-        off = np.broadcast_to(off, (rounds,))[:, None]
-        escape = int(column.escape[0])
+    def decode(self, stream, off) -> list:
+        """The symbols of the stream, one per round at the offsets off
+        (floats, shape (rounds,))."""
         dec = _RangeDecoder(stream)
         symbols = []
-        for o, first in zip(off, column.first(off)[:, 0]):
+        for o, first in zip(off.tolist(), self.first(off).tolist()):
             def cum(i):
-                return int(column.edges(o, np.array([first + i]))[0]) + 2 * i
+                return int(self.edges(o, np.array([first + i]))[0]) + 2 * i
 
             t = dec.target()
-            if t >= escape:  # the escape, then the varint bytes
-                dec.consume(escape, _CODE_TOTAL - escape)
+            if t >= self.escape:  # the escape, then the varint bytes
+                dec.consume(self.escape, _CODE_TOTAL - self.escape)
                 extra = bytearray()
                 while not extra or extra[-1] & 0x80:
                     byte = dec.target() // _BYTE_COUNT
@@ -514,7 +477,7 @@ class _CellModel:
                     extra.append(byte)
                 symbols.append(int(first) + varint_decode(extra)[0])
                 continue
-            lo, hi = 0, int(column.W[0])  # cum(lo) <= t < cum(hi)
+            lo, hi = 0, self.W  # cum(lo) <= t < cum(hi)
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 lo, hi = (mid, hi) if cum(mid) <= t else (lo, mid)
@@ -524,11 +487,15 @@ class _CellModel:
         return symbols
 
 
-@functools.lru_cache(maxsize=16)
-def _cell_model(sources: tuple, a: tuple, q: tuple) -> _CellModel:
-    """The model for diagonal entries a and grid steps q under the sources:
-    per-basis set-up, built once for each combination in use."""
-    return _CellModel(sources, a, q)
+# one node's model: per-basis set-up, built once for each node in use
+_node_model = functools.lru_cache(maxsize=64)(_NodeModel)
+
+
+def _node_models(sources, a, q) -> list:
+    """The model of each node, for diagonal entries a and grid steps q."""
+    if len(sources) != len(a):
+        raise ProtocolError("one source per coordinate required")
+    return list(map(_node_model, sources, a, q))
 
 
 def _offsets(M, U) -> np.ndarray:
@@ -668,13 +635,14 @@ def run_centralized(V: GeneratorMatrix, X, sources=None):
         bits = [varint_bits(r.b_tilde) + s_bits
                 for r, s_bits in zip(reports, table.s_bits)]
     else:
-        model = _cell_model(tuple(sources), tuple(np.diag(V.matrix).tolist()),
-                            table.q)
-        J = np.array([r.b_tilde if qm == 1 else r.b_tilde * qm + r.s
-                      for r, qm in zip(reports, table.q)],
-                     dtype=object).T.reshape(-1, V.n)
-        streams, info = model.encode(0.0, J)
-        bits = list(info.T if X.ndim == 2 else info[0])
+        models = _node_models(sources, np.diag(V.matrix).tolist(), table.q)
+        zero = np.zeros(X.size // V.n)  # a centralized node's offset
+        streams, info = zip(*(
+            model.encode(zero, np.array(r.b_tilde if qm == 1 else
+                                        r.b_tilde * qm + r.s,
+                                        dtype=object).reshape(-1))
+            for r, qm, model in zip(reports, table.q, models)))
+        bits = [b if X.ndim == 2 else b[0] for b in info]
     messages = tuple(
         Message(sender=r.sender, receivers=(0,),
                 payload={"b_tilde": r.b_tilde, "s": r.s}, bits=b)
@@ -702,20 +670,20 @@ def run_interactive(V: GeneratorMatrix, X, alpha: float, sources=None):
     order = range(n - 1, -1, -1)
     streams = None
     if sources is None:
-        bits = [(n - 1) * varint_bits(coeffs.T[i]) for i in range(n)]
+        bits = [(n - 1) * varint_bits(coeffs.T[i]) for i in order]
     else:
         M = float(alpha) * V.matrix
         U = coeffs.reshape(-1, n)
-        model = _cell_model(tuple(sources), tuple(np.diag(M).tolist()),
-                            (1,) * n)
-        coded, info = model.encode(_offsets(M, U), U)
-        bits = list((n - 1) * (info.T if coeffs.ndim == 2 else info[0]))
-        streams = tuple(coded[i] for i in order)
+        off = _offsets(M, U)
+        models = _node_models(sources, np.diag(M).tolist(), (1,) * n)
+        streams, info = zip(*(models[i].encode(off[:, i], U[:, i])
+                              for i in order))
+        bits = [(n - 1) * (b if coeffs.ndim == 2 else b[0]) for b in info]
     messages = tuple(
         Message(sender=i + 1,
                 receivers=tuple(j + 1 for j in range(n) if j != i),
-                payload={"u": coeffs.T[i]}, bits=bits[i])
-        for i in order)
+                payload={"u": coeffs.T[i]}, bits=b)
+        for i, b in zip(order, bits))
     return coeffs, Transcript(model="interactive", messages=messages,
                               total_bits=sum(m.bits for m in messages),
                               decoded=dict.fromkeys(range(1, n + 1), coeffs),
@@ -728,13 +696,11 @@ def decode_centralized(V: GeneratorMatrix, streams, sources,
     node's reports over `rounds` rounds, object arrays as node_encode gives
     them, ready for fusion_decode."""
     table = build_ratio_table(V)
-    model = _cell_model(tuple(sources), tuple(np.diag(V.matrix).tolist()),
-                        table.q)
+    models = _node_models(sources, np.diag(V.matrix).tolist(), table.q)
     reports = []
-    for m, (stream, qm) in enumerate(zip(streams, table.q)):
-        c = np.array(model.decode(m, stream, 0.0, rounds), dtype=object)
-        b_tilde, s = _divmod(c, qm)
-        reports.append(CentralizedMessage(m + 1, b_tilde, s))
+    for m, (stream, qm, model) in enumerate(zip(streams, table.q, models)):
+        c = np.array(model.decode(stream, np.zeros(rounds)), dtype=object)
+        reports.append(CentralizedMessage(m + 1, *_divmod(c, qm)))
     return reports
 
 
@@ -742,12 +708,11 @@ def decode_interactive(V: GeneratorMatrix, streams, sources, alpha: float,
                        rounds: int) -> np.ndarray:
     """What every node reads from run_interactive's coded streams (in
     message order, node n first): the coefficients, shape (rounds, n)."""
-    n = V.n
     M = float(alpha) * V.matrix
-    model = _cell_model(tuple(sources), tuple(np.diag(M).tolist()), (1,) * n)
-    U = np.zeros((rounds, n), dtype=np.int64)
-    for i, stream in zip(range(n - 1, -1, -1), streams):
-        U[:, i] = model.decode(i, stream, _offsets(M, U)[:, i], rounds)
+    models = _node_models(sources, np.diag(M).tolist(), (1,) * V.n)
+    U = np.zeros((rounds, V.n), dtype=np.int64)
+    for i, stream in zip(range(V.n - 1, -1, -1), streams):
+        U[:, i] = models[i].decode(stream, _offsets(M, U)[:, i])
     return U
 
 

@@ -89,6 +89,11 @@ class TestNearestPlane:
         with pytest.raises(ValueError, match="2\\*\\*52"):
             nearest_plane(hexagonal, [[0.0, 0.0], [1e20, 3e19]])
 
+    def test_non_finite_target_rejected(self, hexagonal):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="target must be finite"):
+                nearest_plane(hexagonal, [0.5, bad])
+
     def test_batch_shape(self, hexagonal):
         res = nearest_plane(hexagonal, np.zeros((0, 2)))
         assert res.coeffs.shape == (0, 2)

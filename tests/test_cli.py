@@ -16,6 +16,7 @@ from latcomm.cli import main
 HEX_MATRIX = {"n": 2, "columns": [[1, 0], ["1/2", math.sqrt(3) / 2]]}
 SKEW5_MATRIX = {"n": 2, "columns": [[5, 0], [3, 1]]}
 RATIO311_MATRIX = {"n": 2, "columns": [[1, 0], ["311/1000", "101/100"]]}
+UNIFORM = {"dist": "uniform", "lo": 0, "hi": 1}
 
 
 @pytest.fixture
@@ -281,6 +282,17 @@ class TestLevelcurves:
     def test_k_out_of_range(self, capsys):
         code, _, err = run(capsys, "levelcurves", "--k", "0.2")
         assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--k", "0", "--grid", "0"], "--grid must be at least 1"),
+        (["--k", "0.01", "--grid", "0"], "--grid must be at least 1"),
+        (["--k", "0.01", "--samples", "-5"], "--samples must be non-negative"),
+    ])
+    def test_counts_checked_for_every_level(self, argv, message, capsys):
+        # checked before any level, the zero level included; a negative
+        # sample count is an error, not "no Monte Carlo"
+        assert run(capsys, "levelcurves", *argv) == (1, "",
+                                                     f"error: {message}\n")
 
 
 class TestSimulate:
@@ -554,6 +566,68 @@ class TestRates:
         doc = json.loads(out)
         assert doc["centralized_rate_bound"] is None
         assert doc["interactive_rate"] is not None
+
+    def test_non_triangular_basis_reported_null(self, capsys, files):
+        sc = files("sc.json", {"matrix": {"n": 2, "columns": [[3, 4], [1, 2]]},
+                               "alpha": 1.0, "sources": [UNIFORM] * 2})
+        code, out, _ = run(capsys, "rates", "--scenario", sc)
+        assert code == 0
+        assert json.loads(out) == {
+            "centralized_rate_bound": None, "side_info_bound_bits": None,
+            "side_info_bits_ceil": None, "interactive_rate": None}
+
+
+class TestOneLineErrors:
+    """Input outside the supported domain fails with exactly one `error:`
+    line and nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["levelcurves", "--k", ","], "--k must list at least one level"),
+        (["levelcurves", "--k", "-0.1"], "k out of range: -0.1"),
+    ])
+    def test_arguments(self, argv, message, capsys):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    def test_csv_needs_a_2d_basis(self, capsys, files):
+        m = files("m.json", {"n": 3, "columns": [[1, 0, 0], [0, 1, 0],
+                                                 [0, 0, 1]]})
+        assert run(capsys, "perror", "--matrix", m, "--method", "mc",
+                   "--samples", "100", "--format", "csv") == (
+            1, "", "error: CSV P_e output needs a 2D basis\n")
+
+    def test_matrix_entry_must_be_a_number(self, capsys, files):
+        m = files("m.json", {"n": 2, "columns": [[1, 0], [[1], 1]]})
+        assert run(capsys, "reduce", "--matrix", m) == (
+            1, "", "error: bad matrix entry [1]\n")
+
+    @pytest.mark.parametrize("scenario, commands, message", [
+        ({"x": [0, 0]}, ("simulate", "rates"), 'scenario needs a "matrix"'),
+        ({"matrix": RATIO311_MATRIX, "sources": [UNIFORM] * 3},
+         ("simulate", "rates"), "scenario needs one source per coordinate"),
+        ({"matrix": RATIO311_MATRIX, "x": [1.0, 1.0], "trials": 0},
+         ("simulate",), "trials must be positive"),
+        ({"matrix": RATIO311_MATRIX, "x": [1.0]}, ("simulate",),
+         'scenario "x" needs 2 numbers'),
+        ({"matrix": RATIO311_MATRIX, "x": [1.0, 1.0]}, ("rates",),
+         'rates needs scenario "sources"'),
+        # JSON true is not the number 1
+        ({"matrix": RATIO311_MATRIX, "sources": [UNIFORM] * 2,
+          "trials": True}, ("simulate",),
+         "trials must be an integer, got True"),
+        ({"matrix": RATIO311_MATRIX, "sources": [UNIFORM] * 2, "alpha": True},
+         ("simulate", "rates"), "alpha must be a positive finite scale"),
+        ({"matrix": RATIO311_MATRIX,
+          "sources": [dict(UNIFORM, hi=True), UNIFORM]},
+         ("simulate", "rates"), "source parameters must be numbers"),
+        ({"matrix": RATIO311_MATRIX,
+          "sources": [UNIFORM, {"dist": "gaussian", "sigma": True}]},
+         ("simulate", "rates"), "source parameters must be numbers"),
+    ])
+    def test_scenarios(self, scenario, commands, message, capsys, files):
+        sc = files("sc.json", dict(scenario, model="centralized"))
+        for command in commands:
+            assert run(capsys, command, "--scenario", sc) == (
+                1, "", f"error: {message}\n")
 
 
 class TestOutputContract:

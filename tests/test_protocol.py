@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -101,6 +102,17 @@ class TestSourceModel:
             SourceModel.from_json({"dist": "poisson"})
         with pytest.raises(ValueError):
             SourceModel.from_json({"lo": 0, "hi": 1})
+        with pytest.raises(ValueError, match="unknown source kind"):
+            SourceModel(kind="cauchy")
+
+    @pytest.mark.parametrize("source", [
+        {"dist": "uniform", "lo": 0, "hi": True},
+        {"dist": "uniform", "lo": False},
+        {"dist": "gaussian", "mean": 0, "sigma": True}])
+    def test_boolean_parameters_rejected(self, source):
+        # JSON true is not the number 1
+        with pytest.raises(ValueError, match="must be numbers"):
+            SourceModel.from_json(source)
 
     def test_sampling_respects_support(self):
         rng = np.random.Generator(np.random.Philox(key=0))
@@ -146,6 +158,14 @@ class TestRatioTable:
     def test_missing_rational_data(self):
         V = GeneratorMatrix.from_columns([[1, 0], [0.311, 1]])
         with pytest.raises(ProtocolUnsupportedError):
+            build_ratio_table(V)
+
+    def test_float_basis_has_no_table(self):
+        # triangular, but every entry a float: no exact ratio to read
+        V = GeneratorMatrix.from_columns([[1.0, 0.0], [0.5, 0.75]])
+        assert V.is_upper_triangular() and V.rational is None
+        with pytest.raises(ProtocolUnsupportedError,
+                           match="exact rational entries"):
             build_ratio_table(V)
 
     def test_requires_triangular(self):
@@ -720,13 +740,13 @@ class TestCodedStreams:
         # swap the edge counts for another monotone pmf: the streams still
         # decode, because the encoder and the decoder take every count
         # from the same function, and so agree bit for bit
-        original = protocol._CellModel.edges
+        original = protocol._NodeModel.edges
 
         def squared(self, off, j):
             counts = original(self, off, j)
             return np.floor(counts * counts / np.maximum(self.S, 1.0))
 
-        monkeypatch.setattr(protocol._CellModel, "edges", squared)
+        monkeypatch.setattr(protocol._NodeModel, "edges", squared)
         rng = np.random.Generator(np.random.Philox(key=11))
         X = rng.uniform(0.0, 1.0, size=(64, 3))
         (tc, reports), (ti, B, U) = _coded_runs(_rational_tri3(), X,
@@ -752,6 +772,53 @@ class TestCodedStreams:
         for t in (tc, ti):
             assert abs(t.wire_bits / 1000 - bound) <= 0.01 * bound
 
+    # the four scenarios of the protocol benchmark: (columns, alpha, sources)
+    BENCH = {
+        "readme": ([["5/4", 0], [0, "4/5"]], 2.0 ** -10, [UNIFORM] * 2),
+        "ratio311": ([[1, 0], ["311/1000", "101/100"]], 2.0 ** -8,
+                     [UNIFORM] * 2),
+        "tri3": ([[1, 0, 0], ["1/2", "3/4", 0], ["1/3", "-1/5", "5/4"]],
+                 2.0 ** -6, [UNIFORM] * 3),
+        "gaussian": ([[1, 0], ["1/2", "7/8"]], 2.0 ** -10,
+                     [SourceModel.gaussian(0.0, 1.0)] * 2),
+    }
+    # sha256 over repr of every stream's (data, nbits) and every message's
+    # bits, 100 rounds drawn as `simulate` draws them at seed 3
+    CODED = {
+        ("readme", "centralized"):
+            "cf015d61a7f8ebbef015815ff60ff74b825611222963f747a567f1583d0ac564",
+        ("readme", "interactive"):
+            "62edad3e3ecaa0c5a74e53c924f25a905678a24d3afb7062390a2c53885de4b9",
+        ("ratio311", "centralized"):
+            "3d227308cd4a05fad49ea8d99119a790d037aea9618fa89e92583b11fb76c41a",
+        ("ratio311", "interactive"):
+            "a014f90b249a2659398d121ea1922f553c39a00813c6c749d12c1d9f059da480",
+        ("tri3", "centralized"):
+            "d4746a3cfe305b4062b45d0f0329c140d9123d54b86145f6788f5b9485ac1699",
+        ("tri3", "interactive"):
+            "d72b93b0149a628a9046f6801d4ea92074222d1f052913e26f0c38cc803fdad6",
+        ("gaussian", "centralized"):
+            "847dd53412e41a109bc9e7693d25ae1222bf82e5923561d2c467d5570cddcdcd",
+        ("gaussian", "interactive"):
+            "537381e8d96691a168a1f8846a634ac5985348fd917a4795ef460f361f4458a8",
+    }
+
+    @pytest.mark.parametrize("scenario, model", list(CODED))
+    def test_coded_bytes_pinned(self, scenario, model):
+        # the bytes on the wire, not only their length, stay as they were
+        columns, alpha, sources = self.BENCH[scenario]
+        V = GeneratorMatrix.from_columns(columns)
+        rng = np.random.Generator(np.random.Philox(key=3))
+        X = np.column_stack([s.sample(rng, 100) for s in sources])
+        if model == "centralized":
+            _, t = run_centralized(V.scaled(alpha), X, sources)
+        else:
+            _, t = run_interactive(V, X, alpha, sources)
+        text = repr(([(s.data, s.nbits) for s in t.streams],
+                     [m.bits.tolist() for m in t.messages]))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.CODED[scenario, model]
+
     def test_source_count_checked(self, ratio311):
         with pytest.raises(ProtocolError):
             run_centralized(ratio311, [0.1, 0.2], [UNIFORM])
@@ -764,20 +831,13 @@ class TestCodedStreams:
         assert t.wire_bits == int(t.total_bits.sum()) == 2 * 26
 
 
-def _range_code(cums, freqs):
-    """Range-code symbols (cum, freq) out of 2^32 as the encoder does."""
-    C, F = protocol._paired(np.array(cums, dtype=np.int64),
-                            np.array(freqs, dtype=np.int64))
-    return protocol._range_encode(C.tolist(), F.tolist())
-
-
 class TestRangeCoder:
     @given(st.lists(st.tuples(st.integers(1, 2 ** 32 - 1),
                               st.floats(0.0, 1.0)), max_size=300))
     def test_roundtrip_and_length(self, spec):
         freqs = [f for f, _ in spec]
         cums = [int(u * (2 ** 32 - f)) for f, u in spec]
-        stream = _range_code(cums, freqs)
+        stream = protocol._range_encode(cums, freqs)
         info = sum(32 - math.log2(f) for f in freqs)
         assert stream.nbits <= info + 2.0
         dec = protocol._RangeDecoder(stream)
@@ -790,12 +850,35 @@ class TestRangeCoder:
         # carries through runs of 0xFF bytes
         cums = [2 ** 32 - 3] * 200 + [0, 2 ** 32 - 2] * 50
         freqs = [1] * 200 + [2, 1] * 50
-        stream = _range_code(cums, freqs)
+        stream = protocol._range_encode(cums, freqs)
+        dec = protocol._RangeDecoder(stream)
+        for c, f in zip(cums, freqs):
+            assert c <= dec.target() < c + f
+            dec.consume(c, f)
+
+    def test_carry_through_ff_bytes(self, monkeypatch):
+        # seeded symbols near the top of the total, cum = 2^32 - f - d with
+        # f, d < 2^8: a carry finds a sent 0xFF byte, turns it to 0 and
+        # moves on to the byte before
+        rng = np.random.default_rng(42)
+        freqs = rng.integers(1, 256, 300).tolist()
+        cums = [2 ** 32 - f - d for f, d in
+                zip(freqs, rng.integers(0, 256, 300).tolist())]
+        into = []
+        carry = protocol._carry
+
+        def spy(out):
+            into.append(out[-1])
+            carry(out)
+
+        monkeypatch.setattr(protocol, "_carry", spy)
+        stream = protocol._range_encode(cums, freqs)
+        assert 0xFF in into
         dec = protocol._RangeDecoder(stream)
         for c, f in zip(cums, freqs):
             assert c <= dec.target() < c + f
             dec.consume(c, f)
 
     def test_empty_and_free_symbols(self):
-        assert _range_code([], []).nbits == 0
-        assert _range_code([0] * 5, [2 ** 32 - 1] * 5).nbits == 0
+        assert protocol._range_encode([], []).nbits == 0
+        assert protocol._range_encode([0] * 5, [2 ** 32 - 1] * 5).nbits == 0
