@@ -8,6 +8,7 @@ frame of the basis, with side lengths given by the R diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,30 +37,35 @@ def nearest_plane(V: GeneratorMatrix, X, method="auto") -> NearestPlaneResult:
     the coefficients are those of the recursion on V itself, bit for bit.
     method="triangular" additionally requires an upper-triangular V.
     Coefficients must stay below 2^52 in magnitude (see round_half_up).
+    One target runs the level loop on Python floats, a batch on one array
+    per level, with the same results either way.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim not in (1, 2) or X.shape[-1] != V.n:
         raise ValueError("target dimension mismatch")
-    if not np.isfinite(X).all():
+    single = X.ndim == 1
+    x = X.tolist() if single else X
+    if not (all(map(math.isfinite, x)) if single else np.isfinite(X).all()):
         raise ValueError("target must be finite")
     if method not in ("auto", "triangular"):
         raise ValueError(f"unknown method {method!r}")
     if method == "triangular" and not V.is_upper_triangular():
         raise ValueError("triangular method needs an upper-triangular matrix")
-    Q, r = V.qr()
-    X2 = np.atleast_2d(X)
-    # Y holds each target in the QR frame, one per column.  The projection
-    # is accumulated term by term, never through a BLAS product, so a row's
-    # arithmetic does not depend on how many rows the batch has.
-    Y = np.zeros(X2.shape[::-1])
-    for j in range(V.n):
-        Y += Q[j, :, None] * X2[:, j]
-    B = _nearest_plane_levels(r, Y)
-    if X.ndim == 1:
-        b = B[:, 0]
+    # a target enters R's frame as Q[j][i] x_j summed from 0.0 in the order
+    # of j, never through a BLAS product, however it was passed
+    if single:
+        Q, C = V._qr_lists
+        Y = [0.0] * V.n
+        for q, xj in zip(Q, x):
+            Y = [y + qi * xj for y, qi in zip(Y, q)]
+        b = np.array(_nearest_plane_levels(C, Y), dtype=np.int64)
         return NearestPlaneResult(coeffs=b, point=V.matrix @ b.astype(float),
-                                  residuals=Y[:, 0])
-    B = B.T.copy()
+                                  residuals=np.array(Y))
+    Q, R = V.qr()
+    Y = np.zeros(X.shape[::-1])
+    for j in range(V.n):
+        Y += Q[j, :, None] * X[:, j]
+    B = np.column_stack(_nearest_plane_levels(R.T, list(Y)))
     return NearestPlaneResult(coeffs=B, point=B.astype(float) @ V.matrix.T,
                               residuals=Y.T)
 

@@ -11,6 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -231,6 +232,12 @@ class GeneratorMatrix:
                 a.setflags(write=False)
         return self._qr
 
+    @cached_property
+    def _qr_lists(self):
+        """qr() as Python floats: the rows of Q and the columns of R."""
+        Q, R = self.qr()
+        return Q.tolist(), R.T.tolist()
+
     def _search_frame(self):
         """(Q, R, U^T) for the CVP search: W = V U = Q R is an LLL-reduced
         basis of the same lattice, with U unimodular and U^T in int64.
@@ -242,7 +249,7 @@ class GeneratorMatrix:
         """
         if self._frame is None:
             Q, R = self.qr()
-            Ut = _lll_triangular(R.tolist())
+            Ut = _lll_triangular(self._qr_lists[1])
             if Ut is None:
                 self._frame = Q, R, np.eye(self.n, dtype=np.int64)
             else:
@@ -276,6 +283,9 @@ def round_half_up(z):
     to at least 1/2; so a value just below a tie is never misrounded.
     Non-finite values and |z| >= 2^52 raise ValueError.
     """
+    if isinstance(z, (int, float)) and abs(z) < ROUND_LIMIT:  # np.float64 too
+        fl = math.floor(z)
+        return fl + 1 if z - fl >= 0.5 else fl
     a = np.asarray(z, dtype=float)
     ok = np.abs(a) < ROUND_LIMIT  # False for nan and inf too
     if np.count_nonzero(ok) < a.size:
@@ -405,7 +415,7 @@ def _positive_diagonal(Q, R):
 
 def _lll_triangular(R):
     """LLL reduction (Lovasz constant _LLL_DELTA) of the columns of an upper
-    triangular R with a positive diagonal, given as nested lists.
+    triangular R with a positive diagonal, given as lists of its columns.
 
     Returns U^T in int64 for the unimodular U that reduces R U; or None
     where U = I, or where U and U^-1 are so large that the CVP search could
@@ -418,7 +428,7 @@ def _lll_triangular(R):
     lattice.
     """
     n = len(R)
-    b = [list(col) for col in zip(*R)]  # columns of the reduced R
+    b = [col[:] for col in R]  # columns of the reduced R
     u = [[0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]  # columns of U
     ui = [col[:] for col in u]  # rows of U^-1
     changed = False
@@ -468,19 +478,20 @@ def _lll_triangular(R):
     return np.array(u, dtype=np.int64)
 
 
-def _nearest_plane_levels(R, Y):
-    """Nearest-plane recursion on the upper-triangular R, level-major: each
-    column of Y (shape (n, k)) is one target in R's frame.  Returns the
-    int64 coefficients (shape (n, k)) and leaves in Y[i] level i's real
-    coefficient just before it was rounded.  Every operation is
-    elementwise, so a target's arithmetic does not depend on k."""
-    B = np.empty(Y.shape, dtype=np.int64)
-    for i in range(len(R) - 1, -1, -1):
-        y = Y[i]
-        y /= R[i, i]
-        b = B[i] = round_half_up(y)
-        if i:
-            Y[:i] -= R[:i, i, None] * b
+def _nearest_plane_levels(C, Y):
+    """Nearest-plane recursion on the upper-triangular R with columns C.
+    Y[i] is level i, in R's frame, of one target (a float; C as lists) or
+    of a batch (a 1-D array, updated in place; C a numpy array).  Returns
+    the coefficients per level and leaves in Y[i] level i's real
+    coefficient just before it was rounded.  Every entry takes the same
+    float operations in the same order whatever its form or batch."""
+    B = [0] * len(Y)
+    for i in range(len(Y) - 1, -1, -1):
+        c = C[i]
+        Y[i] /= c[i]
+        b = B[i] = round_half_up(Y[i])
+        for j in range(i):
+            Y[j] -= c[j] * b
     return B
 
 
@@ -571,7 +582,7 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
     C0 = round_half_up(X @ V.inverse().T)
     R0 = X - C0.astype(float) @ V.matrix.T
     Y = Q.T @ R0.T
-    B = _nearest_plane_levels(R, Y)
+    B = np.array(_nearest_plane_levels(R.T, list(Y)))
     Z = Y - B
     D0 = B.T @ Ut
     best_u = C0 + D0

@@ -290,6 +290,8 @@ _BOT = 1 << (_PAIR_BITS + 32)
 _WINDOW_MAX = 1 << 24
 # an escaped symbol's varint bytes are coded as uniform symbols
 _BYTE_COUNT = _CODE_TOTAL >> 8
+# symbols that the decoder's search reads per call of `edges`
+_DECODE_FANOUT = 64
 # adds 0 and 1 to an array of symbols: the lower and upper edges of a cell
 _NEXT = np.array([[0.0], [1.0]])
 
@@ -464,9 +466,6 @@ class _NodeModel:
         dec = _RangeDecoder(stream)
         symbols = []
         for o, first in zip(off.tolist(), self.first(off).tolist()):
-            def cum(i):
-                return int(self.edges(o, np.array([first + i]))[0]) + 2 * i
-
             t = dec.target()
             if t >= self.escape:  # the escape, then the varint bytes
                 dec.consume(self.escape, _CODE_TOTAL - self.escape)
@@ -477,12 +476,16 @@ class _NodeModel:
                     extra.append(byte)
                 symbols.append(int(first) + varint_decode(extra)[0])
                 continue
-            lo, hi = 0, self.W  # cum(lo) <= t < cum(hi)
+            # cum(i) = edges(first + i) + 2 i; keep cum(lo) <= t < cum(hi),
+            # probing up to _DECODE_FANOUT + 1 symbols from lo to hi at once
+            lo, hi = 0, self.W
             while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if cum(mid) <= t else (lo, mid)
-            c = cum(lo)
-            dec.consume(c, cum(lo + 1) - c)
+                step = -(-(hi - lo) // _DECODE_FANOUT)
+                i = np.minimum(np.arange(lo, hi + step, step), hi)
+                cum = self.edges(o, first + i) + 2.0 * i
+                p = int(cum.searchsorted(t, "right")) - 1
+                lo, hi = int(i[p]), int(i[p + 1])
+            dec.consume(int(cum[p]), int(cum[p + 1] - cum[p]))
             symbols.append(int(first) + lo)
         return symbols
 

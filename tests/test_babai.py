@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcomm import (
+    MAX_CVP_DIM,
     GeneratorMatrix,
     babai_cell,
     cvp_bruteforce_batch,
@@ -25,6 +27,45 @@ def _random_basis(rng, n, rotated=True):
     if not rotated:
         return GeneratorMatrix(r * rng.choice([-1.0, 1.0], size=n)[:, None])
     return GeneratorMatrix(q @ r)
+
+
+def _tie_basis(rng, n):
+    """An upper-triangular basis with entries k/8 (diagonal of either sign)
+    and targets whose every level is an exact half-integer tie."""
+    M = np.triu(rng.integers(-24, 25, size=(n, n)) / 8.0)
+    M[np.diag_indices(n)] = (rng.integers(1, 25, size=n) / 8.0
+                             * rng.choice([-1.0, 1.0], size=n))
+    X = np.zeros((6, n))
+    for x in X:
+        b = np.zeros(n)
+        for i in range(n - 1, -1, -1):
+            t = rng.integers(-6, 7) + 0.5
+            b[i] = t + 0.5
+            x[i] = t * M[i, i] + M[i, i + 1:] @ b[i + 1:]
+    return M, X
+
+
+def _one_loop_corpus(rotated):
+    """Seeded (basis, targets) pairs for n = 1..MAX_CVP_DIM: upper-triangular
+    bases with diagonal entries of either sign (rotated ones if `rotated`)
+    at scales 1, 1e-100 and 1e100 (nearer 1 where |det| would leave the
+    float range), and bases whose targets tie at every level, at scales
+    1 and 2^-+300 (likewise).  Every batch starts with targets of +0.0,
+    -0.0 and mixed signed zeros."""
+    rng = np.random.default_rng(15)
+    for n in range(1, MAX_CVP_DIM + 1):
+        e, k = min(100, 290 // n), min(300, 900 // n)
+        zeros = np.zeros((3, n))
+        zeros[1], zeros[2, ::2] = -0.0, -0.0
+        for scale in (1.0, 10.0 ** -e, 10.0 ** e):
+            M = _random_basis(rng, n, rotated).matrix * scale
+            yield M, np.vstack([zeros, rng.uniform(-4, 4, size=(12, n)) * scale])
+        M, X = _tie_basis(rng, n)
+        if rotated:
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            M, X = Q @ M, X @ Q.T
+        for scale in (1.0, 2.0 ** -k, 2.0 ** k):
+            yield M * scale, np.vstack([zeros, X * scale])
 
 
 class TestNearestPlane:
@@ -50,6 +91,16 @@ class TestNearestPlane:
     def test_ties_round_up_in_recursion(self):
         V = GeneratorMatrix.from_columns([[2, 0], [0, 2]])
         assert tuple(nearest_plane(V, [1.0, -1.0]).coeffs) == (1, 0)
+        rng = np.random.default_rng(4)
+        for n in range(1, MAX_CVP_DIM + 1):
+            M, X = _tie_basis(rng, n)
+            V = GeneratorMatrix(M)
+            res = nearest_plane(V, X)
+            # every real coefficient was a tie k + 1/2, rounded up
+            assert np.all(res.residuals % 1.0 == 0.5)
+            assert np.array_equal(res.coeffs, res.residuals + 0.5)
+            for x, b in zip(X, res.coeffs):
+                assert np.array_equal(nearest_plane(V, x).coeffs, b)
 
     def test_rotation_invariant(self, ratio311):
         rng = np.random.default_rng(0)
@@ -89,10 +140,35 @@ class TestNearestPlane:
         with pytest.raises(ValueError, match="2\\*\\*52"):
             nearest_plane(hexagonal, [[0.0, 0.0], [1e20, 3e19]])
 
+    def test_lower_level_beyond_2_52(self):
+        # the top level rounds; level 0 then leaves the exact range
+        V = GeneratorMatrix.from_columns([[2, 0], [0, 4]])
+        msg = "cannot round 1.5e+20: need a finite |z| < 2**52"
+        with pytest.raises(ValueError) as single:
+            nearest_plane(V, [3e20, 1.0])
+        assert str(single.value) == msg
+        with pytest.raises(ValueError) as batch:
+            nearest_plane(V, [[0.0, 0.0], [3e20, 1.0]])
+        assert str(batch.value) == msg
+        # levels are rounded from the top: a later row's failure at level 1
+        # is reported before an earlier row's at level 0
+        with pytest.raises(ValueError) as batch:
+            nearest_plane(V, [[3e20, 1.0], [1.0, -8e20]])
+        assert str(batch.value) == "cannot round -2e+20: need a finite |z| < 2**52"
+        # through an off-diagonal entry: level 0 is (x_0 - v_01 b_1) / v_00
+        V = GeneratorMatrix.from_columns([[1e-6, 0], [1, 1]])
+        msg = f"cannot round {(0.0 - 1e15) / 1e-6!r}: need a finite |z| < 2**52"
+        for X in ([0.0, 1e15], [[0.0, 1e15], [0.0, 0.0]]):
+            with pytest.raises(ValueError) as err:
+                nearest_plane(V, X)
+            assert str(err.value) == msg
+
     def test_non_finite_target_rejected(self, hexagonal):
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="target must be finite"):
-                nearest_plane(hexagonal, [0.5, bad])
+            for X in ([0.5, bad], np.array([bad, 0.5]),
+                      [[0.0, 0.0], [0.5, bad]]):
+                with pytest.raises(ValueError, match="target must be finite"):
+                    nearest_plane(hexagonal, X)
 
     def test_batch_shape(self, hexagonal):
         res = nearest_plane(hexagonal, np.zeros((0, 2)))
@@ -147,7 +223,8 @@ def _dyadic_case(draw):
 
 
 class TestKernel:
-    """The single batched recursion against independent references."""
+    """The one level loop against independent references, and one target
+    against a batch."""
 
     @given(_dyadic_case())
     @settings(max_examples=300)
@@ -170,22 +247,41 @@ class TestKernel:
                 assert run_interactive(V, x, alpha)[0].tolist() == e
 
     def test_batch_rows_equal_single_calls(self):
-        rng = np.random.default_rng(21)
-        for n in range(2, 7):
-            for rotated in (False, True):
-                for _ in range(10):
-                    V = _random_basis(rng, n, rotated=rotated)
-                    X = rng.uniform(-4, 4, size=(int(rng.integers(1, 40)), n))
-                    batch = nearest_plane(V, X)
-                    for k, x in enumerate(X):
-                        single = nearest_plane(V, x)
-                        assert np.array_equal(batch.coeffs[k], single.coeffs)
-                        assert np.array_equal(batch.residuals[k],
-                                              single.residuals)
-                        # points go through BLAS, whose summation order may
-                        # depend on the shape
-                        assert batch.point[k] == pytest.approx(
-                            single.point, rel=1e-12, abs=1e-12)
+        # one target runs the level loop on Python floats, a batch on
+        # arrays: each row comes out byte for byte the same (tobytes, not
+        # array_equal, which would let -0.0 pass for 0.0)
+        for rotated in (False, True):
+            for M, X in _one_loop_corpus(rotated):
+                V = GeneratorMatrix(M)
+                batch = nearest_plane(V, X)
+                assert batch.coeffs.dtype == np.int64
+                for k, x in enumerate(X):
+                    single = nearest_plane(V, x)
+                    assert single.coeffs.dtype == np.int64
+                    assert single.coeffs.tobytes() == batch.coeffs[k].tobytes()
+                    assert (single.residuals.tobytes()
+                            == batch.residuals[k].tobytes())
+                    # points go through BLAS, whose summation order may
+                    # depend on the shape
+                    assert batch.point[k] == pytest.approx(
+                        single.point, rel=1e-12, abs=1e-12 * np.abs(M).max())
+                one = nearest_plane(V, X[-1:])
+                assert one.coeffs.tobytes() == batch.coeffs[-1].tobytes()
+
+    # sha256 over the coefficient and residual bytes of every batch and of
+    # every single target of the unrotated corpus (no LAPACK factorization
+    # is involved, so the bytes do not depend on the machine); computed
+    # with the vectorised level loop that preceded the row-list one
+    PINNED = "ae5ec59a9aeb8d84aedd1aceccb41bc023a58c7d5e8d499877796794d8619a34"
+
+    def test_outputs_pinned(self):
+        h = hashlib.sha256()
+        for M, X in _one_loop_corpus(rotated=False):
+            V = GeneratorMatrix(M)
+            for res in [nearest_plane(V, X)] + [nearest_plane(V, x) for x in X]:
+                h.update(res.coeffs.tobytes())
+                h.update(res.residuals.tobytes())
+        assert h.hexdigest() == self.PINNED
 
 
 class TestSuboptimality:

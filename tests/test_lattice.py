@@ -61,6 +61,21 @@ class TestRoundHalfUp:
         assert r.dtype == np.int64 and r.tolist() == [[1, 0], [-1, 2]]
         assert isinstance(round_half_up(np.float64(2.5)), int)
 
+    def test_scalar_types(self):
+        # floats, numpy floats, -0.0 and ints all come back as Python ints
+        for z, expected in ((2.5, 3), (np.float64(-2.5), -2), (-0.0, 0),
+                            (np.float64(-0.0), 0), (7, 7), (-(2 ** 52 - 1),
+                                                           -(2 ** 52 - 1))):
+            r = round_half_up(z)
+            assert type(r) is int and r == expected
+        for bad in (math.nan, math.inf, -math.inf, np.float64(math.nan),
+                    np.float64(-math.inf), 2 ** 52, -(2 ** 60)):
+            with pytest.raises(ValueError, match="cannot round"):
+                round_half_up(bad)
+        with pytest.raises(ValueError) as err:
+            round_half_up(math.inf)
+        assert str(err.value) == "cannot round inf: need a finite |z| < 2**52"
+
     @given(st.floats(min_value=-(2.0 ** 52), max_value=2.0 ** 52,
                      exclude_min=True, exclude_max=True))
     @example(2.0 ** 52 - 0.5)  # the largest ties
