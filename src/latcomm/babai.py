@@ -8,12 +8,11 @@ frame of the basis, with side lengths given by the R diagonal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import GeneratorMatrix, _nearest_plane_levels
+from .lattice import GeneratorMatrix, _nearest_plane_levels, _target_values
 
 
 @dataclass(frozen=True)
@@ -37,37 +36,24 @@ def nearest_plane(V: GeneratorMatrix, X, method="auto") -> NearestPlaneResult:
     the coefficients are those of the recursion on V itself, bit for bit.
     method="triangular" additionally requires an upper-triangular V.
     Coefficients must stay below 2^52 in magnitude (see round_half_up).
-    One target runs the level loop on Python floats, a batch on one array
-    per level, with the same results either way.
+    One target and a batch take the same path, on per-coordinate values
+    that are floats for one target and columns for a batch.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim not in (1, 2) or X.shape[-1] != V.n:
-        raise ValueError("target dimension mismatch")
-    single = X.ndim == 1
-    x = X.tolist() if single else X
-    if not (all(map(math.isfinite, x)) if single else np.isfinite(X).all()):
-        raise ValueError("target must be finite")
+    _, x = _target_values(V, X)
     if method not in ("auto", "triangular"):
         raise ValueError(f"unknown method {method!r}")
     if method == "triangular" and not V.is_upper_triangular():
         raise ValueError("triangular method needs an upper-triangular matrix")
     # a target enters R's frame as Q[j][i] x_j summed from 0.0 in the order
     # of j, never through a BLAS product, however it was passed
-    if single:
-        Q, C = V._qr_lists
-        Y = [0.0] * V.n
-        for q, xj in zip(Q, x):
-            Y = [y + qi * xj for y, qi in zip(Y, q)]
-        b = np.array(_nearest_plane_levels(C, Y), dtype=np.int64)
-        return NearestPlaneResult(coeffs=b, point=V.matrix @ b.astype(float),
-                                  residuals=np.array(Y))
-    Q, R = V.qr()
-    Y = np.zeros(X.shape[::-1])
-    for j in range(V.n):
-        Y += Q[j, :, None] * X[:, j]
-    B = np.column_stack(_nearest_plane_levels(R.T, list(Y)))
-    return NearestPlaneResult(coeffs=B, point=B.astype(float) @ V.matrix.T,
-                              residuals=Y.T)
+    Q, C = V._qr_lists
+    Y = [0.0] * V.n
+    for q, xj in zip(Q, x):
+        Y = [y + qi * xj for y, qi in zip(Y, q)]
+    coeffs = np.array(_nearest_plane_levels(C, Y), dtype=np.int64).T
+    return NearestPlaneResult(coeffs=coeffs,
+                              point=coeffs.astype(float) @ V.matrix.T,
+                              residuals=np.array(Y).T)
 
 
 @dataclass(frozen=True)

@@ -144,9 +144,12 @@ def _cmd_perror(args) -> str:
     if V.n == 2:
         rb, _, _ = canonicalize_2d(V)
         report.update(a=rb.a, b=rb.b)
+    elif args.method == "analytic":
+        raise ValueError("analytic P_e needs a 2D basis")
+    elif args.method == "mc" and args.format == "csv":
+        # before sampling; the area method raises its own error
+        raise ValueError("CSV P_e output needs a 2D basis")
     if args.method == "analytic":
-        if V.n != 2:
-            raise ValueError("analytic P_e needs a 2D basis")
         report["pe"] = analytic_pe(rb.a, rb.b)
     elif args.method == "area":
         report["pe"] = exact_pe_area(V)
@@ -155,8 +158,6 @@ def _cmd_perror(args) -> str:
         report.update(pe=est.estimate, std_error=est.std_error,
                       n_samples=est.n_samples, seed=est.seed)
     if args.format == "csv":
-        if V.n != 2:
-            raise ValueError("CSV P_e output needs a 2D basis")
         row = dict.fromkeys(_PE_HEADER)
         row.update(zip(("a", "b") + _PE_COLUMNS[args.method],
                        (rb.a, rb.b, report["pe"], report.get("std_error"))))

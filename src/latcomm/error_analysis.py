@@ -295,7 +295,7 @@ def analytic_pe(a: float, b: float) -> float:
     """Closed-form error probability F(a, b) = (a - a^2) / (4 b^2) for the
     canonical reduced basis {(1,0),(a,b)}."""
     rb = ReducedBasis2D(a, b)  # domain check
-    return (rb.a - rb.a ** 2) / (4.0 * rb.b ** 2)
+    return (rb.a - rb.a * rb.a) / (4.0 * rb.b * rb.b)
 
 
 def analytic_pe_polar(theta: float, rho: float) -> float:

@@ -380,9 +380,9 @@ class ReducedBasis2D:
 
     def __post_init__(self):
         _require(0.0 <= self.a <= 0.5, ValueError, f"a out of range: {self.a}")
-        _require(self.b >= math.sqrt(3) / 2 - 1e-12, ValueError,
+        _require(math.sqrt(3) / 2 - 1e-12 <= self.b < math.inf, ValueError,
                  f"b out of range: {self.b}")
-        _require(self.a ** 2 + self.b ** 2 >= 1 - 1e-12, ValueError,
+        _require(self.a * self.a + self.b * self.b >= 1 - 1e-12, ValueError,
                  f"(a,b) inside the unit circle: ({self.a}, {self.b})")
 
     def matrix(self) -> GeneratorMatrix:
@@ -478,13 +478,26 @@ def _lll_triangular(R):
     return np.array(u, dtype=np.int64)
 
 
+def _target_values(V: GeneratorMatrix, X):
+    """X checked as one target (shape (n,)) or a batch (shape (k, n)): the
+    float array, and its values per coordinate, floats for one target and
+    columns for a batch."""
+    X = np.asarray(X, dtype=float)
+    _require(X.ndim in (1, 2) and X.shape[-1] == V.n, ValueError,
+             "target dimension mismatch")
+    x = X.tolist() if X.ndim == 1 else list(X.T)
+    _require(all(map(math.isfinite, x)) if X.ndim == 1
+             else np.isfinite(X).all(), ValueError, "target must be finite")
+    return X, x
+
+
 def _nearest_plane_levels(C, Y):
-    """Nearest-plane recursion on the upper-triangular R with columns C.
-    Y[i] is level i, in R's frame, of one target (a float; C as lists) or
-    of a batch (a 1-D array, updated in place; C a numpy array).  Returns
-    the coefficients per level and leaves in Y[i] level i's real
-    coefficient just before it was rounded.  Every entry takes the same
-    float operations in the same order whatever its form or batch."""
+    """Nearest-plane recursion on the upper-triangular R whose columns are
+    the lists C.  Y[i] is level i, in R's frame, of the targets: a float for
+    one target, a 1-D array for a batch, updated in place.  Returns the
+    coefficients per level and leaves in Y[i] level i's real coefficient
+    just before it was rounded.  Every target takes the same float
+    operations in the same order, alone or in a batch."""
     B = [0] * len(Y)
     for i in range(len(Y) - 1, -1, -1):
         c = C[i]
@@ -571,18 +584,15 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
     """
     _require(V.n <= MAX_CVP_DIM, UnsupportedDimensionError,
              f"exhaustive CVP supports n <= {MAX_CVP_DIM}")
-    X = np.asarray(X, dtype=float)
-    _require(X.ndim in (1, 2) and X.shape[-1] == V.n, ValueError,
-             "target dimension mismatch")
+    X, _ = _target_values(V, X)
     single = X.ndim == 1
     X = np.atleast_2d(X)
-    _require(np.isfinite(X).all(), ValueError, "target must be finite")
     Q, R, Ut = V._search_frame()
     diag = R.diagonal()
     C0 = round_half_up(X @ V.inverse().T)
     R0 = X - C0.astype(float) @ V.matrix.T
     Y = Q.T @ R0.T
-    B = np.array(_nearest_plane_levels(R.T, list(Y)))
+    B = np.array(_nearest_plane_levels(R.T.tolist(), list(Y)))
     Z = Y - B
     D0 = B.T @ Ut
     best_u = C0 + D0

@@ -23,7 +23,6 @@ so typical small coefficients cost one byte.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -490,15 +489,11 @@ class _NodeModel:
         return symbols
 
 
-# one node's model: per-basis set-up, built once for each node in use
-_node_model = functools.lru_cache(maxsize=64)(_NodeModel)
-
-
 def _node_models(sources, a, q) -> list:
     """The model of each node, for diagonal entries a and grid steps q."""
     if len(sources) != len(a):
         raise ProtocolError("one source per coordinate required")
-    return list(map(_node_model, sources, a, q))
+    return list(map(_NodeModel, sources, a, q))
 
 
 def _offsets(M, U) -> np.ndarray:

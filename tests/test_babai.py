@@ -247,26 +247,33 @@ class TestKernel:
                 assert run_interactive(V, x, alpha)[0].tolist() == e
 
     def test_batch_rows_equal_single_calls(self):
-        # one target runs the level loop on Python floats, a batch on
-        # arrays: each row comes out byte for byte the same (tobytes, not
-        # array_equal, which would let -0.0 pass for 0.0)
+        # one target walks its coordinates as Python floats, a batch as
+        # columns of X (views, in whatever layout X has): each row comes out
+        # byte for byte the same (tobytes, not array_equal, which would let
+        # -0.0 pass for 0.0), Fortran-ordered, strided and reversed alike
         for rotated in (False, True):
             for M, X in _one_loop_corpus(rotated):
                 V = GeneratorMatrix(M)
-                batch = nearest_plane(V, X)
-                assert batch.coeffs.dtype == np.int64
-                for k, x in enumerate(X):
-                    single = nearest_plane(V, x)
-                    assert single.coeffs.dtype == np.int64
-                    assert single.coeffs.tobytes() == batch.coeffs[k].tobytes()
-                    assert (single.residuals.tobytes()
-                            == batch.residuals[k].tobytes())
-                    # points go through BLAS, whose summation order may
-                    # depend on the shape
-                    assert batch.point[k] == pytest.approx(
-                        single.point, rel=1e-12, abs=1e-12 * np.abs(M).max())
-                one = nearest_plane(V, X[-1:])
-                assert one.coeffs.tobytes() == batch.coeffs[-1].tobytes()
+                for Xs in (X, np.asfortranarray(X), X[::2], X[:, ::-1],
+                           X[:, ::-1].copy(), X[-1:]):
+                    batch = nearest_plane(V, Xs)
+                    assert batch.coeffs.dtype == np.int64
+                    for k, x in enumerate(Xs):
+                        single = nearest_plane(V, x)
+                        assert single.coeffs.dtype == np.int64
+                        assert (single.coeffs.tobytes()
+                                == batch.coeffs[k].tobytes())
+                        assert (single.residuals.tobytes()
+                                == batch.residuals[k].tobytes())
+                        # points go through BLAS, whose summation order may
+                        # depend on the shape
+                        assert batch.point[k] == pytest.approx(
+                            single.point, rel=1e-12,
+                            abs=1e-12 * np.abs(M).max())
+                none = nearest_plane(V, X[:0])
+                assert none.coeffs.dtype == np.int64
+                assert (none.coeffs.shape == none.residuals.shape
+                        == none.point.shape == (0, V.n))
 
     # sha256 over the coefficient and residual bytes of every batch and of
     # every single target of the unrotated corpus (no LAPACK factorization

@@ -283,6 +283,16 @@ class TestLevelcurves:
         code, _, err = run(capsys, "levelcurves", "--k", "0.2")
         assert code == 1 and err.startswith("error:")
 
+    def test_subnormal_level_drops_infinite_b(self, capsys):
+        # b = sqrt((a - a^2) / 4k) overflows near a = 1/2; those points lie
+        # outside the region and are dropped, with no warning on the way
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "levelcurves", "--k", "1e-310")
+        assert (code, err, caught) == (0, "", [])
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert rows and all(math.isfinite(float(r[1])) for r in rows)
+
     @pytest.mark.parametrize("argv, message", [
         (["--k", "0", "--grid", "0"], "--grid must be at least 1"),
         (["--k", "0.01", "--grid", "0"], "--grid must be at least 1"),
@@ -588,12 +598,20 @@ class TestOneLineErrors:
     def test_arguments(self, argv, message, capsys):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
-    def test_csv_needs_a_2d_basis(self, capsys, files):
+    def test_csv_needs_a_2d_basis(self, capsys, files, monkeypatch):
+        # refused before any sampling, each method with its own message
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the dimension check")
+
+        monkeypatch.setattr(latcomm.cli, "monte_carlo_pe", no_sampling)
         m = files("m.json", {"n": 3, "columns": [[1, 0, 0], [0, 1, 0],
                                                  [0, 0, 1]]})
-        assert run(capsys, "perror", "--matrix", m, "--method", "mc",
-                   "--samples", "100", "--format", "csv") == (
-            1, "", "error: CSV P_e output needs a 2D basis\n")
+        for method, message in [("mc", "CSV P_e output needs a 2D basis"),
+                                ("analytic", "analytic P_e needs a 2D basis"),
+                                ("area", "area computation needs n = 2")]:
+            assert run(capsys, "perror", "--matrix", m, "--method", method,
+                       "--samples", "100", "--format", "csv") == (
+                1, "", f"error: {message}\n")
 
     def test_matrix_entry_must_be_a_number(self, capsys, files):
         m = files("m.json", {"n": 2, "columns": [[1, 0], [[1], 1]]})
@@ -742,7 +760,8 @@ class TestOutputContract:
 
 class TestMagnitudeDomain:
     """Every command either works or fails with one `error:` line at every
-    scale, with no numpy warning; 2D bases work from 1e-150 to 1e150."""
+    scale, with no numpy warning; 2D bases work from 1e-150 to 1e150, and
+    so does diag(10^-k, 10^k), whose canonical b is 10^(2|k|)."""
 
     # (1,0),(0.3,1.1), unimodularly mixed and rotated by 0.7 rad
     B2 = np.array([[1.0504975747928633, 0.2856553875083749],
@@ -751,12 +770,13 @@ class TestMagnitudeDomain:
 
     @pytest.mark.parametrize("k", range(-160, 161, 5))
     def test_scale_scan(self, k, capsys, files):
-        for B in (self.B2, self.B3):
-            M = B * 10.0 ** k
+        for M in (self.B2 * 10.0 ** k, self.B3 * 10.0 ** k,
+                  np.diag([10.0 ** -k, 10.0 ** k])):
             m = files("m.json", {"n": len(M), "columns": M.T.tolist()})
             x = ",".join(repr(float(v)) for v in M @ np.full(len(M), 0.37))
             for argv in (["perror", "--method", "mc", "--samples", "300"],
                          ["perror", "--method", "area"],
+                         ["perror", "--method", "analytic"],
                          ["babai", "--x=" + x], ["cvp", "--x=" + x],
                          ["reduce"]):
                 with warnings.catch_warnings(record=True) as caught:

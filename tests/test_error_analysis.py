@@ -56,7 +56,9 @@ class TestAnalyticPe:
         assert analytic_pe(0.3, 1.0) == pytest.approx(0.0525, abs=1e-12)
 
     def test_domain_enforced(self):
-        for a, b in [(-0.1, 1.0), (0.6, 1.0), (0.5, 0.5), (0.1, 0.9)]:
+        inf, nan = math.inf, math.nan
+        for a, b in [(-0.1, 1.0), (0.6, 1.0), (0.5, 0.5), (0.1, 0.9),
+                     (0.25, inf), (0.25, nan), (nan, 1.0), (inf, inf)]:
             with pytest.raises(ValueError):
                 analytic_pe(a, b)
 
