@@ -8,7 +8,8 @@ frame of the basis, with side lengths given by the R diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,11 +20,24 @@ from .lattice import GeneratorMatrix, _nearest_plane_levels, _target_values
 class NearestPlaneResult:
     """coeffs / point: the chosen lattice vector; residuals[i] is the real
     coefficient at level i immediately before it was rounded.  For a batch
-    of targets each field holds one row per target."""
+    of targets each holds one row per target.
+
+    point (coeffs mapped through the generator `matrix`) and residuals
+    (stacked from `levels`, one float or column per level) are computed on
+    first access and cached, so a caller that reads only coeffs does not
+    pay for them."""
 
     coeffs: np.ndarray
-    point: np.ndarray
-    residuals: np.ndarray
+    matrix: np.ndarray = field(repr=False)
+    levels: list = field(repr=False)
+
+    @cached_property
+    def point(self) -> np.ndarray:
+        return self.coeffs.astype(float) @ self.matrix.T
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        return np.array(self.levels).T
 
 
 def nearest_plane(V: GeneratorMatrix, X, method="auto") -> NearestPlaneResult:
@@ -45,15 +59,15 @@ def nearest_plane(V: GeneratorMatrix, X, method="auto") -> NearestPlaneResult:
     if method == "triangular" and not V.is_upper_triangular():
         raise ValueError("triangular method needs an upper-triangular matrix")
     # a target enters R's frame as Q[j][i] x_j summed from 0.0 in the order
-    # of j, never through a BLAS product, however it was passed
+    # of j, never through a BLAS product, however it was passed.  A sum
+    # from 0.0 is never -0.0, so the term +-0.0 of a zero Q[j][i] leaves it
+    # as it is, and is skipped: a triangular V's Q = I costs n products.
     Q, C = V._qr_lists
     Y = [0.0] * V.n
     for q, xj in zip(Q, x):
-        Y = [y + qi * xj for y, qi in zip(Y, q)]
+        Y = [y + qi * xj if qi else y for y, qi in zip(Y, q)]
     coeffs = np.array(_nearest_plane_levels(C, Y), dtype=np.int64).T
-    return NearestPlaneResult(coeffs=coeffs,
-                              point=coeffs.astype(float) @ V.matrix.T,
-                              residuals=np.array(Y).T)
+    return NearestPlaneResult(coeffs=coeffs, matrix=V.matrix, levels=Y)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from .protocol import (
     ProtocolError,
     ProtocolUnsupportedError,
     SourceModel,
+    _left_sum,
     build_ratio_table,
     centralized_rate_bound,
     interactive_rate,
@@ -259,7 +260,7 @@ def _cmd_simulate(args) -> str:
             reference = None
         entropies = [empirical_entropy(B[:, i]) for i in range(V.n)]
         summary["empirical_entropy_bits"] = entropies
-        summary["empirical_rate_bits"] = (V.n - 1) * sum(entropies)
+        summary["empirical_rate_bits"] = (V.n - 1) * _left_sum(entropies)
         summary["analytic_rate_bound"] = (
             interactive_rate(sources, V, alpha)
             if sources is not None else None)

@@ -295,7 +295,10 @@ def analytic_pe(a: float, b: float) -> float:
     """Closed-form error probability F(a, b) = (a - a^2) / (4 b^2) for the
     canonical reduced basis {(1,0),(a,b)}."""
     rb = ReducedBasis2D(a, b)  # domain check
-    return (rb.a - rb.a * rb.a) / (4.0 * rb.b * rb.b)
+    num, den = rb.a - rb.a * rb.a, 4.0 * rb.b * rb.b
+    if math.isinf(den):  # b above about 6.7e153: divide by 4b, then by b
+        return num / (4.0 * rb.b) / rb.b
+    return num / den
 
 
 def analytic_pe_polar(theta: float, rho: float) -> float:

@@ -504,7 +504,8 @@ def _nearest_plane_levels(C, Y):
         Y[i] /= c[i]
         b = B[i] = round_half_up(Y[i])
         for j in range(i):
-            Y[j] -= c[j] * b
+            if c[j]:  # a zero entry's +-0.0 leaves Y[j] (never -0.0) as is
+                Y[j] -= c[j] * b
     return B
 
 
@@ -600,7 +601,12 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
     h = _CVP_SLACK * (1.0 + (np.abs(Q).T @ np.abs(R0).T
                              + np.abs(np.triu(R, 1)) @ np.abs(B)) / diag[:, None])
     A = np.abs(Z) + h
-    P = np.cumsum((diag[:, None] * A) ** 2, axis=0)
+    # the prefix sums over levels, one in-place row add per level: the same
+    # additions, in the same order, as a cumsum along axis 0, which numpy
+    # runs one column at a time
+    P = (diag[:, None] * A) ** 2
+    for i in range(1, len(P)):
+        P[i] += P[i - 1]
     # along the start path, the search spawns a second child at level i
     # only where |z_i| + h_i + sqrt(P_i) / R_ii reaches the next integer;
     # where no level does, the start is the only leaf and the answer

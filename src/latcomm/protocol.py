@@ -24,7 +24,9 @@ so typical small coefficients cost one byte.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -71,14 +73,27 @@ def varint_decode(data: bytes, offset: int = 0):
     return value, offset
 
 
+# a zigzag value takes 1 + j 7-bit groups where it is at least 2^(7j)
+_VARINT_STEPS = np.array([1 << 7 * j for j in range(1, 10)], dtype=np.uint64)
+
+
 def varint_bits(value):
-    """Length in bits of varint_encode(value), from the zigzag value's
-    count of 7-bit groups.  Takes an integer (returns an int) or an int64
-    array (returns an int64 array of the same shape)."""
+    """Length in bits of varint_encode(value): 8 bits per 7-bit group of
+    the zigzag value, the groups counted by one search of the thresholds
+    2^7, ..., 2^63.  Takes an integer (returns an int) or an int64 array
+    (returns an int64 array of the same shape)."""
     v = np.asarray(value, dtype=np.int64)
     zz = ((v << 1) ^ (v >> 63)).view(np.uint64)  # zigzag, exact for int64
-    bits = 8 * (1 + sum(zz >> np.uint64(7 * j) != 0 for j in range(1, 10)))
+    bits = 8 * (1 + _VARINT_STEPS.searchsorted(zz, "right"))
     return int(bits) if v.ndim == 0 else bits
+
+
+def _left_sum(values):
+    """sum(values) added left to right from 0, one rounding per addition.
+    From Python 3.12 the builtin sum() compensates float rounding, so the
+    float sums that `simulate` and `rates` print go through this one, and
+    print the same bits on every Python version."""
+    return reduce(operator.add, values, 0)
 
 
 # a gaussian source's coding window spans mean +- 8 sigma; P(|z| > 8) is
@@ -184,7 +199,7 @@ class RatioTable:
     @property
     def side_info_bound_bits(self) -> float:
         """sum_m log2 q_m, the side information's share of the rate bound."""
-        return sum(math.log2(qm) for qm in self.q)
+        return _left_sum(math.log2(qm) for qm in self.q)
 
 
 @dataclass(frozen=True)
@@ -647,7 +662,7 @@ def run_centralized(V: GeneratorMatrix, X, sources=None):
         for r, b in zip(reports, bits))
     coeffs = fusion_decode(reports, table)
     return coeffs, Transcript(model="centralized", messages=messages,
-                              total_bits=sum(m.bits for m in messages),
+                              total_bits=_left_sum(m.bits for m in messages),
                               decoded={0: coeffs}, streams=streams)
 
 
@@ -683,7 +698,7 @@ def run_interactive(V: GeneratorMatrix, X, alpha: float, sources=None):
                 payload={"u": coeffs.T[i]}, bits=b)
         for i, b in zip(order, bits))
     return coeffs, Transcript(model="interactive", messages=messages,
-                              total_bits=sum(m.bits for m in messages),
+                              total_bits=_left_sum(m.bits for m in messages),
                               decoded=dict.fromkeys(range(1, n + 1), coeffs),
                               streams=streams)
 
@@ -737,7 +752,7 @@ def centralized_rate_bound(sources, V: GeneratorMatrix,
     table = build_ratio_table(V)
     if len(sources) != V.n:
         raise ProtocolError("one source per coordinate required")
-    h = sum(s.differential_entropy_bits() for s in sources)
+    h = _left_sum(s.differential_entropy_bits() for s in sources)
     return (h - math.log2(abs(V.det)) - V.n * math.log2(float(alpha))
             + table.side_info_bound_bits)
 
@@ -753,22 +768,43 @@ def interactive_rate(sources, V: GeneratorMatrix, alpha: float) -> float:
             "interactive rate is defined for upper triangular generators")
     if len(sources) != V.n:
         raise ProtocolError("one source per coordinate required")
-    total = sum(s.differential_entropy_bits()
-                - math.log2(float(alpha) * abs(float(V.matrix[i, i])))
-                for i, s in enumerate(sources))
+    total = _left_sum(s.differential_entropy_bits()
+                      - math.log2(float(alpha) * abs(float(V.matrix[i, i])))
+                      for i, s in enumerate(sources))
     return (V.n - 1) * total
 
 
 def empirical_entropy(samples) -> float:
     """Plug-in entropy (bits) of a sequence or array of scalar observations.
 
-    The terms are summed in order of each value's first occurrence.
+    With p = c / total for each distinct value's count c, the terms
+    p log2 p are added left to right (`_left_sum`) in order of each value's
+    first occurrence.  One sort groups equal values into runs; a run's
+    length is the value's count and the least position in it the value's
+    first occurrence, so the sort need not be stable.  Integers that span
+    less than 2^16 are sorted as offsets from their least value in 8 or
+    16 bits, which numpy sorts by radix in linear time; other values take
+    numpy's default sort.
     """
-    values = np.asarray(samples)
+    values = np.asarray(samples).ravel()
     total = values.size
     if total == 0:
         raise ValueError("no samples")
-    _, first, counts = np.unique(values, return_index=True,
-                                 return_counts=True)
-    return -sum((c / total) * math.log2(c / total)
-                for c in counts[np.argsort(first)].tolist())
+    keys, kind = values, None
+    if values.dtype.kind in "iu":
+        lo = values.min()
+        span = int(values.max()) - int(lo)
+        if span < 1 << 16:
+            keys = (values - lo).astype(np.min_scalar_type(span))
+            kind = "stable"
+    order = keys.argsort(kind=kind)
+    ranked = keys[order]
+    # edges[r] and edges[r + 1] bound the r-th run of equal values
+    edge = np.empty(total + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=edge[1:-1])
+    edges = np.flatnonzero(edge)
+    first = np.minimum.reduceat(order, edges[:-1])
+    counts = edges[1:] - edges[:-1]
+    p = (counts[first.argsort()] / total).tolist()
+    return -_left_sum(map(operator.mul, p, map(math.log2, p)))

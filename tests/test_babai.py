@@ -275,6 +275,23 @@ class TestKernel:
                 assert (none.coeffs.shape == none.residuals.shape
                         == none.point.shape == (0, V.n))
 
+    def test_point_and_residuals_on_demand(self):
+        # neither is built until it is read; point is then coeffs through
+        # the generator, byte for byte, and both are cached
+        for rotated in (False, True):
+            for M, X in _one_loop_corpus(rotated):
+                V = GeneratorMatrix(M)
+                for res in (nearest_plane(V, X), nearest_plane(V, X[0])):
+                    assert "point" not in vars(res)
+                    assert "residuals" not in vars(res)
+                    expect = res.coeffs.astype(float) @ V.matrix.T
+                    assert res.point.tobytes() == expect.tobytes()
+                    assert res.point.shape == res.coeffs.shape
+                    assert vars(res)["point"] is res.point
+                    assert "residuals" not in vars(res)
+                    assert res.residuals.shape == res.coeffs.shape
+                    assert vars(res)["residuals"] is res.residuals
+
     # sha256 over the coefficient and residual bytes of every batch and of
     # every single target of the unrotated corpus (no LAPACK factorization
     # is involved, so the bytes do not depend on the machine); computed

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import os
@@ -293,6 +294,18 @@ class TestLevelcurves:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert rows and all(math.isfinite(float(r[1])) for r in rows)
 
+    def test_subnormal_level_on_long_basis(self, capsys):
+        # b = 1.1e154 squares beyond the float range; the analytic P_e is
+        # still the level, not 0
+        code, out, err = run(capsys, "levelcurves", "--k", "1e-310",
+                             "--grid", "10")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        long_b = [r for r in rows if float(r[1]) > 1e150]
+        assert [r[:3] for r in long_b] == [
+            ["0.0555555555556", "1.14530711823e+154", "1e-310"]]
+        assert all(r[2] == "1e-310" for r in rows)
+
     @pytest.mark.parametrize("argv, message", [
         (["--k", "0", "--grid", "0"], "--grid must be at least 1"),
         (["--k", "0.01", "--grid", "0"], "--grid must be at least 1"),
@@ -585,6 +598,65 @@ class TestRates:
         assert json.loads(out) == {
             "centralized_rate_bound": None, "side_info_bound_bits": None,
             "side_info_bits_ceil": None, "interactive_rate": None}
+
+
+_builtin_sum = builtins.sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    """builtin sum() as Python 3.12 computes it: a sum of floats (and ints)
+    carries a Neumaier compensation term; ints alone, and anything else,
+    add plainly."""
+    items = list(iterable)
+    types = {type(v) for v in [start, *items]}
+    if float not in types or not types <= {int, float}:
+        return _builtin_sum(items, start)
+    total, comp = float(start), 0.0
+    for v in map(float, items):
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp
+
+
+class TestSumRule:
+    """Every float that `simulate` and `rates` print is added left to right,
+    so its bits do not depend on the Python version's builtin sum(): the
+    four benchmark scenarios print the same bytes under 3.12's rule."""
+
+    UNIFORM2 = [UNIFORM] * 2
+    SCENARIOS = {
+        "readme": {"matrix": {"n": 2, "columns": [["5/4", 0], [0, "4/5"]]},
+                   "alpha": 2.0 ** -10, "sources": UNIFORM2},
+        "ratio311": {"matrix": RATIO311_MATRIX, "alpha": 2.0 ** -8,
+                     "sources": UNIFORM2},
+        "tri3": {"matrix": {"n": 3, "columns": [[1, 0, 0], ["1/2", "3/4", 0],
+                                                ["1/3", "-1/5", "5/4"]]},
+                 "alpha": 2.0 ** -6, "sources": [UNIFORM] * 3},
+        "gaussian": {"matrix": {"n": 2, "columns": [[1, 0], ["1/2", "7/8"]]},
+                     "alpha": 2.0 ** -10,
+                     "sources": [{"dist": "gaussian", "mean": 0,
+                                  "sigma": 1}] * 2},
+    }
+
+    def outputs(self, capsys, files):
+        outs = []
+        for name, sc in self.SCENARIOS.items():
+            for model in ("centralized", "interactive"):
+                path = files("sc.json", dict(sc, model=model, trials=100,
+                                             seed=11))
+                outs.append(run(capsys, "simulate", "--scenario", path))
+            outs.append(run(capsys, "rates", "--scenario",
+                            files("sc.json", sc)))
+        return outs
+
+    def test_compensated_sum_prints_the_same_bytes(self, capsys, files,
+                                                   monkeypatch):
+        plain = self.outputs(capsys, files)
+        assert all(code == 0 for code, _, _ in plain)
+        monkeypatch.setattr(builtins, "sum", _compensated_sum)
+        assert sum([1.0, 1e100, 1.0, -1e100]) == 2.0  # the patch is live
+        assert self.outputs(capsys, files) == plain
 
 
 class TestOneLineErrors:

@@ -55,6 +55,16 @@ class TestAnalyticPe:
         # (0.3 - 0.09) / 4 = 0.0525
         assert analytic_pe(0.3, 1.0) == pytest.approx(0.0525, abs=1e-12)
 
+    def test_no_overflow_for_long_b(self):
+        # 4 b^2 overflows above b ~ 6.7e153; F(a, b) is still a positive
+        # float, here subnormal, and F of the exact rationals rounded
+        assert analytic_pe(0.25, 1e160) > 0
+        a, b = Fraction(0.25), Fraction(1e160)
+        assert analytic_pe(0.25, 1e160) == float((a - a * a) / (4 * b * b))
+        # below the overflow the quotient is the one-step one, as before
+        assert analytic_pe(0.3, 1e120) == (0.3 - 0.3 * 0.3) / (4.0 * 1e120
+                                                               * 1e120)
+
     def test_domain_enforced(self):
         inf, nan = math.inf, math.nan
         for a, b in [(-0.1, 1.0), (0.6, 1.0), (0.5, 0.5), (0.1, 0.9),

@@ -1,6 +1,9 @@
 import hashlib
 import math
+import operator
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -48,7 +51,44 @@ def _scan_s(z: float, q: int) -> int:
     return best
 
 
+def _left_fold(values):
+    """values added left to right from 0.0, one rounding per addition: the
+    builtin sum() of Python <= 3.11 (3.12 compensates float sums)."""
+    return reduce(operator.add, values, 0.0)
+
+
+def _counter_entropy(samples):
+    """Plug-in entropy as a Counter sees it: its keys in order of first
+    occurrence, the terms folded left to right."""
+    counts = Counter(np.asarray(samples).ravel().tolist())
+    total = sum(counts.values())
+    return -_left_fold((c / total) * math.log2(c / total)
+                       for c in counts.values())
+
+
+def _varint_edges():
+    """Values whose zigzag code sits at or next to a 7-bit group boundary,
+    0 and -1, and the int64 extremes."""
+    values = {0, -1, 2 ** 63 - 1, -2 ** 63}
+    for j in range(1, 10):
+        for base in (2 ** (7 * j), 2 ** (7 * j - 1)):
+            for v in (base - 1, base, base + 1):
+                values.update({v, -v})
+    return sorted(v for v in values if -2 ** 63 <= v < 2 ** 63)
+
+
 class TestVarint:
+    def test_bits_at_group_boundaries(self):
+        values = _varint_edges()
+        expect = [8 * len(varint_encode(v)) for v in values]
+        assert [varint_bits(v) for v in values] == expect
+        assert all(type(varint_bits(v)) is int for v in values)
+        got = varint_bits(np.array(values, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == expect
+        grid = varint_bits(np.array(values[:40], dtype=np.int64).reshape(8, 5))
+        assert grid.shape == (8, 5) and grid.ravel().tolist() == expect[:40]
+        assert min(expect) == 8 and max(expect) == 80
+
     def test_single_byte_boundaries(self):
         for v, nbytes in [(0, 1), (1, 1), (-1, 1), (63, 1), (-64, 1),
                           (64, 2), (-65, 2), (500, 2), (8191, 2), (8192, 3)]:
@@ -563,15 +603,49 @@ class TestEmpiricalEntropy:
             empirical_entropy([])
 
     def test_list_and_array_match_counter_order(self):
-        from collections import Counter
-
         rng = np.random.default_rng(3)
         samples = rng.geometric(0.01, size=5000) - rng.geometric(0.3, 5000)
-        counts = Counter(samples.tolist())
-        expect = -sum((c / 5000) * math.log2(c / 5000)
-                      for c in counts.values())
+        expect = _counter_entropy(samples)
         assert empirical_entropy(samples) == expect
         assert empirical_entropy(samples.tolist()) == expect
+
+    @pytest.mark.parametrize("distinct, step, offset", [
+        (1, 1, 0), (21, 1, 0), (321, 1, -160), (5000, 1, 7),
+        (5000, 97, -250_000), (19_865, 1, 0), (19_865, 3, -2 ** 40),
+        (300, 2 ** 52, -2 ** 62),
+    ])
+    def test_int64_columns_match_counter_order(self, distinct, step, offset):
+        # spans below 2^16 and beyond it, negative values, int64 extremes
+        rng = np.random.default_rng(distinct)
+        codes = np.concatenate([np.arange(distinct),
+                                rng.integers(0, distinct, 20_000 - distinct)])
+        column = rng.permutation(codes) * step + offset
+        assert column.dtype == np.int64
+        assert len(np.unique(column)) == distinct
+        expect = _counter_entropy(column)
+        assert empirical_entropy(column) == expect
+        assert empirical_entropy(column.tolist()) == expect
+        backwards = column[::-1]
+        assert empirical_entropy(backwards) == _counter_entropy(backwards)
+
+    def test_small_and_bool_dtypes_match_counter_order(self):
+        rng = np.random.default_rng(4)
+        for column in (rng.random(3000) < 0.3,
+                       rng.integers(-100, 100, 3000).astype(np.int8),
+                       rng.permutation(np.arange(-128, 128).repeat(3))
+                       .astype(np.int8),
+                       rng.integers(0, 60_000, 3000).astype(np.uint16),
+                       np.round(rng.normal(size=3000), 1),
+                       np.array([2 ** 63 - 1, -2 ** 63, 0, 2 ** 63 - 1, 5,
+                                 -2 ** 63, -2 ** 63])):
+            assert empirical_entropy(column) == _counter_entropy(column)
+            assert (empirical_entropy(column.tolist())
+                    == _counter_entropy(column))
+
+    def test_constant_column_is_negative_zero(self):
+        for column in (np.full(50, 9, dtype=np.int64), [True] * 3, [2.5]):
+            h = empirical_entropy(column)
+            assert h == 0.0 and math.copysign(1.0, h) == -1.0
 
     def test_hexagonal_coefficient_entropy(self, hexagonal):
         # U_2 = [x_2 / (alpha v_22)] for x_2 ~ U[0,1) spreads over about

@@ -1,5 +1,6 @@
 """The command-line scripts under scripts/, loaded in-process."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -68,3 +69,28 @@ def test_rate_convergence_rows(capsys):
         _, _, entropy, analytic, gap, _ = map(float, row.split(","))
         # each printed to six decimals
         assert gap == pytest.approx(entropy - analytic, abs=1.5e-6)
+
+
+# sha256 of the whole stdout, computed with the np.unique-based entropy
+# estimate that preceded the sort-based one; the first two run the
+# benchmark's arguments, whose 20,000 coefficients per column span fewer
+# than 2^16 integers, the third the default 200,000 trials, whose columns
+# at e = 20 and 30 span more
+RATE_CONVERGENCE_SHA256 = {
+    ("--exponents", "4,6,8", "--trials", "20000", "--diag", "5/4,4/5",
+     "--seed", "0"):
+        "856b6e3f874d75d73b27e434a5eadbc81aad800d4c83d6850ef2202d15b88afe",
+    ("--exponents", "4,6,8", "--trials", "20000", "--diag", "5/4,4/5",
+     "--seed", "7"):
+        "2ad1380e0565f50ef82c35a97917ba7a4c0f9754cab91e171298d371e161e7c0",
+    ("--exponents", "2,20,30"):
+        "7ef2b24c7f67bc3dc2603e7d4a392aab80fb19dd86e6172fe6d43d4011732c42",
+}
+
+
+@pytest.mark.parametrize("argv", list(RATE_CONVERGENCE_SHA256))
+def test_rate_convergence_pinned(argv, capsys):
+    assert load("rate_convergence").main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        RATE_CONVERGENCE_SHA256[argv])
