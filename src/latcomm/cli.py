@@ -43,6 +43,7 @@ from .protocol import (
     ProtocolError,
     ProtocolUnsupportedError,
     SourceModel,
+    _is_number,
     _left_sum,
     build_ratio_table,
     centralized_rate_bound,
@@ -195,9 +196,9 @@ def _load_scenario(path):
         raise ValueError('scenario needs a "matrix"')
     V = GeneratorMatrix.from_json(obj["matrix"])
     alpha = obj.get("alpha", 1.0)
-    alpha = math.nan if isinstance(alpha, bool) else float(alpha)
-    if not (alpha > 0.0 and math.isfinite(alpha)):
+    if not (_is_number(alpha) and 0.0 < alpha < math.inf):
         raise ValueError("alpha must be a positive finite scale")
+    alpha = float(alpha)
     sources = None
     if "sources" in obj:
         sources = [SourceModel.from_json(s) for s in obj["sources"]]
@@ -227,9 +228,10 @@ def _cmd_simulate(args) -> str:
     # no source model, so its payloads are counted with the varint
     coded = None
     if fixed_x is not None:
-        x0 = np.asarray([float(v) for v in fixed_x])
-        if x0.shape != (V.n,):
+        if not (isinstance(fixed_x, list) and len(fixed_x) == V.n
+                and all(map(_is_number, fixed_x))):
             raise ValueError(f'scenario "x" needs {V.n} numbers')
+        x0 = np.asarray(fixed_x, dtype=float)
         X = np.tile(x0, (trials, 1))
     else:
         if sources is None:

@@ -8,8 +8,8 @@ uniform in the origin rounding cell, has the closed form
 
 which ranges over [0, 1/12]: zero exactly for orthogonal bases and maximal
 at the hexagonal point (1/2, sqrt(3)/2).  This module computes that formula,
-its polar form, the exact cell-overlap area for arbitrary 2D bases, and a
-Monte Carlo estimate driven by the exhaustive CVP oracle.
+the exact cell-overlap area for arbitrary 2D bases, and a Monte Carlo
+estimate driven by the exhaustive CVP oracle.
 """
 
 from __future__ import annotations
@@ -183,39 +183,6 @@ def third_relevant_vector(a: float, b: float) -> np.ndarray:
     return np.array([a + 1.0, b])
 
 
-def _bisector_intersection(w1, w2):
-    A = np.vstack([w1, w2])
-    rhs = np.array([float(w1 @ w1) / 2.0, float(w2 @ w2) / 2.0])
-    return np.linalg.solve(A, rhs)
-
-
-def voronoi_vertices_reduced(a: float, b: float) -> VoronoiPolygon2D:
-    """Voronoi cell of the origin for a canonical reduced basis {(1,0),(a,b)}.
-
-    Vertices are computed as intersections of perpendicular bisectors of the
-    relevant vectors, never from a tabulated formula.  For a = 0 the cell is
-    the rectangle [-1/2,1/2] x [-b/2,b/2].
-    """
-    rb = ReducedBasis2D(a, b)  # validates the domain
-    a, b = rb.a, rb.b
-    w1 = np.array([1.0, 0.0])
-    w2 = np.array([a, b])
-    if a <= 1e-12:
-        vertices = np.array([
-            [0.5, b / 2.0], [-0.5, b / 2.0], [-0.5, -b / 2.0], [0.5, -b / 2.0]])
-        relevant = np.array([w1, w2])
-        return VoronoiPolygon2D(vertices=vertices, relevant_vectors=relevant)
-    w3 = third_relevant_vector(a, b)
-    upper = [
-        _bisector_intersection(w1, w2),
-        _bisector_intersection(w2, w3),
-        _bisector_intersection(w3, -w1),
-    ]
-    vertices = np.array(upper + [-v for v in upper])
-    return VoronoiPolygon2D(vertices=vertices,
-                            relevant_vectors=np.array([w1, w2, w3]))
-
-
 def _voronoi_cells(w1, w2):
     """Voronoi cells of the origin for k reduced bases (rows of w1, w2).
 
@@ -299,20 +266,6 @@ def analytic_pe(a: float, b: float) -> float:
     if math.isinf(den):  # b above about 6.7e153: divide by 4b, then by b
         return num / (4.0 * rb.b) / rb.b
     return num / den
-
-
-def analytic_pe_polar(theta: float, rho: float) -> float:
-    """Polar form of the error probability: the second basis vector at angle
-    theta (pi/3 <= theta <= 2pi/3) and length ratio rho >= 1."""
-    if not (math.pi / 3 - 1e-12 <= theta <= 2 * math.pi / 3 + 1e-12):
-        raise ValueError(f"theta out of range: {theta}")
-    if rho < 1 - 1e-12:
-        raise ValueError(f"rho out of range: {rho}")
-    c = abs(math.cos(theta))
-    if rho * c > 0.5 + 1e-9:
-        raise ValueError("(theta, rho) does not describe a reduced basis")
-    s2 = math.sin(theta) ** 2
-    return (1.0 / (4.0 * rho)) * (c / s2) * (1.0 - rho * c)
 
 
 def _qr_frame_2d(V: GeneratorMatrix):

@@ -42,6 +42,9 @@ _CVP_SLACK = 1e-9
 # cap on its steps (each swap shrinks a positive potential by this factor).
 _LLL_DELTA = 0.99
 _LLL_MAX_STEPS = 100000
+# Float error of the canonical a = R_01 / R_00 of a reduced 2D basis, in
+# ulps of hypot(a, b): QR leaves R_01 within a few ulps of ||w2||.
+_CANONICAL_ULPS = 16
 
 
 class DegenerateBasisError(ValueError):
@@ -167,8 +170,10 @@ class GeneratorMatrix:
                  'matrix JSON needs "n" and "columns"')
         n = obj["n"]
         cols = obj["columns"]
-        _require(isinstance(n, int) and isinstance(cols, list) and len(cols) == n,
-                 ValueError, 'matrix JSON: "columns" must list n columns')
+        _require(isinstance(n, int) and not isinstance(n, bool), ValueError,
+                 'matrix JSON: "n" must be an integer')
+        _require(isinstance(cols, list) and len(cols) == n, ValueError,
+                 'matrix JSON: "columns" must list n columns')
         return cls.from_columns(cols)
 
     def to_json(self):
@@ -185,9 +190,6 @@ class GeneratorMatrix:
                     col.append(f"{f.numerator}/{f.denominator}")
             cols.append(col)
         return {"n": self.n, "columns": cols}
-
-    def column(self, j):
-        return self.matrix[:, j].copy()
 
     def is_upper_triangular(self):
         """True iff every entry below the diagonal is exactly zero."""
@@ -296,10 +298,6 @@ def round_half_up(z):
     return int(r) if r.ndim == 0 else r
 
 
-def _norm_sq(v):
-    return float(v @ v)
-
-
 def _dot(x, y):
     """Dot products of x and y along the last axis, each summed as numpy's
     1-D `x @ y` sums it, so a batch row's value is that of the row alone."""
@@ -346,8 +344,8 @@ def _gauss_reduce_rows(v1, v2):
 def gauss_reduce_2d(V: GeneratorMatrix):
     """Lagrange-Gauss reduction of a 2D basis.
 
-    Returns (W, U) with W = V U, U integer and |det U| = 1, W.column(0) a
-    shortest vector, and 0 <= 2 <w1, w2> <= ||w1||^2 after the final sign
+    Returns (W, U) with W = V U, U integer and |det U| = 1, W's first column
+    a shortest vector, and 0 <= 2 <w1, w2> <= ||w1||^2 after the final sign
     canonicalization.  The interchange/translation loop stops as soon as a
     step no longer strictly shortens the longer vector, so a strictly reduced
     basis is returned unchanged; at exact ties (equal norms, half-integer
@@ -363,11 +361,10 @@ def is_minkowski_reduced_2d(V: GeneratorMatrix) -> bool:
     """Check ||v1|| <= ||v2|| and 2|<v1,v2>| <= ||v1||^2, up to a relative
     1e-12 of ||v1||^2.  Equivalent to ||v1|| <= ||v2|| <= ||v1 +- v2||."""
     _require(V.n == 2, UnsupportedDimensionError, "2D check needs n = 2")
-    v1 = V.column(0)
-    v2 = V.column(1)
-    a = _norm_sq(v1)
+    v1, v2 = V.matrix.T
+    a = float(v1 @ v1)
     tol = 1e-12 * a
-    return a <= _norm_sq(v2) + tol and 2 * abs(float(v1 @ v2)) <= a + tol
+    return a <= float(v2 @ v2) + tol and 2 * abs(float(v1 @ v2)) <= a + tol
 
 
 @dataclass(frozen=True)
@@ -393,16 +390,20 @@ def canonicalize_2d(V: GeneratorMatrix):
     """Reduce a 2D basis and normalize it to the canonical {(1,0),(a,b)} form.
 
     Returns (ReducedBasis2D, scale, isometry): V @ U = isometry @ (scale * [[1,a],[0,b]])
-    for the unimodular U produced by reduction.
+    for the unimodular U produced by reduction.  a is snapped to 0, or to
+    1/2 from above, only within _CANONICAL_ULPS ulps of hypot(a, b), the
+    float error of the QR frame: a real skew such as (1,0),(1e-11,1.5)
+    keeps its a.
     """
     W, _ = gauss_reduce_2d(V)
     Q, r = W.qr()
     scale = float(r[0, 0])
     a = float(r[0, 1]) / scale
     b = float(r[1, 1]) / scale
-    if abs(a) <= 1e-9:
+    tol = _CANONICAL_ULPS * np.finfo(float).eps * math.hypot(a, b)
+    if abs(a) <= tol:
         a = 0.0
-    if 0.5 < a <= 0.5 + 1e-9:
+    if 0.5 < a <= 0.5 + tol:
         a = 0.5
     return ReducedBasis2D(a=a, b=b), scale, Q
 

@@ -100,6 +100,15 @@ def _left_sum(values):
 # about 1e-15, and a symbol beyond it is escaped
 _GAUSS_REACH = 8.0
 
+# the parameters of each source kind, as its JSON names them
+_SOURCE_PARAMS = {"uniform": ("lo", "hi"), "gaussian": ("mean", "sigma")}
+
+
+def _is_number(value) -> bool:
+    """True for a JSON number, an int or a float; a bool or a string is
+    not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class SourceModel:
@@ -113,14 +122,16 @@ class SourceModel:
     sigma: float = 1.0
 
     def __post_init__(self):
+        if self.kind not in _SOURCE_PARAMS:
+            raise ValueError(f"unknown source kind: {self.kind!r}")
+        for name in _SOURCE_PARAMS[self.kind]:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{self.kind} source needs a finite {name}")
         if self.kind == "uniform":
             if not self.hi > self.lo:
                 raise ValueError("uniform source needs hi > lo")
-        elif self.kind == "gaussian":
-            if not self.sigma > 0:
-                raise ValueError("gaussian source needs sigma > 0")
-        else:
-            raise ValueError(f"unknown source kind: {self.kind!r}")
+        elif not self.sigma > 0:
+            raise ValueError("gaussian source needs sigma > 0")
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "SourceModel":
@@ -131,9 +142,20 @@ class SourceModel:
         return cls(kind="gaussian", mean=float(mean), sigma=float(sigma))
 
     def differential_entropy_bits(self) -> float:
+        """h in bits.  Where hi - lo or 2 pi e sigma^2 leaves the floats,
+        h comes from the log of the halved width or of sigma itself."""
         if self.kind == "uniform":
-            return math.log2(self.hi - self.lo)
-        return 0.5 * math.log2(2.0 * math.pi * math.e * self.sigma ** 2)
+            width = self.hi - self.lo
+            if math.isinf(width):  # hi - lo above the largest float
+                return math.log2(self.hi / 2.0 - self.lo / 2.0) + 1.0
+            return math.log2(width)
+        try:
+            arg = 2.0 * math.pi * math.e * self.sigma ** 2
+        except OverflowError:  # sigma above about 1.3e154
+            arg = math.inf
+        if 0.0 < arg < math.inf:
+            return 0.5 * math.log2(arg)
+        return 0.5 * math.log2(2.0 * math.pi * math.e) + math.log2(self.sigma)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "uniform":
@@ -168,14 +190,13 @@ class SourceModel:
     def from_json(cls, obj) -> "SourceModel":
         if not isinstance(obj, dict) or "dist" not in obj:
             raise ValueError('source JSON needs a "dist"')
-        if any(isinstance(v, bool) for v in obj.values()):
-            raise ValueError("source parameters must be numbers")
         kind = obj["dist"]
-        if kind == "uniform":
-            return cls.uniform(obj.get("lo", 0.0), obj.get("hi", 1.0))
-        if kind == "gaussian":
-            return cls.gaussian(obj.get("mean", 0.0), obj.get("sigma", 1.0))
-        raise ValueError(f"unknown source dist: {kind!r}")
+        if not isinstance(kind, str) or kind not in _SOURCE_PARAMS:
+            raise ValueError(f"unknown source dist: {kind!r}")
+        params = {k: obj[k] for k in _SOURCE_PARAMS[kind] if k in obj}
+        if not all(map(_is_number, params.values())):
+            raise ValueError("source parameters must be numbers")
+        return cls(kind, **{k: float(v) for k, v in params.items()})
 
 
 @dataclass(frozen=True)
@@ -769,9 +790,18 @@ def interactive_rate(sources, V: GeneratorMatrix, alpha: float) -> float:
     if len(sources) != V.n:
         raise ProtocolError("one source per coordinate required")
     total = _left_sum(s.differential_entropy_bits()
-                      - math.log2(float(alpha) * abs(float(V.matrix[i, i])))
+                      - _log2_product(float(alpha), abs(float(V.matrix[i, i])))
                       for i, s in enumerate(sources))
     return (V.n - 1) * total
+
+
+def _log2_product(x: float, y: float) -> float:
+    """log2(x y) for positive floats; where x y overflows or underflows to
+    0, the sum of the two logs."""
+    p = x * y
+    if 0.0 < p < math.inf:
+        return math.log2(p)
+    return math.log2(x) + math.log2(y)
 
 
 def empirical_entropy(samples) -> float:

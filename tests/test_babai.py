@@ -363,7 +363,7 @@ class TestBabaiCell:
 
     def test_translated_cell(self, hexagonal):
         cell = babai_cell(hexagonal, [2, 1])
-        center = 2 * hexagonal.column(0) + hexagonal.column(1)
+        center = 2 * hexagonal.matrix[:, 0] + hexagonal.matrix[:, 1]
         assert cell.center == pytest.approx(center)
         assert cell.contains(center)
 

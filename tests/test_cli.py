@@ -712,12 +712,74 @@ class TestOneLineErrors:
         ({"matrix": RATIO311_MATRIX,
           "sources": [UNIFORM, {"dist": "gaussian", "sigma": True}]},
          ("simulate", "rates"), "source parameters must be numbers"),
+        # nor is a string that float() would read as one
+        ({"matrix": RATIO311_MATRIX, "sources": [UNIFORM] * 2,
+          "alpha": "0.0009765625"},
+         ("simulate", "rates"), "alpha must be a positive finite scale"),
+        ({"matrix": RATIO311_MATRIX,
+          "sources": [dict(UNIFORM, lo="0"), UNIFORM]},
+         ("simulate", "rates"), "source parameters must be numbers"),
+        ({"matrix": RATIO311_MATRIX, "x": ["1.0", "1e0"]}, ("simulate",),
+         'scenario "x" needs 2 numbers'),
+        ({"matrix": RATIO311_MATRIX, "x": [True, 1.0]}, ("simulate",),
+         'scenario "x" needs 2 numbers'),
+        ({"matrix": RATIO311_MATRIX, "x": "12"}, ("simulate",),
+         'scenario "x" needs 2 numbers'),
+        ({"matrix": {"n": True, "columns": [[2]]}, "x": [1.0]},
+         ("simulate", "rates"), 'matrix JSON: "n" must be an integer'),
+        ({"matrix": RATIO311_MATRIX, "sources": [
+            {"dist": "gaussian", "mean": math.nan}, UNIFORM]},
+         ("simulate", "rates"), "gaussian source needs a finite mean"),
+        ({"matrix": RATIO311_MATRIX, "sources": [
+            UNIFORM, dict(UNIFORM, lo=-math.inf)]},
+         ("simulate", "rates"), "uniform source needs a finite lo"),
     ])
     def test_scenarios(self, scenario, commands, message, capsys, files):
         sc = files("sc.json", dict(scenario, model="centralized"))
         for command in commands:
             assert run(capsys, command, "--scenario", sc) == (
                 1, "", f"error: {message}\n")
+
+    def test_number_beyond_the_floats(self, capsys, tmp_path):
+        # JSON reads 1e309 as inf
+        sc = tmp_path / "sc.json"
+        sc.write_text('{"matrix": {"n": 1, "columns": [[1]]}, "model": '
+                      '"centralized", "sources": [{"dist": "uniform", '
+                      '"hi": 1e309}]}')
+        for command in ("simulate", "rates"):
+            assert run(capsys, command, "--scenario", str(sc)) == (
+                1, "", "error: uniform source needs a finite hi\n")
+
+    @pytest.mark.parametrize("matrix, alpha, sources", [
+        # hi - lo and 2 pi e sigma^2 beyond the floats, sigma^2 below them
+        (RATIO311_MATRIX, 1.0, [{"dist": "uniform", "lo": -1e308,
+                                 "hi": 1e308}, UNIFORM]),
+        (RATIO311_MATRIX, 1.0, [{"dist": "gaussian", "sigma": 1e308},
+                                {"dist": "gaussian", "sigma": 1e154}]),
+        (RATIO311_MATRIX, 2.0 ** -10, [{"dist": "gaussian", "sigma": 1e-200},
+                                       UNIFORM]),
+        # alpha |v_ii| beyond the floats, and below them
+        ({"n": 2, "columns": [[1e150, 0], [0, 1e150]]}, 1e300, [UNIFORM] * 2),
+        ({"n": 2, "columns": [[1e-150, 0], [0, 1e-150]]}, 1e-300,
+         [UNIFORM] * 2),
+    ])
+    def test_outputs_are_finite(self, matrix, alpha, sources, capsys, files):
+        # every number printed is a JSON number: a finite source whose
+        # entropy or cell size leaves the floats is computed from logs of
+        # its parts, and nothing prints Infinity or NaN
+        scenario = {"matrix": matrix, "alpha": alpha, "sources": sources,
+                    "trials": 20, "seed": 1}
+        code, out, err = run(capsys, "rates", "--scenario",
+                             files("sc.json", scenario))
+        assert code == 0 and err == ""
+        assert "Infinity" not in out and "NaN" not in out
+        assert any(isinstance(v, float) for v in json.loads(out).values())
+        for model in ("centralized", "interactive"):
+            sc = files("sc.json", dict(scenario, model=model))
+            code, out, err = run(capsys, "simulate", "--scenario", sc)
+            assert "Infinity" not in out and "NaN" not in out
+            assert code == 0 or (out == "" and err.startswith("error:")
+                                 and err.count("\n") == 1)
 
 
 class TestOutputContract:

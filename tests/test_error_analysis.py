@@ -13,14 +13,13 @@ from latcomm import (
     GeneratorMatrix,
     ReducedBasis2D,
     UnsupportedDimensionError,
+    VoronoiPolygon2D,
     analytic_pe,
-    analytic_pe_polar,
     exact_pe_area,
     level_curve_points,
     monte_carlo_pe,
     third_relevant_vector,
     voronoi_polygon_general,
-    voronoi_vertices_reduced,
 )
 from latcomm.error_analysis import (
     PE_CSV_HEADER,
@@ -30,6 +29,57 @@ from latcomm.error_analysis import (
 )
 
 SQRT3_2 = math.sqrt(3) / 2
+
+
+# Independent references that the package's constructions are checked
+# against: the Voronoi vertices of a canonical basis as intersections of
+# bisectors, and F(a, b) in polar form.
+
+def _bisector_intersection(w1, w2):
+    A = np.vstack([w1, w2])
+    rhs = np.array([float(w1 @ w1) / 2.0, float(w2 @ w2) / 2.0])
+    return np.linalg.solve(A, rhs)
+
+
+def voronoi_vertices_reduced(a: float, b: float) -> VoronoiPolygon2D:
+    """Voronoi cell of the origin for a canonical reduced basis {(1,0),(a,b)}.
+
+    Vertices are computed as intersections of perpendicular bisectors of the
+    relevant vectors, never from a tabulated formula.  For a = 0 the cell is
+    the rectangle [-1/2,1/2] x [-b/2,b/2].
+    """
+    rb = ReducedBasis2D(a, b)  # validates the domain
+    a, b = rb.a, rb.b
+    w1 = np.array([1.0, 0.0])
+    w2 = np.array([a, b])
+    if a <= 1e-12:
+        vertices = np.array([
+            [0.5, b / 2.0], [-0.5, b / 2.0], [-0.5, -b / 2.0], [0.5, -b / 2.0]])
+        relevant = np.array([w1, w2])
+        return VoronoiPolygon2D(vertices=vertices, relevant_vectors=relevant)
+    w3 = third_relevant_vector(a, b)
+    upper = [
+        _bisector_intersection(w1, w2),
+        _bisector_intersection(w2, w3),
+        _bisector_intersection(w3, -w1),
+    ]
+    vertices = np.array(upper + [-v for v in upper])
+    return VoronoiPolygon2D(vertices=vertices,
+                            relevant_vectors=np.array([w1, w2, w3]))
+
+
+def analytic_pe_polar(theta: float, rho: float) -> float:
+    """Polar form of the error probability: the second basis vector at angle
+    theta (pi/3 <= theta <= 2pi/3) and length ratio rho >= 1."""
+    if not (math.pi / 3 - 1e-12 <= theta <= 2 * math.pi / 3 + 1e-12):
+        raise ValueError(f"theta out of range: {theta}")
+    if rho < 1 - 1e-12:
+        raise ValueError(f"rho out of range: {rho}")
+    c = abs(math.cos(theta))
+    if rho * c > 0.5 + 1e-9:
+        raise ValueError("(theta, rho) does not describe a reduced basis")
+    s2 = math.sin(theta) ** 2
+    return (1.0 / (4.0 * rho)) * (c / s2) * (1.0 - rho * c)
 
 
 def _admissible(a, b):

@@ -16,8 +16,10 @@ from latcomm import (
     GeneratorMatrix,
     ReducedBasis2D,
     UnsupportedDimensionError,
+    analytic_pe,
     canonicalize_2d,
     cvp_bruteforce_batch,
+    exact_pe_area,
     gauss_reduce_2d,
     is_minkowski_reduced_2d,
     nearest_plane,
@@ -251,8 +253,10 @@ class TestGeneratorMatrix:
         assert ratio311.scaled(0.25).matrix.tolist() == W.matrix.tolist()
 
     def test_column_copy(self, hexagonal):
-        c = hexagonal.column(0)
-        c[0] = 99.0
+        # a column read off the basis is a view that rejects writes
+        c = hexagonal.matrix[:, 0]
+        with pytest.raises(ValueError):
+            c[0] = 99.0
         assert hexagonal.matrix[0, 0] == 1.0
 
 
@@ -351,7 +355,7 @@ class TestGaussReduction:
         # shortest vector comes first and the inner product is canonicalized
         n1, n2 = np.linalg.norm(W.matrix, axis=0)
         assert n1 <= n2 + 1e-12
-        assert float(W.column(0) @ W.column(1)) >= -1e-12
+        assert float(W.matrix[:, 0] @ W.matrix[:, 1]) >= -1e-12
 
 
 class TestCanonicalize:
@@ -378,6 +382,45 @@ class TestCanonicalize:
         rb, scale, Q = canonicalize_2d(skew5)
         target = Q @ (scale * np.array([[1.0, rb.a], [0.0, rb.b]]))
         assert np.allclose(W.matrix, target, atol=1e-9)
+
+    def test_real_skew_is_kept(self):
+        # a = 1e-11 is far above the float error of the QR frame; once
+        # snapped to 0 by a fixed 1e-9, it made the closed form read 0
+        # where the area method reads 1.1111111111e-12
+        V = GeneratorMatrix.from_columns([[1, 0], [1e-11, 1.5]])
+        rb, scale, _ = canonicalize_2d(V)
+        assert (rb.a, rb.b, scale) == (1e-11, 1.5, 1.0)
+        assert analytic_pe(rb.a, rb.b) == pytest.approx(exact_pe_area(V),
+                                                        rel=1e-12)
+        assert analytic_pe(rb.a, rb.b) == pytest.approx(1.1111111111e-12,
+                                                        rel=1e-9)
+
+    def test_rotated_orthogonal_bases_snap_to_zero(self):
+        # float noise of either sign in R_01 still snaps to a = 0, at
+        # every rotation, aspect ratio and scale
+        rng = np.random.default_rng(3)
+        for th, aspect, scale in zip(rng.uniform(0, 2 * math.pi, 1000),
+                                     np.exp(rng.uniform(0, 8, 1000)),
+                                     np.exp(rng.uniform(-20, 20, 1000))):
+            c, s = math.cos(th), math.sin(th)
+            V = np.array([[c, -s], [s, c]]) @ np.diag([scale, aspect * scale])
+            assert canonicalize_2d(GeneratorMatrix(V))[0].a == 0.0
+
+    @pytest.mark.parametrize("theta, expected", [
+        (None, (0.4999999999999999, 0.8660254037844386, 1.0)),
+        (0.3, (0.5, 0.8660254037844388, 0.9999999999999998)),
+        (1.0, (0.5, 0.8660254037844386, 1.0)),
+        (2.5, (0.4999999999999999, 0.8660254037844386, 1.0)),
+        (-0.7, (0.5, 0.8660254037844388, 0.9999999999999999))])
+    def test_hexagonal_pinned(self, hexagonal, theta, expected):
+        # the canonical form of the hexagonal basis, given and rotated: a
+        # lands within an ulp of 1/2, and only a above 1/2 snaps to it
+        V = hexagonal
+        if theta is not None:
+            c, s = math.cos(theta), math.sin(theta)
+            V = GeneratorMatrix(np.array([[c, -s], [s, c]]) @ V.matrix)
+        rb, scale, _ = canonicalize_2d(V)
+        assert (rb.a, rb.b, scale) == expected
 
     @given(st.integers(-9, 9), st.integers(-9, 9),
            st.integers(-9, 9), st.integers(-9, 9))

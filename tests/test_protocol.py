@@ -129,6 +129,32 @@ class TestSourceModel:
         h = SourceModel.gaussian(5.0, 1.0).differential_entropy_bits()
         assert h == pytest.approx(0.5 * math.log2(2 * math.pi * math.e))
 
+    def test_entropy_beyond_the_floats(self):
+        # hi - lo and 2 pi e sigma^2 overflow, sigma^2 underflows: h comes
+        # from the log of the halved width or of sigma itself
+        c = 0.5 * math.log2(2 * math.pi * math.e)
+        for source, h in [
+                (SourceModel.uniform(-1e308, 1e308), math.log2(1e308) + 1),
+                (SourceModel.uniform(-1.7e308, 1.7e308), math.log2(1.7e308) + 1),
+                (SourceModel.gaussian(0, 1e308), c + math.log2(1e308)),
+                (SourceModel.gaussian(0, 1e154), c + math.log2(1e154)),
+                (SourceModel.gaussian(0, 1e-200), c + math.log2(1e-200))]:
+            assert source.differential_entropy_bits() == pytest.approx(
+                h, rel=1e-15)
+        # either side of the switch the two forms meet
+        lo, hi = (SourceModel.gaussian(0, s).differential_entropy_bits()
+                  for s in (1e153, 1e154))
+        assert hi - lo == pytest.approx(math.log2(10), rel=1e-12)
+
+    @pytest.mark.parametrize("kind, name", [
+        ("uniform", "lo"), ("uniform", "hi"),
+        ("gaussian", "mean"), ("gaussian", "sigma")])
+    def test_non_finite_parameters_named(self, kind, name):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError,
+                               match=f"{kind} source needs a finite {name}"):
+                SourceModel.from_json({"dist": kind, name: value})
+
     def test_json_roundtrip(self):
         for s in (SourceModel.uniform(-2, 3), SourceModel.gaussian(1, 0.5)):
             assert SourceModel.from_json(s.to_json()) == s
@@ -148,7 +174,10 @@ class TestSourceModel:
     @pytest.mark.parametrize("source", [
         {"dist": "uniform", "lo": 0, "hi": True},
         {"dist": "uniform", "lo": False},
-        {"dist": "gaussian", "mean": 0, "sigma": True}])
+        {"dist": "gaussian", "mean": 0, "sigma": True},
+        {"dist": "uniform", "lo": "0"},
+        {"dist": "gaussian", "mean": 0, "sigma": "1"},
+        {"dist": "gaussian", "sigma": [1]}])
     def test_boolean_parameters_rejected(self, source):
         # JSON true is not the number 1
         with pytest.raises(ValueError, match="must be numbers"):
