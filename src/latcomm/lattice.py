@@ -43,7 +43,9 @@ _CVP_SLACK = 1e-9
 _LLL_DELTA = 0.99
 _LLL_MAX_STEPS = 100000
 # Float error of the canonical a = R_01 / R_00 of a reduced 2D basis, in
-# ulps of hypot(a, b): QR leaves R_01 within a few ulps of ||w2||.
+# ulps: QR leaves a within a few ulps of hypot(a, b), and the reduction's
+# stop test, which compares squared norms, leaves a above 1/2 by at most a
+# few ulps of a^2 + b^2.
 _CANONICAL_ULPS = 16
 
 
@@ -390,20 +392,21 @@ def canonicalize_2d(V: GeneratorMatrix):
     """Reduce a 2D basis and normalize it to the canonical {(1,0),(a,b)} form.
 
     Returns (ReducedBasis2D, scale, isometry): V @ U = isometry @ (scale * [[1,a],[0,b]])
-    for the unimodular U produced by reduction.  a is snapped to 0, or to
-    1/2 from above, only within _CANONICAL_ULPS ulps of hypot(a, b), the
-    float error of the QR frame: a real skew such as (1,0),(1e-11,1.5)
-    keeps its a.
+    for the unimodular U produced by reduction.  a is snapped to 0 only
+    within _CANONICAL_ULPS ulps of hypot(a, b), the float error of the QR
+    frame, so a real skew such as (1,0),(1e-11,1.5) keeps its a; and to 1/2
+    from above within _CANONICAL_ULPS ulps of a^2 + b^2, the resolution of
+    the reduction's stop test.
     """
     W, _ = gauss_reduce_2d(V)
     Q, r = W.qr()
     scale = float(r[0, 0])
     a = float(r[0, 1]) / scale
     b = float(r[1, 1]) / scale
-    tol = _CANONICAL_ULPS * np.finfo(float).eps * math.hypot(a, b)
-    if abs(a) <= tol:
+    ulp = _CANONICAL_ULPS * np.finfo(float).eps
+    if abs(a) <= ulp * math.hypot(a, b):
         a = 0.0
-    if 0.5 < a <= 0.5 + tol:
+    if 0.5 < a <= 0.5 + ulp * (a * a + b * b):
         a = 0.5
     return ReducedBasis2D(a=a, b=b), scale, Q
 

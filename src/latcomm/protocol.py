@@ -130,8 +130,18 @@ class SourceModel:
         if self.kind == "uniform":
             if not self.hi > self.lo:
                 raise ValueError("uniform source needs hi > lo")
+            if math.isinf(self.hi - self.lo):
+                raise ValueError("uniform source needs a finite hi - lo")
         elif not self.sigma > 0:
             raise ValueError("gaussian source needs sigma > 0")
+        else:
+            try:  # sigma ** 2 raises past the largest float
+                arg = 2.0 * math.pi * math.e * self.sigma ** 2
+            except OverflowError:
+                arg = math.inf
+            if not 0.0 < arg < math.inf:  # the entropy is half its log
+                raise ValueError("gaussian source needs 2 pi e sigma^2 "
+                                 "within the floats")
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "SourceModel":
@@ -142,20 +152,9 @@ class SourceModel:
         return cls(kind="gaussian", mean=float(mean), sigma=float(sigma))
 
     def differential_entropy_bits(self) -> float:
-        """h in bits.  Where hi - lo or 2 pi e sigma^2 leaves the floats,
-        h comes from the log of the halved width or of sigma itself."""
         if self.kind == "uniform":
-            width = self.hi - self.lo
-            if math.isinf(width):  # hi - lo above the largest float
-                return math.log2(self.hi / 2.0 - self.lo / 2.0) + 1.0
-            return math.log2(width)
-        try:
-            arg = 2.0 * math.pi * math.e * self.sigma ** 2
-        except OverflowError:  # sigma above about 1.3e154
-            arg = math.inf
-        if 0.0 < arg < math.inf:
-            return 0.5 * math.log2(arg)
-        return 0.5 * math.log2(2.0 * math.pi * math.e) + math.log2(self.sigma)
+            return math.log2(self.hi - self.lo)
+        return 0.5 * math.log2(2.0 * math.pi * math.e * self.sigma ** 2)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "uniform":
@@ -190,13 +189,13 @@ class SourceModel:
     def from_json(cls, obj) -> "SourceModel":
         if not isinstance(obj, dict) or "dist" not in obj:
             raise ValueError('source JSON needs a "dist"')
+        if not all(_is_number(v) for k, v in obj.items() if k != "dist"):
+            raise ValueError("source parameters must be numbers")
         kind = obj["dist"]
         if not isinstance(kind, str) or kind not in _SOURCE_PARAMS:
             raise ValueError(f"unknown source dist: {kind!r}")
-        params = {k: obj[k] for k in _SOURCE_PARAMS[kind] if k in obj}
-        if not all(map(_is_number, params.values())):
-            raise ValueError("source parameters must be numbers")
-        return cls(kind, **{k: float(v) for k, v in params.items()})
+        return cls(kind, **{k: float(obj[k])
+                            for k in _SOURCE_PARAMS[kind] if k in obj})
 
 
 @dataclass(frozen=True)
@@ -789,19 +788,13 @@ def interactive_rate(sources, V: GeneratorMatrix, alpha: float) -> float:
             "interactive rate is defined for upper triangular generators")
     if len(sources) != V.n:
         raise ProtocolError("one source per coordinate required")
-    total = _left_sum(s.differential_entropy_bits()
-                      - _log2_product(float(alpha), abs(float(V.matrix[i, i])))
-                      for i, s in enumerate(sources))
+    cells = [float(alpha) * abs(float(V.matrix[i, i])) for i in range(V.n)]
+    if not all(0.0 < c < math.inf for c in cells):
+        raise ProtocolError("interactive rate needs every alpha |v_ii| "
+                            "to be a positive finite float")
+    total = _left_sum(s.differential_entropy_bits() - math.log2(c)
+                      for s, c in zip(sources, cells))
     return (V.n - 1) * total
-
-
-def _log2_product(x: float, y: float) -> float:
-    """log2(x y) for positive floats; where x y overflows or underflows to
-    0, the sum of the two logs."""
-    p = x * y
-    if 0.0 < p < math.inf:
-        return math.log2(p)
-    return math.log2(x) + math.log2(y)
 
 
 def empirical_entropy(samples) -> float:

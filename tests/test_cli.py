@@ -750,36 +750,46 @@ class TestOneLineErrors:
             assert run(capsys, command, "--scenario", str(sc)) == (
                 1, "", "error: uniform source needs a finite hi\n")
 
-    @pytest.mark.parametrize("matrix, alpha, sources", [
+    @pytest.mark.parametrize("sources, alpha, message", [
         # hi - lo and 2 pi e sigma^2 beyond the floats, sigma^2 below them
-        (RATIO311_MATRIX, 1.0, [{"dist": "uniform", "lo": -1e308,
-                                 "hi": 1e308}, UNIFORM]),
-        (RATIO311_MATRIX, 1.0, [{"dist": "gaussian", "sigma": 1e308},
-                                {"dist": "gaussian", "sigma": 1e154}]),
-        (RATIO311_MATRIX, 2.0 ** -10, [{"dist": "gaussian", "sigma": 1e-200},
-                                       UNIFORM]),
-        # alpha |v_ii| beyond the floats, and below them
-        ({"n": 2, "columns": [[1e150, 0], [0, 1e150]]}, 1e300, [UNIFORM] * 2),
-        ({"n": 2, "columns": [[1e-150, 0], [0, 1e-150]]}, 1e-300,
-         [UNIFORM] * 2),
+        ([{"dist": "uniform", "lo": -1e308, "hi": 1e308}, UNIFORM], 1.0,
+         "uniform source needs a finite hi - lo"),
+        ([UNIFORM, {"dist": "gaussian", "sigma": 1e154}], 1.0,
+         "gaussian source needs 2 pi e sigma^2 within the floats"),
+        ([{"dist": "gaussian", "sigma": 1e-200}, UNIFORM], 2.0 ** -10,
+         "gaussian source needs 2 pi e sigma^2 within the floats"),
     ])
-    def test_outputs_are_finite(self, matrix, alpha, sources, capsys, files):
-        # every number printed is a JSON number: a finite source whose
-        # entropy or cell size leaves the floats is computed from logs of
-        # its parts, and nothing prints Infinity or NaN
-        scenario = {"matrix": matrix, "alpha": alpha, "sources": sources,
-                    "trials": 20, "seed": 1}
-        code, out, err = run(capsys, "rates", "--scenario",
-                             files("sc.json", scenario))
-        assert code == 0 and err == ""
-        assert "Infinity" not in out and "NaN" not in out
-        assert any(isinstance(v, float) for v in json.loads(out).values())
+    def test_source_beyond_the_floats_named(self, sources, alpha, message,
+                                            capsys, files):
+        # an entropy that would print as Infinity, or fail as a log of
+        # zero, is refused with the parameter that leaves the floats
+        scenario = {"matrix": RATIO311_MATRIX, "alpha": alpha,
+                    "sources": sources, "trials": 20, "seed": 1}
         for model in ("centralized", "interactive"):
             sc = files("sc.json", dict(scenario, model=model))
-            code, out, err = run(capsys, "simulate", "--scenario", sc)
-            assert "Infinity" not in out and "NaN" not in out
-            assert code == 0 or (out == "" and err.startswith("error:")
-                                 and err.count("\n") == 1)
+            for command in ("simulate", "rates"):
+                assert run(capsys, command, "--scenario", sc) == (
+                    1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("d, alpha", [(1e150, 1e300), (1e-150, 1e-300)])
+    def test_cell_beyond_the_floats_named(self, d, alpha, capsys, files):
+        # alpha |v_ii| of inf or 0 would print an infinite interactive rate
+        sc = files("sc.json", {"matrix": {"n": 2, "columns": [[d, 0], [0, d]]},
+                               "alpha": alpha, "sources": [UNIFORM] * 2})
+        assert run(capsys, "rates", "--scenario", sc) == (
+            1, "", "error: interactive rate needs every alpha |v_ii| to be a "
+            "positive finite float\n")
+
+    def test_largest_sources_print_finite_rates(self, capsys, files):
+        # the widest sources still in the floats print plain JSON numbers
+        sc = files("sc.json", {
+            "matrix": RATIO311_MATRIX,
+            "sources": [{"dist": "uniform", "lo": -8e307, "hi": 8e307},
+                        {"dist": "gaussian", "sigma": 1e153}]})
+        code, out, err = run(capsys, "rates", "--scenario", sc)
+        assert (code, err) == (0, "")
+        assert "Infinity" not in out and "NaN" not in out
+        assert all(math.isfinite(v) for v in json.loads(out).values())
 
 
 class TestOutputContract:

@@ -406,6 +406,17 @@ class TestCanonicalize:
             V = np.array([[c, -s], [s, c]]) @ np.diag([scale, aspect * scale])
             assert canonicalize_2d(GeneratorMatrix(V))[0].a == 0.0
 
+    @pytest.mark.parametrize("a, b", [(0.50000000001, 1000.0),
+                                      (0.5000001, 1e6)])
+    def test_half_tie_below_reduction_resolution(self, a, b):
+        # ||w2 - w1||^2 and ||w2||^2 round to one float, so the reduction
+        # stops with a above 1/2 by less than about eps (a^2 + b^2); that
+        # a snaps to 1/2 instead of leaving the canonical domain
+        V = GeneratorMatrix.from_columns([[1, 0], [a, b]])
+        assert np.array_equal(gauss_reduce_2d(V)[0].matrix, V.matrix)
+        rb, scale, _ = canonicalize_2d(V)
+        assert (rb.a, rb.b, scale) == (0.5, b, 1.0)
+
     @pytest.mark.parametrize("theta, expected", [
         (None, (0.4999999999999999, 0.8660254037844386, 1.0)),
         (0.3, (0.5, 0.8660254037844388, 0.9999999999999998)),

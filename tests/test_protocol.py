@@ -129,22 +129,22 @@ class TestSourceModel:
         h = SourceModel.gaussian(5.0, 1.0).differential_entropy_bits()
         assert h == pytest.approx(0.5 * math.log2(2 * math.pi * math.e))
 
-    def test_entropy_beyond_the_floats(self):
-        # hi - lo and 2 pi e sigma^2 overflow, sigma^2 underflows: h comes
-        # from the log of the halved width or of sigma itself
-        c = 0.5 * math.log2(2 * math.pi * math.e)
-        for source, h in [
-                (SourceModel.uniform(-1e308, 1e308), math.log2(1e308) + 1),
-                (SourceModel.uniform(-1.7e308, 1.7e308), math.log2(1.7e308) + 1),
-                (SourceModel.gaussian(0, 1e308), c + math.log2(1e308)),
-                (SourceModel.gaussian(0, 1e154), c + math.log2(1e154)),
-                (SourceModel.gaussian(0, 1e-200), c + math.log2(1e-200))]:
-            assert source.differential_entropy_bits() == pytest.approx(
-                h, rel=1e-15)
-        # either side of the switch the two forms meet
-        lo, hi = (SourceModel.gaussian(0, s).differential_entropy_bits()
-                  for s in (1e153, 1e154))
-        assert hi - lo == pytest.approx(math.log2(10), rel=1e-12)
+    def test_entropy_beyond_the_floats_rejected(self):
+        # hi - lo or 2 pi e sigma^2 outside the floats would make h
+        # infinite or a log of zero; the source is refused by name
+        wide = r"2 pi e sigma\^2 within the floats"
+        for make, message in [
+                (lambda: SourceModel.uniform(-1e308, 1e308), "finite hi - lo"),
+                (lambda: SourceModel.gaussian(0, 1e308), wide),
+                (lambda: SourceModel.gaussian(0, 1e154), wide),
+                (lambda: SourceModel.gaussian(0, 1e-200), wide)]:
+            with pytest.raises(ValueError, match=message):
+                make()
+        # the largest ones still in the floats keep the plain formula
+        assert SourceModel.uniform(-8e307, 8e307).differential_entropy_bits() \
+            == math.log2(2 * 8e307)
+        h = SourceModel.gaussian(0, 1e153).differential_entropy_bits()
+        assert h == 0.5 * math.log2(2.0 * math.pi * math.e * 1e153 ** 2)
 
     @pytest.mark.parametrize("kind, name", [
         ("uniform", "lo"), ("uniform", "hi"),
@@ -177,7 +177,10 @@ class TestSourceModel:
         {"dist": "gaussian", "mean": 0, "sigma": True},
         {"dist": "uniform", "lo": "0"},
         {"dist": "gaussian", "mean": 0, "sigma": "1"},
-        {"dist": "gaussian", "sigma": [1]}])
+        {"dist": "gaussian", "sigma": [1]},
+        # nor under another kind's key
+        {"dist": "gaussian", "lo": True},
+        {"dist": "uniform", "sigma": "x"}])
     def test_boolean_parameters_rejected(self, source):
         # JSON true is not the number 1
         with pytest.raises(ValueError, match="must be numbers"):
@@ -611,6 +614,15 @@ class TestRates:
         r1 = interactive_rate(narrow, V, 0.25)
         r2 = interactive_rate(wide, V, 0.25)
         assert r2 - r1 == pytest.approx((3 - 1) * 3 * 1.0)
+
+    def test_interactive_rate_cells_beyond_the_floats(self):
+        # alpha |v_ii| of inf or 0 would give an infinite rate or a log of
+        # zero; the scale is refused by name
+        src = [SourceModel.uniform(0, 1)] * 2
+        for d, alpha in ((1e150, 1e300), (1e-150, 1e-300)):
+            V = GeneratorMatrix.from_columns([[d, 0], [0, d]])
+            with pytest.raises(ProtocolError, match=r"alpha \|v_ii\|"):
+                interactive_rate(src, V, alpha)
 
     def test_source_count_checked(self, hexagonal):
         with pytest.raises(ProtocolError):
