@@ -43,6 +43,7 @@ from .protocol import (
     ProtocolError,
     ProtocolUnsupportedError,
     SourceModel,
+    _as_float,
     _is_number,
     _left_sum,
     build_ratio_table,
@@ -190,15 +191,25 @@ def _cmd_levelcurves(args) -> str:
     return "\n".join([PE_CSV_HEADER] + [pe_csv_line(*r) for r in rows]) + "\n"
 
 
+def _json_int(value):
+    """value as an int if it is a JSON integer, else None: a float with no
+    fraction is one, a bool is not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    return None
+
+
 def _load_scenario(path):
     obj = _load_json(path)
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ValueError('scenario needs a "matrix"')
     V = GeneratorMatrix.from_json(obj["matrix"])
     alpha = obj.get("alpha", 1.0)
-    if not (_is_number(alpha) and 0.0 < alpha < math.inf):
+    alpha = _as_float(alpha) if _is_number(alpha) else math.nan
+    if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be a positive finite scale")
-    alpha = float(alpha)
     sources = None
     if "sources" in obj:
         sources = [SourceModel.from_json(s) for s in obj["sources"]]
@@ -212,16 +223,13 @@ def _cmd_simulate(args) -> str:
     model = obj.get("model")
     if model not in ("centralized", "interactive"):
         raise ValueError('scenario "model" must be centralized or interactive')
-    trials = obj.get("trials", 1)
-    if isinstance(trials, bool) or int(trials) != trials:
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    trials = int(trials)
+    trials = _json_int(obj.get("trials", 1))
+    if trials is None:
+        raise ValueError(f"trials must be an integer, got {obj['trials']!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    seed = obj.get("seed", args.seed)
-    if isinstance(seed, float) and seed.is_integer():
-        seed = int(seed)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    seed = _json_int(obj.get("seed", args.seed))
+    if seed is None or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     fixed_x = obj.get("x")
     # sampled targets are coded under their sources; a replayed target has
@@ -231,7 +239,9 @@ def _cmd_simulate(args) -> str:
         if not (isinstance(fixed_x, list) and len(fixed_x) == V.n
                 and all(map(_is_number, fixed_x))):
             raise ValueError(f'scenario "x" needs {V.n} numbers')
-        x0 = np.asarray(fixed_x, dtype=float)
+        x0 = np.array([_as_float(v) for v in fixed_x])
+        if not np.isfinite(x0).all():
+            raise ValueError(f'scenario "x" needs {V.n} finite numbers')
         X = np.tile(x0, (trials, 1))
     else:
         if sources is None:
@@ -240,7 +250,11 @@ def _cmd_simulate(args) -> str:
         X = np.column_stack([s.sample(rng, trials) for s in sources])
         coded = sources
 
-    scaled = V.scaled(alpha)
+    try:
+        scaled = V.scaled(alpha)
+    except ValueError as e:
+        raise ValueError(f"alpha = {alpha!r} scales the matrix out of range: "
+                         f"{e}") from None
     summary = {"model": model, "trials": trials, "seed": seed, "alpha": alpha}
     if model == "centralized":
         # the fusion center's integer decode, checked against the kernel

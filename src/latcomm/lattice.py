@@ -215,7 +215,9 @@ class GeneratorMatrix:
                 cr = Fraction(cf)
                 rat = [[None if f is None else f * cr for f in row]
                        for row in self.rational]
-            self._scaled = cf, GeneratorMatrix(self.matrix * cf, rat)
+            with np.errstate(over="ignore"):  # the constructor rejects inf
+                scaled = self.matrix * cf
+            self._scaled = cf, GeneratorMatrix(scaled, rat)
         return self._scaled[1]
 
     def qr(self):

@@ -3,11 +3,12 @@
 Each of n nodes observes one coordinate of the target x.  Two schemes
 compute the nearest-plane coefficient vector:
 
-* centralized: every node sends its locally rounded coefficient plus a
-  small side value s to a fusion center, which reconstructs the exact
-  sequential rounding using only integer arithmetic.  This needs the
+* centralized: node m sends one integer, its grid position
+  c_m = floor(q_m (x_m / v_mm + 1/2)), to a fusion center, which finds the
+  exact sequential rounding b_m = floor((c_m - N_m) / q_m) with integer
+  arithmetic only (N_m = sum_{l>m} b_l q_m v_ml / v_mm).  This needs the
   off-diagonal/diagonal ratios of the (upper triangular) generator to be
-  rational: s is a threshold on the q_m-quantized fractional offset.
+  rational, so that every N_m is an integer.
 * interactive: nodes take turns broadcasting their coefficient for the
   scaled lattice alpha * Lambda, last coordinate first; each node can then
   reproduce the full vector.
@@ -110,6 +111,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _as_float(value) -> float:
+    """A JSON number as a float.  An int beyond the floats reads as +-inf,
+    as JSON reads the literal 1e309, so the finiteness checks name it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class SourceModel:
     """Per-coordinate source distribution, used for rate formulas and for
@@ -194,7 +204,7 @@ class SourceModel:
         kind = obj["dist"]
         if not isinstance(kind, str) or kind not in _SOURCE_PARAMS:
             raise ValueError(f"unknown source dist: {kind!r}")
-        return cls(kind, **{k: float(obj[k])
+        return cls(kind, **{k: _as_float(obj[k])
                             for k in _SOURCE_PARAMS[kind] if k in obj})
 
 
@@ -220,17 +230,6 @@ class RatioTable:
     def side_info_bound_bits(self) -> float:
         """sum_m log2 q_m, the side information's share of the rate bound."""
         return _left_sum(math.log2(qm) for qm in self.q)
-
-
-@dataclass(frozen=True)
-class CentralizedMessage:
-    """One node's report: locally rounded coefficient plus the quantized
-    fractional-offset threshold s in [0, q_m - 1]; object arrays of them
-    for a batch of rounds."""
-
-    sender: int
-    b_tilde: int
-    s: int
 
 
 @dataclass(frozen=True)
@@ -564,19 +563,18 @@ def build_ratio_table(V: GeneratorMatrix) -> RatioTable:
     return RatioTable(q=tuple(q), weights=tuple(weights))
 
 
-def _grid_position(z: float, q: int):
-    """divmod(floor(q (z + 1/2)), q), exactly: z = num/den gives
+def _grid_position(z: float, q: int) -> int:
+    """floor(q (z + 1/2)), exactly: z = num/den gives
     q (z + 1/2) = q (2 num + den) / (2 den)."""
     num, den = z.as_integer_ratio()
-    return divmod(q * (2 * num + den) // (2 * den), q)
+    return q * (2 * num + den) // (2 * den)
 
 
-_grid_positions = np.frompyfunc(_grid_position, 2, 2)
-_divmod = np.frompyfunc(divmod, 2, 2)
+_grid_positions = np.frompyfunc(_grid_position, 2, 1)
 
 
-def _grid_positions_batch(z: np.ndarray, q: int):
-    """_grid_position over an array, as object arrays.  Where q (|z| + 1)
+def _grid_positions_batch(z: np.ndarray, q: int) -> np.ndarray:
+    """_grid_position over an array, as an object array.  Where q (|z| + 1)
     stays below 2^51, every half-integer in reach is a float and rounding
     is monotone, so y = fl(fl(q z) + q/2) has floor(q (z + 1/2)) as its
     floor unless y is an integer itself; _grid_position decides there,
@@ -587,23 +585,22 @@ def _grid_positions_batch(z: np.ndarray, q: int):
     y = q * z + 0.5 * q
     c = np.floor(y)
     slow = c == y
-    c = c.astype(np.int64)
-    b_tilde, s = (c // q).astype(object), (c % q).astype(object)
+    c = c.astype(np.int64).astype(object)
     if slow.any():
-        b_tilde[slow], s[slow] = _grid_positions(z[slow], q)
-    return b_tilde, s
+        c[slow] = _grid_positions(z[slow], q)
+    return c
 
 
-def node_encode(x_m, v_mm: float, q_m: int,
-                sender: int = 0) -> CentralizedMessage:
-    """Local computation of node m, for one observation or an array of them.
+def node_encode(x_m, v_mm: float, q_m: int):
+    """Local computation of node m, for one observation or an array of them:
+    its report, the grid position c = floor(q_m (z + 1/2)) of z = x_m / v_mm
+    on the grid of step 1/q_m.
 
-    With z = x_m / v_mm, the node's position on the grid of step 1/q_m is
-    c = floor(q_m (z + 1/2)); it reports (b_tilde, s) = divmod(c, q_m).
-    So b_tilde = [z], and s = floor(q_m (d + 1/2)) in [0, q_m) quantizes
-    the offset d = z - b_tilde in [-1/2, 1/2).  The arithmetic is exact, on
-    Python ints; an array x_m gives object arrays of them.  Non-finite z
-    and |z| >= 2^52 are rejected.
+    divmod(c, q_m) is the paper's pair: the locally rounded coefficient [z]
+    and the side value s = floor(q_m (d + 1/2)) in [0, q_m), which quantizes
+    the offset d = z - [z] in [-1/2, 1/2).  The arithmetic is exact: one
+    observation gives a Python int, an array an object array of them.
+    Non-finite z and |z| >= 2^52 are rejected.
     """
     v_mm = float(v_mm)
     if v_mm == 0 or not math.isfinite(v_mm):
@@ -617,27 +614,26 @@ def node_encode(x_m, v_mm: float, q_m: int,
         bad = z if scalar else float(z[~ok][0])
         raise ProtocolError(
             f"cannot encode x/v = {bad!r}: need a finite |x/v| < 2**52")
-    b_tilde, s = (_grid_position if scalar else _grid_positions_batch)(z, q_m)
-    return CentralizedMessage(sender=sender, b_tilde=b_tilde, s=s)
+    return (_grid_position if scalar else _grid_positions_batch)(z, q_m)
 
 
-def fusion_decode(messages, table: RatioTable) -> np.ndarray:
+def fusion_decode(positions, table: RatioTable) -> np.ndarray:
     """Reconstruct the nearest-plane coefficients from all node reports.
 
-    Integer arithmetic only: with N = sum_l b_l w_{m,l}, the corrected
-    coefficient is b_tilde - floor(N / q_m) - 1[N mod q_m > s].
-    messages[m] must be the report for coordinate m, as node_encode gives
-    it: one round (Python ints) decodes to shape (n,), k rounds (object
-    arrays of length k) to shape (k, n).
+    Integer arithmetic only: with the integer N_m = sum_{l>m} b_l w_{m,l},
+    b_m = [z_m - N_m / q_m] = floor((q_m (z_m + 1/2) - N_m) / q_m), which is
+    floor((c_m - N_m) / q_m) as N_m is an integer.  positions[m] must be the
+    grid position of coordinate m, as node_encode gives it: one round
+    (Python ints) decodes to shape (n,), k rounds (object arrays of length
+    k) to shape (k, n).
     """
     n = len(table.q)
-    if len(messages) != n:
-        raise ProtocolError(f"expected {n} messages, got {len(messages)}")
+    if len(positions) != n:
+        raise ProtocolError(f"expected {n} reports, got {len(positions)}")
     b = [None] * n
     for m in range(n - 1, -1, -1):
         N = sum(b[l] * w for l, w in enumerate(table.weights[m]) if w)
-        qm = table.q[m]
-        b[m] = messages[m].b_tilde - N // qm - (N % qm > messages[m].s)
+        b[m] = (positions[m] - N) // table.q[m]
     return np.array(b, dtype=np.int64).T
 
 
@@ -654,33 +650,35 @@ def run_centralized(V: GeneratorMatrix, X, sources=None):
     exact reconstruction.  Returns (b, Transcript); b and every transcript
     value carry the leading shape of X.
 
-    With sources (one SourceModel per coordinate, the law of x), node m
-    codes its grid position c = b_tilde q_m + s, all rounds in one stream,
-    with P(c) = P(x_m in v_mm [c / q_m - 1/2, (c + 1) / q_m - 1/2)).
-    Without, each report is counted as a varint plus ceil(log2 q_m) bits.
+    Node m reports its grid position c (node_encode); the transcript shows
+    it as the paper's pair b_tilde, s = divmod(c, q_m).  With sources (one
+    SourceModel per coordinate, the law of x), node m codes c, all rounds
+    in one stream, with P(c) = P(x_m in v_mm [c / q_m - 1/2, (c + 1) / q_m
+    - 1/2)).  Without, each report is counted as a varint of b_tilde plus
+    ceil(log2 q_m) bits.
     """
     table = build_ratio_table(V)
     X = _targets(V, X)
-    reports = [node_encode(X.T[m], V.matrix[m, m], table.q[m], sender=m + 1)
-               for m in range(V.n)]
+    positions = [node_encode(X.T[m], V.matrix[m, m], qm)
+                 for m, qm in enumerate(table.q)]
+    # the paper's pair, divmod(c, q); numpy has no divmod for object arrays
+    pairs = [(c // qm, c % qm) for c, qm in zip(positions, table.q)]
     streams = None
     if sources is None:
-        bits = [varint_bits(r.b_tilde) + s_bits
-                for r, s_bits in zip(reports, table.s_bits)]
+        bits = [varint_bits(b_tilde) + s_bits
+                for (b_tilde, _), s_bits in zip(pairs, table.s_bits)]
     else:
         models = _node_models(sources, np.diag(V.matrix).tolist(), table.q)
         zero = np.zeros(X.size // V.n)  # a centralized node's offset
         streams, info = zip(*(
-            model.encode(zero, np.array(r.b_tilde if qm == 1 else
-                                        r.b_tilde * qm + r.s,
-                                        dtype=object).reshape(-1))
-            for r, qm, model in zip(reports, table.q, models)))
+            model.encode(zero, np.array(c, dtype=object).reshape(-1))
+            for c, model in zip(positions, models)))
         bits = [b if X.ndim == 2 else b[0] for b in info]
     messages = tuple(
-        Message(sender=r.sender, receivers=(0,),
-                payload={"b_tilde": r.b_tilde, "s": r.s}, bits=b)
-        for r, b in zip(reports, bits))
-    coeffs = fusion_decode(reports, table)
+        Message(sender=m + 1, receivers=(0,),
+                payload={"b_tilde": b_tilde, "s": s}, bits=b)
+        for m, ((b_tilde, s), b) in enumerate(zip(pairs, bits)))
+    coeffs = fusion_decode(positions, table)
     return coeffs, Transcript(model="centralized", messages=messages,
                               total_bits=_left_sum(m.bits for m in messages),
                               decoded={0: coeffs}, streams=streams)
@@ -726,15 +724,12 @@ def run_interactive(V: GeneratorMatrix, X, alpha: float, sources=None):
 def decode_centralized(V: GeneratorMatrix, streams, sources,
                        rounds: int) -> list:
     """The fusion center's reading of run_centralized's coded streams: each
-    node's reports over `rounds` rounds, object arrays as node_encode gives
-    them, ready for fusion_decode."""
+    node's grid positions over `rounds` rounds, object arrays as node_encode
+    gives them, ready for fusion_decode."""
     table = build_ratio_table(V)
     models = _node_models(sources, np.diag(V.matrix).tolist(), table.q)
-    reports = []
-    for m, (stream, qm, model) in enumerate(zip(streams, table.q, models)):
-        c = np.array(model.decode(stream, np.zeros(rounds)), dtype=object)
-        reports.append(CentralizedMessage(m + 1, *_divmod(c, qm)))
-    return reports
+    return [np.array(model.decode(stream, np.zeros(rounds)), dtype=object)
+            for stream, model in zip(streams, models)]
 
 
 def decode_interactive(V: GeneratorMatrix, streams, sources, alpha: float,

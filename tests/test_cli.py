@@ -18,6 +18,8 @@ HEX_MATRIX = {"n": 2, "columns": [[1, 0], ["1/2", math.sqrt(3) / 2]]}
 SKEW5_MATRIX = {"n": 2, "columns": [[5, 0], [3, 1]]}
 RATIO311_MATRIX = {"n": 2, "columns": [[1, 0], ["311/1000", "101/100"]]}
 UNIFORM = {"dist": "uniform", "lo": 0, "hi": 1}
+# a 400-digit JSON integer, beyond the largest float
+BEYOND_FLOATS = int("9" * 400)
 
 
 @pytest.fixture
@@ -733,6 +735,22 @@ class TestOneLineErrors:
         ({"matrix": RATIO311_MATRIX, "sources": [
             UNIFORM, dict(UNIFORM, lo=-math.inf)]},
          ("simulate", "rates"), "uniform source needs a finite lo"),
+        ({"matrix": RATIO311_MATRIX, "x": [1.0, 1.0], "trials": "abc"},
+         ("simulate",), "trials must be an integer, got 'abc'"),
+        # an integer beyond the floats is named as 1e309 is
+        ({"matrix": RATIO311_MATRIX, "sources": [UNIFORM] * 2,
+          "alpha": BEYOND_FLOATS},
+         ("simulate", "rates"), "alpha must be a positive finite scale"),
+        ({"matrix": RATIO311_MATRIX,
+          "sources": [dict(UNIFORM, hi=BEYOND_FLOATS), UNIFORM]},
+         ("simulate", "rates"), "uniform source needs a finite hi"),
+        ({"matrix": RATIO311_MATRIX, "sources": [
+            UNIFORM, {"dist": "gaussian", "mean": -BEYOND_FLOATS}]},
+         ("simulate", "rates"), "gaussian source needs a finite mean"),
+        ({"matrix": RATIO311_MATRIX, "x": [1.0, -BEYOND_FLOATS]},
+         ("simulate",), 'scenario "x" needs 2 finite numbers'),
+        ({"matrix": RATIO311_MATRIX, "x": [math.nan, 1.0]},
+         ("simulate",), 'scenario "x" needs 2 finite numbers'),
     ])
     def test_scenarios(self, scenario, commands, message, capsys, files):
         sc = files("sc.json", dict(scenario, model="centralized"))
@@ -779,6 +797,21 @@ class TestOneLineErrors:
         assert run(capsys, "rates", "--scenario", sc) == (
             1, "", "error: interactive rate needs every alpha |v_ii| to be a "
             "positive finite float\n")
+
+    @pytest.mark.parametrize("d, alpha, cause", [
+        (1e150, 1e300, "matrix entries must be finite"),
+        (1e-150, 1e-300, "zero basis vector")])
+    def test_scaled_basis_beyond_the_floats_named(self, d, alpha, cause,
+                                                  capsys, files):
+        # alpha * V overflows or underflows: one line that names alpha,
+        # and no RuntimeWarning from the product
+        for model in ("centralized", "interactive"):
+            sc = files("sc.json", {
+                "matrix": {"n": 2, "columns": [[d, 0], [0, d]]},
+                "alpha": alpha, "x": [1.0, 1.0], "model": model})
+            assert run(capsys, "simulate", "--scenario", sc) == (
+                1, "", f"error: alpha = {alpha!r} scales the matrix out of "
+                f"range: {cause}\n")
 
     def test_largest_sources_print_finite_rates(self, capsys, files):
         # the widest sources still in the floats print plain JSON numbers
@@ -873,6 +906,20 @@ class TestOutputContract:
         assert code == 1 and err.startswith("error:")
         assert not os.path.exists(path)
         assert list(tmp_path.glob(".latcomm-*")) == []
+
+    def test_failed_rename_removes_the_temp_file(self, capsys, files,
+                                                 tmp_path):
+        # --out names a directory: the temp file is written, the rename
+        # onto the directory fails, and the temp file is removed
+        m = files("m.json", HEX_MATRIX)
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        code, out, err = run(capsys, "perror", "--matrix", m,
+                             "--out", str(taken))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert list(tmp_path.glob(".latcomm-*")) == []
+        assert taken.is_dir() and list(taken.iterdir()) == []
 
     def test_missing_file_diagnostic(self, capsys):
         code, _, err = run(capsys, "babai", "--matrix", "/nonexistent.json",

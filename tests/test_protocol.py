@@ -248,20 +248,17 @@ class TestRatioTable:
 
 class TestNodeEncode:
     def test_golden_thousand(self):
-        m = node_encode(1.0, 1.0, 1000)
-        assert (m.b_tilde, m.s) == (1, 500)
+        assert divmod(node_encode(1.0, 1.0, 1000), 1000) == (1, 500)
 
     def test_q_one_always_zero(self):
         for x in (-3.7, -0.5, 0.0, 0.49, 123.456):
-            assert node_encode(x, 1.0, 1).s == 0
+            assert divmod(node_encode(x, 1.0, 1), 1)[1] == 0
 
     def test_golden_point_three(self):
-        m = node_encode(0.3, 1.0, 2)
-        assert (m.b_tilde, m.s) == (0, 1)
+        assert divmod(node_encode(0.3, 1.0, 2), 2) == (0, 1)
 
     def test_tie_rounds_up_and_s_is_zero(self):
-        m = node_encode(0.5, 1.0, 2)
-        assert (m.b_tilde, m.s) == (1, 0)
+        assert divmod(node_encode(0.5, 1.0, 2), 2) == (1, 0)
 
     def test_validation(self):
         with pytest.raises(ProtocolError):
@@ -274,16 +271,16 @@ class TestNodeEncode:
     @given(st.floats(min_value=-100, max_value=100),
            st.integers(min_value=1, max_value=200))
     def test_matches_exhaustive_scan(self, z, q):
-        m = node_encode(z, 1.0, q)
-        assert m.b_tilde == round_half_up(z)
-        assert m.s == _scan_s(z, q)
+        b_tilde, s = divmod(node_encode(z, 1.0, q), q)
+        assert b_tilde == round_half_up(z)
+        assert s == _scan_s(z, q)
 
     def test_scan_at_large_q(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             z = float(rng.uniform(-5, 5))
             q = 10**4
-            assert node_encode(z, 1.0, q).s == _scan_s(z, q)
+            assert node_encode(z, 1.0, q) % q == _scan_s(z, q)
 
     @given(st.floats(min_value=-50, max_value=50),
            st.integers(min_value=1, max_value=1000))
@@ -305,26 +302,24 @@ class TestNodeEncode:
     def test_batch_matches_scalar_and_scan(self, zs, q):
         # ties z = k + 1/2 included; the exhaustive scan checks the first
         batch = node_encode(np.array(zs), 1.0, q)
-        single = [node_encode(z, 1.0, q) for z in zs]
-        assert list(batch.b_tilde) == [m.b_tilde for m in single]
-        assert list(batch.s) == [m.s for m in single]
-        assert single[0].b_tilde == round_half_up(zs[0])
-        assert single[0].s == _scan_s(zs[0], q)
+        single = [divmod(node_encode(z, 1.0, q), q) for z in zs]
+        assert [divmod(c, q) for c in batch] == single
+        assert single[0] == (round_half_up(zs[0]), _scan_s(zs[0], q))
 
     def test_batch_matches_scalar_on_random_targets(self):
         X = np.random.default_rng(17).uniform(-1e3, 1e3, size=(100, 3))
         X[0] = [0.5, -0.5, 2.25]
         batch = node_encode(X, 0.5, 9973)
-        assert batch.b_tilde.shape == (100, 3)
+        assert batch.shape == (100, 3)
         for idx in np.ndindex(X.shape):
-            m = node_encode(X[idx], 0.5, 9973)
-            assert (batch.b_tilde[idx], batch.s[idx]) == (m.b_tilde, m.s)
+            assert divmod(batch[idx], 9973) == divmod(
+                node_encode(X[idx], 0.5, 9973), 9973)
 
     def test_side_value_beyond_int64(self):
         q = 10**30
-        m = node_encode(np.array([0.3, -2.7]), 1.0, q)
-        for z, s in zip((0.3, -2.7), m.s):
-            assert s == node_encode(z, 1.0, q).s
+        batch = node_encode(np.array([0.3, -2.7]), 1.0, q)
+        for z, s in zip((0.3, -2.7), batch % q):
+            assert s == node_encode(z, 1.0, q) % q
             assert Fraction(s, q) <= Fraction(z) + Fraction(1, 2) \
                 - round_half_up(z) < Fraction(s + 1, q)
 
@@ -339,8 +334,8 @@ class TestNodeEncode:
 
     def test_just_below_limit_accepted(self):
         z = 2.0 ** 52 - 0.5
-        assert node_encode(z, 1.0, 2).b_tilde == 2 ** 52
-        assert list(node_encode(np.array([-z]), 1.0, 2).b_tilde) \
+        assert node_encode(z, 1.0, 2) // 2 == 2 ** 52
+        assert list(node_encode(np.array([-z]), 1.0, 2) // 2) \
             == [-(2 ** 52) + 1]
 
     @pytest.mark.parametrize("q", [1, 2, 3, 1000, 9973, 2 ** 20 + 1,
@@ -360,10 +355,8 @@ class TestNodeEncode:
                   np.array([0.0, -0.0, 0.5, -0.5, 5e-324, -5e-324]),
                   np.array([2.0 ** 52 - 0.5])):
             fast = protocol._grid_positions_batch(z, q)
-            exact = protocol._grid_positions(z, q)
-            for got, want in zip(fast, exact):
-                assert got.tolist() == want.tolist()
-                assert all(type(v) is int for v in got)
+            assert fast.tolist() == protocol._grid_positions(z, q).tolist()
+            assert all(type(v) is int for v in fast)
 
     def test_monotone_step_exhaustive_large_q(self):
         q = 10**4
@@ -770,10 +763,10 @@ class TestCodedStreams:
             X = X[0]  # a single run, not a batch of one
         (tc, reports), (ti, B, U) = _coded_runs(V, X, [source] * V.n,
                                                 2.0 ** -6)
-        for r, m in zip(reports, tc.messages):
-            assert list(r.b_tilde) == list(np.ravel(m.payload["b_tilde"]))
-            assert list(r.s) == list(np.ravel(m.payload["s"]))
         table = build_ratio_table(V.scaled(2.0 ** -6))
+        for c, qm, m in zip(reports, table.q, tc.messages):
+            assert list(c // qm) == list(np.ravel(m.payload["b_tilde"]))
+            assert list(c % qm) == list(np.ravel(m.payload["s"]))
         assert np.array_equal(fusion_decode(reports, table),
                               np.reshape(tc.decoded[0], (rounds, V.n)))
         assert np.array_equal(U, B)
@@ -785,7 +778,8 @@ class TestCodedStreams:
         rng = np.random.Generator(np.random.Philox(key=3))
         X = np.column_stack([s.sample(rng, 80) for s in sources])
         (tc, reports), (ti, B, U) = _coded_runs(ratio311, X, sources, 0.125)
-        assert list(reports[0].s) == list(tc.messages[0].payload["s"])
+        q = build_ratio_table(ratio311).q[0]
+        assert list(reports[0] % q) == list(tc.messages[0].payload["s"])
         assert np.array_equal(U, B)
         _assert_within_information(tc)
 
@@ -798,7 +792,8 @@ class TestCodedStreams:
             X = np.array([[0.3, 0.7], far, [0.6, 0.1], far[::-1]])
             (tc, reports), (ti, B, U) = _coded_runs(ratio311, X,
                                                     [source] * 2, 0.25)
-            assert list(reports[1].b_tilde) == list(
+            q = build_ratio_table(ratio311).q[1]
+            assert list(reports[1] // q) == list(
                 tc.messages[1].payload["b_tilde"])
             assert np.array_equal(U, B)
             # an escaped round pays its varint bytes on top of 32 bits
@@ -815,7 +810,8 @@ class TestCodedStreams:
         X = np.random.default_rng(5).uniform(0.0, 1.0, (20, 2)) + 2.0 ** 45
         (tc, reports), (ti, B, U) = _coded_runs(ratio311, X, [source] * 2,
                                                 1.0)
-        assert list(reports[0].s) == list(tc.messages[0].payload["s"])
+        q = build_ratio_table(ratio311).q[0]
+        assert list(reports[0] % q) == list(tc.messages[0].payload["s"])
         bits = tc.messages[0].bits
         assert np.all(np.abs(bits - 8 * np.round(bits / 8)) < 1e-6)
         assert np.array_equal(U, B)
@@ -864,11 +860,12 @@ class TestCodedStreams:
         monkeypatch.setattr(protocol._NodeModel, "edges", squared)
         rng = np.random.Generator(np.random.Philox(key=11))
         X = rng.uniform(0.0, 1.0, size=(64, 3))
-        (tc, reports), (ti, B, U) = _coded_runs(_rational_tri3(), X,
-                                                [UNIFORM] * 3, 2.0 ** -6)
+        V = _rational_tri3()
+        (tc, reports), (ti, B, U) = _coded_runs(V, X, [UNIFORM] * 3,
+                                                2.0 ** -6)
         assert np.array_equal(U, B)
-        for r, m in zip(reports, tc.messages):
-            assert list(r.s) == list(m.payload["s"])
+        for c, qm, m in zip(reports, build_ratio_table(V).q, tc.messages):
+            assert list(c % qm) == list(m.payload["s"])
         _assert_within_information(tc)
 
     def test_bits_approach_the_entropy(self):
