@@ -1,9 +1,12 @@
-"""Nearest-plane rounding of a target to a lattice, and its partition cells.
+"""Nearest-plane rounding of a target to a lattice.
 
 The recursion walks basis levels from last to first, rounding the coefficient
 of the target along each successive orthogonal direction.  The induced
 partition of space is a tiling by identical boxes, axis-aligned in the QR
-frame of the basis, with side lengths given by the R diagonal.
+frame of the basis, with side lengths given by the R diagonal: a target
+lies in the box of its output b exactly when every level's residual is
+within [-1/2, 1/2) of b_i, which is how the recursion rounds (Babai,
+Combinatorica 6, 1986).
 """
 
 from __future__ import annotations
@@ -68,32 +71,3 @@ def nearest_plane(V: GeneratorMatrix, X, method="auto") -> NearestPlaneResult:
         Y = [y + qi * xj if qi else y for y, qi in zip(Y, q)]
     coeffs = np.array(_nearest_plane_levels(C, Y), dtype=np.int64).T
     return NearestPlaneResult(coeffs=coeffs, matrix=V.matrix, levels=Y)
-
-
-@dataclass(frozen=True)
-class BabaiCell:
-    """Axis-aligned box (in the `frame` coordinates) of points that round to
-    the lattice point `center` under the nearest-plane recursion; half-open
-    on the upper side."""
-
-    center: np.ndarray
-    half_widths: np.ndarray
-    frame: np.ndarray
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(2.0 * self.half_widths))
-
-    def contains(self, x) -> bool:
-        y = self.frame.T @ (np.asarray(x, dtype=float) - self.center)
-        return bool(np.all(y >= -self.half_widths)
-                    and np.all(y < self.half_widths))
-
-
-def babai_cell(V: GeneratorMatrix, coeffs) -> BabaiCell:
-    """Partition cell of the lattice point with integer coefficients
-    `coeffs`: its translate of the origin box."""
-    center = V.matrix @ np.asarray(coeffs, dtype=np.int64).astype(float)
-    Q, R = V.qr()
-    return BabaiCell(center=center, half_widths=np.abs(np.diag(R)) / 2.0,
-                     frame=Q)

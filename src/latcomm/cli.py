@@ -25,6 +25,7 @@ import numpy as np
 from .babai import nearest_plane
 from .error_analysis import (
     PE_CSV_HEADER,
+    _SEED_LIMIT,
     analytic_pe,
     exact_pe_area,
     level_curve_points,
@@ -55,6 +56,8 @@ from .protocol import (
 )
 
 _DEFAULT_K = "0,0.01,0.02,0.04,0.06,1/12"
+# numpy indexes arrays with int64
+_TRIALS_LIMIT = 1 << 63
 _PE_HEADER = PE_CSV_HEADER.split(",")
 # the CSV columns that each perror method fills with its pe and std_error
 _PE_COLUMNS = {"analytic": ("pe_analytic",), "area": ("pe_exact",),
@@ -228,9 +231,13 @@ def _cmd_simulate(args) -> str:
         raise ValueError(f"trials must be an integer, got {obj['trials']!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if trials >= _TRIALS_LIMIT:
+        raise ValueError("trials must be below 2^63")
     seed = _json_int(obj.get("seed", args.seed))
     if seed is None or seed < 0:
         raise ValueError("seed must be a non-negative integer")
+    if seed >= _SEED_LIMIT:
+        raise ValueError("seed must be below 2^128")
     fixed_x = obj.get("x")
     # sampled targets are coded under their sources; a replayed target has
     # no source model, so its payloads are counted with the varint

@@ -313,6 +313,8 @@ def exact_pe_area(V: GeneratorMatrix) -> float:
 
 
 _MC_CHUNK = 1 << 16
+# seeds key a Philox generator, whose key has 128 bits
+_SEED_LIMIT = 1 << 128
 
 
 def _mc_chunk_errors(V, half, Q, seed, chunk_index, count):
@@ -336,6 +338,8 @@ def monte_carlo_pe(V: GeneratorMatrix, n_samples: int,
         raise ValueError("n_samples must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    if seed >= _SEED_LIMIT:
+        raise ValueError("seed must be below 2^128")
     Q, R = V.qr()
     V._search_frame()  # the CVP frame, cached before the threads share it
     half = np.abs(np.diag(R)) / 2.0

@@ -66,23 +66,26 @@ def _parse_entry(value):
     """Return (float_value, Fraction_or_None) for a JSON matrix entry.
 
     Integers and strings ("p/q" or a decimal literal) are exact; floats are
-    kept as floats and never promoted to rationals.
+    kept as floats and never promoted to rationals.  An exact entry beyond
+    the floats is refused by name.
     """
     if isinstance(value, bool):
         raise ValueError("matrix entries must be numbers or rational strings")
-    if isinstance(value, int):
-        return float(value), Fraction(value)
     if isinstance(value, float):
         return value, None
-    if isinstance(value, Fraction):
-        return float(value), value
-    if isinstance(value, str):
+    if isinstance(value, (int, Fraction)):
+        f = Fraction(value)
+    elif isinstance(value, str):
         try:
             f = Fraction(value)
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"bad rational entry {value!r}") from e
+    else:
+        raise ValueError(f"bad matrix entry {value!r}")
+    try:
         return float(f), f
-    raise ValueError(f"bad matrix entry {value!r}")
+    except OverflowError:
+        raise ValueError(f"matrix entry {value!r} is beyond the floats") from None
 
 
 class GeneratorMatrix:
@@ -90,7 +93,7 @@ class GeneratorMatrix:
 
     `rational` optionally carries exact values per entry (Fraction or None),
     used by the distributed protocol which needs exact ratios of entries.
-    Derived data (QR, inverse) is computed lazily and cached.
+    Derived data (QR, the CVP search frame) is computed lazily and cached.
     """
 
     def __init__(self, matrix, rational=None):
@@ -138,7 +141,6 @@ class GeneratorMatrix:
         self.n = n
         self.det = det
         self._qr = None
-        self._inv = None
         self._upper = None
         self._scaled = None
         self._frame = None
@@ -267,11 +269,6 @@ class GeneratorMatrix:
             for a in self._frame:
                 a.setflags(write=False)
         return self._frame
-
-    def inverse(self):
-        if self._inv is None:
-            self._inv = np.linalg.inv(self.matrix)
-        return self._inv
 
 
 # Magnitude bound (exclusive) of what round_half_up accepts: below it every
@@ -596,7 +593,7 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
     X = np.atleast_2d(X)
     Q, R, Ut = V._search_frame()
     diag = R.diagonal()
-    C0 = round_half_up(X @ V.inverse().T)
+    C0 = round_half_up(X @ np.linalg.inv(V.matrix).T)
     R0 = X - C0.astype(float) @ V.matrix.T
     Y = Q.T @ R0.T
     B = np.array(_nearest_plane_levels(R.T.tolist(), list(Y)))

@@ -190,11 +190,6 @@ class SourceModel:
         reach = _GAUSS_REACH * self.sigma
         return self.mean - reach, self.mean + reach
 
-    def to_json(self) -> dict:
-        if self.kind == "uniform":
-            return {"dist": "uniform", "lo": self.lo, "hi": self.hi}
-        return {"dist": "gaussian", "mean": self.mean, "sigma": self.sigma}
-
     @classmethod
     def from_json(cls, obj) -> "SourceModel":
         if not isinstance(obj, dict) or "dist" not in obj:
@@ -246,7 +241,7 @@ class Message:
     def to_json(self) -> dict:
         return {"from": self.sender, "to": list(self.receivers),
                 "payload": {k: int(v) for k, v in self.payload.items()},
-                "bits": _number(self.bits)}
+                "bits": self.bits}
 
 
 @dataclass(frozen=True)
@@ -293,16 +288,11 @@ class Transcript:
         """JSON of a one-round transcript."""
         return {
             "model": self.model,
-            "total_bits": _number(self.total_bits),
+            "total_bits": self.total_bits,
             "messages": [m.to_json() for m in self.messages],
             "decoded": {str(k): [int(c) for c in v]
                         for k, v in self.decoded.items()},
         }
-
-
-def _number(v):
-    """A JSON number from a Python or numpy scalar."""
-    return v.item() if isinstance(v, np.generic) else v
 
 
 # The range coder.  A symbol has a count out of 2^32, and the coder takes

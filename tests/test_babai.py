@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from latcomm import (
     MAX_CVP_DIM,
     GeneratorMatrix,
-    babai_cell,
     cvp_bruteforce_batch,
     interactive_coefficients_batch,
     nearest_plane,
@@ -336,45 +335,46 @@ class TestSuboptimality:
                 assert da > db
 
 
+def _in_own_cell(V, X):
+    """nearest_plane's output on each row of X, checked to be the lattice
+    point whose cell holds it: every level's residual lies within
+    [-1/2, 1/2) of its coefficient, the box of side R_ii along level i of
+    the QR frame."""
+    res = nearest_plane(V, X)
+    D = res.residuals - res.coeffs
+    assert np.all(D >= -0.5) and np.all(D < 0.5)
+    return res.coeffs
+
+
 class TestBabaiCell:
-    def test_volume_is_det(self, hexagonal):
-        cell = babai_cell(hexagonal, [0, 0])
-        assert cell.volume == pytest.approx(abs(hexagonal.det))
+    """The nearest-plane partition: each target lies in the box of exactly
+    the lattice point that nearest_plane returns for it."""
 
     def test_cell_contains_its_rounding_preimage(self, hexagonal):
-        rng = np.random.default_rng(9)
-        for _ in range(300):
-            x = rng.uniform(-3, 3, size=2)
-            coeffs = nearest_plane(hexagonal, x).coeffs
-            cell = babai_cell(hexagonal, coeffs)
-            assert cell.contains(x)
+        X = np.random.default_rng(9).uniform(-3, 3, size=(300, 2))
+        _in_own_cell(hexagonal, X)
+        for x in X[:20]:
+            _in_own_cell(hexagonal, x)
 
     def test_half_open_faces(self):
         V = GeneratorMatrix.from_columns([[2, 0], [0, 3]])
-        origin = babai_cell(V, [0, 0])
         # upper face belongs to the next cell (ties round up), lower face
         # belongs to this one
-        assert not origin.contains([1.0, 0.0])
-        assert origin.contains([-1.0, 0.0])
-        assert not origin.contains([0.0, 1.5])
-        assert origin.contains([0.0, -1.5])
-        assert tuple(nearest_plane(V, [1.0, 0.0]).coeffs) == (1, 0)
-        assert tuple(nearest_plane(V, [-1.0, 0.0]).coeffs) == (0, 0)
+        for x, coeffs in [([1.0, 0.0], (1, 0)), ([-1.0, 0.0], (0, 0)),
+                          ([0.0, 1.5], (0, 1)), ([0.0, -1.5], (0, 0))]:
+            assert tuple(_in_own_cell(V, x)) == coeffs
 
     def test_translated_cell(self, hexagonal):
-        cell = babai_cell(hexagonal, [2, 1])
         center = 2 * hexagonal.matrix[:, 0] + hexagonal.matrix[:, 1]
-        assert cell.center == pytest.approx(center)
-        assert cell.contains(center)
+        assert tuple(_in_own_cell(hexagonal, center)) == (2, 1)
 
     def test_cells_partition_samples(self, skew5):
-        # every point belongs to exactly the cell of its rounding output
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            x = rng.uniform(-6, 6, size=2)
-            coeffs = nearest_plane(skew5, x).coeffs
-            assert babai_cell(skew5, coeffs).contains(x)
-            assert not babai_cell(skew5, coeffs + np.array([1, 0])).contains(x)
+        # every point belongs to exactly the cell of its rounding output:
+        # its level-0 residual is more than 1/2 from the neighbour's b_0
+        X = np.random.default_rng(4).uniform(-6, 6, size=(200, 2))
+        coeffs = _in_own_cell(skew5, X)
+        res = nearest_plane(skew5, X).residuals
+        assert np.all(res[:, 0] - (coeffs[:, 0] + 1) < -0.5)
 
 
 def _matches_cvp(V, x):

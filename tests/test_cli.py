@@ -692,6 +692,16 @@ class TestOneLineErrors:
         assert run(capsys, "reduce", "--matrix", m) == (
             1, "", "error: bad matrix entry [1]\n")
 
+    @pytest.mark.parametrize("entry", [
+        BEYOND_FLOATS, "1e400", "1" + "0" * 400 + "/3"],
+        ids=["integer", "decimal", "ratio"])
+    def test_matrix_entry_beyond_the_floats(self, entry, capsys, files):
+        # an exact entry that no float holds is named, not left to the
+        # float conversion's own message
+        m = files("m.json", {"n": 2, "columns": [[1, 0], [entry, 1]]})
+        assert run(capsys, "reduce", "--matrix", m) == (
+            1, "", f"error: matrix entry {entry!r} is beyond the floats\n")
+
     @pytest.mark.parametrize("scenario, commands, message", [
         ({"x": [0, 0]}, ("simulate", "rates"), 'scenario needs a "matrix"'),
         ({"matrix": RATIO311_MATRIX, "sources": [UNIFORM] * 3},
@@ -751,12 +761,54 @@ class TestOneLineErrors:
          ("simulate",), 'scenario "x" needs 2 finite numbers'),
         ({"matrix": RATIO311_MATRIX, "x": [math.nan, 1.0]},
          ("simulate",), 'scenario "x" needs 2 finite numbers'),
+        # a count that numpy cannot index, with a fixed x and with sources
+        ({"matrix": RATIO311_MATRIX, "x": [1.0, 1.0], "trials": 1e300},
+         ("simulate",), "trials must be below 2^63"),
+        ({"matrix": RATIO311_MATRIX, "sources": [UNIFORM] * 2,
+          "trials": 1e300}, ("simulate",), "trials must be below 2^63"),
+        ({"matrix": RATIO311_MATRIX, "x": [1.0, 1.0], "trials": 2 ** 63},
+         ("simulate",), "trials must be below 2^63"),
     ])
     def test_scenarios(self, scenario, commands, message, capsys, files):
         sc = files("sc.json", dict(scenario, model="centralized"))
         for command in commands:
             assert run(capsys, command, "--scenario", sc) == (
                 1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", [
+        "simulate-scenario", "simulate-option", "perror", "levelcurves"])
+    def test_seed_beyond_the_philox_key(self, command, capsys, files):
+        # every command that samples names the seed, not numpy's key check
+        seed = str(2 ** 128)
+        scenario = {"matrix": RATIO311_MATRIX, "sources": [UNIFORM] * 2,
+                    "model": "centralized", "trials": 3}
+        argv = {
+            "simulate-scenario": ["simulate", "--scenario", files(
+                "seeded.json", dict(scenario, seed=2 ** 128))],
+            "simulate-option": ["simulate", "--scenario",
+                                files("sc.json", scenario), "--seed", seed],
+            "perror": ["perror", "--matrix", files("m.json", HEX_MATRIX),
+                       "--method", "mc", "--samples", "100", "--seed", seed],
+            "levelcurves": ["levelcurves", "--k", "0.05", "--grid", "2",
+                            "--samples", "100", "--seed", seed],
+        }[command]
+        assert run(capsys, *argv) == (
+            1, "", "error: seed must be below 2^128\n")
+
+    def test_largest_seed_runs(self, capsys, files):
+        seed = 2 ** 128 - 1
+        m = files("m.json", HEX_MATRIX)
+        sc = files("sc.json", {"matrix": RATIO311_MATRIX, "seed": seed,
+                               "sources": [UNIFORM] * 2,
+                               "model": "centralized", "trials": 3})
+        code, out, err = run(capsys, "simulate", "--scenario", sc)
+        assert (code, err) == (0, "") and json.loads(out)["seed"] == seed
+        code, out, err = run(capsys, "perror", "--matrix", m, "--method", "mc",
+                             "--samples", "100", "--seed", str(seed))
+        assert (code, err) == (0, "") and json.loads(out)["seed"] == seed
+        code, out, err = run(capsys, "levelcurves", "--k", "0.05", "--grid",
+                             "2", "--samples", "100", "--seed", str(seed))
+        assert (code, err) == (0, "") and out.count("\n") == 3
 
     def test_number_beyond_the_floats(self, capsys, tmp_path):
         # JSON reads 1e309 as inf

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import operator
 from collections import Counter
@@ -154,10 +155,6 @@ class TestSourceModel:
             with pytest.raises(ValueError,
                                match=f"{kind} source needs a finite {name}"):
                 SourceModel.from_json({"dist": kind, name: value})
-
-    def test_json_roundtrip(self):
-        for s in (SourceModel.uniform(-2, 3), SourceModel.gaussian(1, 0.5)):
-            assert SourceModel.from_json(s.to_json()) == s
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -845,7 +842,10 @@ class TestCodedStreams:
                     lambda x: run_interactive(hexagonal, x, 0.125, sources)):
             _, T = run(X)
             for i in range(len(X)):
-                assert T.row(i).to_json() == run(X[i])[1].to_json()
+                row, single = T.row(i).to_json(), run(X[i])[1].to_json()
+                assert row == single
+                # a single run's bits are numpy floats: the same text too
+                assert json.dumps(row) == json.dumps(single)
 
     def test_counts_come_from_one_function(self, monkeypatch, ratio311):
         # swap the edge counts for another monotone pmf: the streams still
