@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from latcomm import ReducedBasis2D
+from latcomm.cli import _emit
 from latcomm.error_analysis import PE_CSV_HEADER, pe_csv_line, pe_row
 
 
@@ -26,7 +27,15 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
+    try:
+        _emit(sweep(args), args.out)
+    except Exception as e:  # one-line diagnostic, as the CLI gives
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    return 0
 
+
+def sweep(args) -> str:
     pairs = []
     for a in np.linspace(0.0, 0.5, args.a_grid):
         for b in np.linspace(0.85, args.b_max, args.b_grid):
@@ -37,13 +46,7 @@ def main(argv=None) -> int:
             pairs.append((float(a), float(b)))
     a, b = np.array(pairs).reshape(-1, 2).T
     rows = pe_row(a, b, args.samples, args.seed)
-    text = "\n".join([PE_CSV_HEADER] + [pe_csv_line(*r) for r in rows]) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return "\n".join([PE_CSV_HEADER] + [pe_csv_line(*r) for r in rows]) + "\n"
 
 
 if __name__ == "__main__":

@@ -31,7 +31,17 @@ def main(argv=None) -> int:
     ap.add_argument("--diag", default="5/4,4/5",
                     help="diagonal of the (triangular) test basis")
     args = ap.parse_args(argv)
+    try:
+        sys.stdout.write(table(args))
+    except Exception as e:  # one-line diagnostic, as the CLI gives
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    return 0
 
+
+def table(args) -> str:
+    if not 0 <= args.seed < 2 ** 128:
+        raise ValueError("--seed must lie in [0, 2^128), the Philox key range")
     diag = [d.strip() for d in args.diag.split(",")]
     n = len(diag)
     cols = [[diag[j] if i == j else 0 for i in range(n)] for j in range(n)]
@@ -41,7 +51,8 @@ def main(argv=None) -> int:
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     X = np.column_stack([s.sample(rng, args.trials) for s in sources])
 
-    print("alpha,i,empirical_entropy_bits,analytic_bits,gap,interactive_rate")
+    lines = ["alpha,i,empirical_entropy_bits,analytic_bits,gap,"
+             "interactive_rate"]
     for e in (int(v) for v in args.exponents.split(",")):
         alpha = 2.0 ** -e
         B = interactive_coefficients_batch(V, X, alpha)
@@ -50,9 +61,9 @@ def main(argv=None) -> int:
             h = empirical_entropy(B[:, i])
             target = (sources[i].differential_entropy_bits()
                       - math.log2(alpha * abs(float(V.matrix[i, i]))))
-            print(f"{alpha:.10g},{i + 1},{h:.6f},{target:.6f},"
-                  f"{h - target:+.6f},{rate:.6f}")
-    return 0
+            lines.append(f"{alpha:.10g},{i + 1},{h:.6f},{target:.6f},"
+                         f"{h - target:+.6f},{rate:.6f}")
+    return "\n".join(lines) + "\n"
 
 
 if __name__ == "__main__":

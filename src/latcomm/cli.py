@@ -85,27 +85,41 @@ def _emit(text: str, out_path):
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as e:
+            raise ValueError(f"{path} is not JSON: {e}") from None
 
 
 def _load_matrix(path) -> GeneratorMatrix:
     return GeneratorMatrix.from_json(_load_json(path))
 
 
-def _parse_x(text: str, n: int) -> np.ndarray:
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if len(parts) != n:
-        raise ValueError(f"--x needs {n} comma-separated numbers")
-    return np.array([float(p) for p in parts])
-
-
-def _parse_k_list(text: str):
+def _parse_numbers(flag: str, text: str, parse):
+    """The non-empty comma-separated parts of text, each read by parse; a
+    part that parse refuses fails with its flag and its own text."""
     out = []
     for part in text.split(","):
         part = part.strip()
         if part == "":
             continue
-        out.append(float(Fraction(part)))
+        try:
+            out.append(parse(part))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(
+                f"{flag}: {part!r} is not a finite number") from None
+    return out
+
+
+def _parse_x(text: str, n: int) -> np.ndarray:
+    x = _parse_numbers("--x", text, float)
+    if len(x) != n:
+        raise ValueError(f"--x needs {n} comma-separated numbers")
+    return np.array(x)
+
+
+def _parse_k_list(text: str):
+    out = _parse_numbers("--k", text, lambda part: float(Fraction(part)))
     if not out:
         raise ValueError("--k must list at least one level")
     return out
@@ -178,8 +192,6 @@ def _cmd_levelcurves(args) -> str:
         raise ValueError("--samples must be non-negative")
     pairs = []
     for k in _parse_k_list(args.k):
-        if k < 0:
-            raise ValueError(f"k out of range: {k}")
         if k == 0:
             # the zero level set is the orthogonal boundary a = 0; choose a
             # bounded slice of the unbounded ray so the curve is plottable
@@ -328,8 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None,
                         help="output file (atomic write); default stdout")
-    common.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format where applicable")
 
     parser = argparse.ArgumentParser(
         prog="latcomm",
@@ -340,19 +350,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", parents=[common],
                        help="Lagrange-Gauss reduce a 2D basis")
     p.add_argument("--matrix", required=True, help="matrix JSON file")
-    p.set_defaults(func=_cmd_reduce, default_format="json")
+    p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("babai", parents=[common],
                        help="nearest-plane rounding of a target")
     p.add_argument("--matrix", required=True)
     p.add_argument("--x", required=True, help="comma-separated target")
-    p.set_defaults(func=_cmd_rounding, default_format="json")
+    p.set_defaults(func=_cmd_rounding)
 
     p = sub.add_parser("cvp", parents=[common],
                        help=f"exact closest lattice point (n <= {MAX_CVP_DIM})")
     p.add_argument("--matrix", required=True)
     p.add_argument("--x", required=True, help="comma-separated target")
-    p.set_defaults(func=_cmd_rounding, default_format="json")
+    p.set_defaults(func=_cmd_rounding)
 
     p = sub.add_parser("perror", parents=[seeded, common],
                        help="rounding-error probability of a basis")
@@ -361,7 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="analytic")
     p.add_argument("--samples", type=int, default=100000,
                    help="Monte Carlo sample count (method mc)")
-    p.set_defaults(func=_cmd_perror, default_format="json")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(func=_cmd_perror)
 
     p = sub.add_parser("levelcurves", parents=[seeded, common],
                        help="level curves of the 2D error probability")
@@ -371,30 +382,24 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="points per curve (default 64)")
     p.add_argument("--samples", type=int, default=0,
                    help="optional Monte Carlo samples per point")
-    p.set_defaults(func=_cmd_levelcurves, default_format="csv")
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
+    p.set_defaults(func=_cmd_levelcurves)
 
     p = sub.add_parser("simulate", parents=[seeded, common],
                        help="run a protocol scenario file")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
-    p.set_defaults(func=_cmd_simulate, default_format="json")
+    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("rates", parents=[common],
                        help="analytic rate formulas for a scenario")
     p.add_argument("--scenario", required=True)
-    p.set_defaults(func=_cmd_rates, default_format="json")
+    p.set_defaults(func=_cmd_rates)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
-    elif args.format != args.default_format and args.command not in (
-            "perror", "levelcurves"):
-        print(f"error: {args.command} supports only "
-              f"--format {args.default_format}", file=sys.stderr)
-        return 2
     try:
         text = args.func(args)
         _emit(text, args.out)

@@ -181,19 +181,8 @@ class GeneratorMatrix:
         return cls.from_columns(cols)
 
     def to_json(self):
-        cols = []
-        for j in range(self.n):
-            col = []
-            for i in range(self.n):
-                f = self.rational[i][j] if self.rational is not None else None
-                if f is None:
-                    col.append(float(self.matrix[i, j]))
-                elif f.denominator == 1:
-                    col.append(int(f))
-                else:
-                    col.append(f"{f.numerator}/{f.denominator}")
-            cols.append(col)
-        return {"n": self.n, "columns": cols}
+        """The float columns, as `from_json` reads them."""
+        return {"n": self.n, "columns": self.matrix.T.tolist()}
 
     def is_upper_triangular(self):
         """True iff every entry below the diagonal is exactly zero."""
@@ -422,8 +411,9 @@ def _lll_triangular(R):
 
     Returns U^T in int64 for the unimodular U that reduces R U; or None
     where U = I, or where U and U^-1 are so large that the CVP search could
-    not map its points through U exactly.  Column k is size-reduced against
-    column j only where |mu_jk| > 1/2, so a reduced basis (hexagonal: ratio
+    not map its points through U exactly, as a ratio |mu_jk| >= 2^52 also
+    shows.  Column k is size-reduced against column j only where |mu_jk| >
+    1/2, by round_half_up(mu_jk), so a reduced basis (hexagonal: ratio
     exactly 1/2) keeps U = I.  A swap of columns k - 1 and k is followed by
     a reflection of rows k - 1 and k that makes the working copy triangular
     again.  Runs in Python floats and ints; the loop stops after
@@ -440,34 +430,37 @@ def _lll_triangular(R):
         nonlocal changed
         mu = b[k][j] / b[j][j]
         if abs(mu) > 0.5:
-            m = math.floor(mu + 0.5)
+            m = round_half_up(mu)
             b[k] = [x - m * y for x, y in zip(b[k], b[j])]
             u[k] = [x - m * y for x, y in zip(u[k], u[j])]
             ui[j] = [x + m * y for x, y in zip(ui[j], ui[k])]
             changed = True
 
     k = 1
-    for _ in range(_LLL_MAX_STEPS):
-        if k >= n:
-            break
-        size_reduce(k, k - 1)
-        x, y = b[k][k - 1], b[k][k]
-        if _LLL_DELTA * b[k - 1][k - 1] ** 2 <= x * x + y * y:
-            for j in range(k - 2, -1, -1):
-                size_reduce(k, j)
-            k += 1
-            continue
-        b[k - 1], b[k] = b[k], b[k - 1]
-        u[k - 1], u[k] = u[k], u[k - 1]
-        ui[k - 1], ui[k] = ui[k], ui[k - 1]
-        h = math.hypot(x, y)
-        c, s = x / h, y / h
-        for col in b[k - 1:]:
-            col[k - 1], col[k] = (c * col[k - 1] + s * col[k],
-                                  s * col[k - 1] - c * col[k])
-        b[k - 1][k] = 0.0
-        changed = True
-        k = max(k - 1, 1)
+    try:
+        for _ in range(_LLL_MAX_STEPS):
+            if k >= n:
+                break
+            size_reduce(k, k - 1)
+            x, y = b[k][k - 1], b[k][k]
+            if _LLL_DELTA * b[k - 1][k - 1] ** 2 <= x * x + y * y:
+                for j in range(k - 2, -1, -1):
+                    size_reduce(k, j)
+                k += 1
+                continue
+            b[k - 1], b[k] = b[k], b[k - 1]
+            u[k - 1], u[k] = u[k], u[k - 1]
+            ui[k - 1], ui[k] = ui[k], ui[k - 1]
+            h = math.hypot(x, y)
+            c, s = x / h, y / h
+            for col in b[k - 1:]:
+                col[k - 1], col[k] = (c * col[k - 1] + s * col[k],
+                                      s * col[k - 1] - c * col[k])
+            b[k - 1][k] = 0.0
+            changed = True
+            k = max(k - 1, 1)
+    except ValueError:  # a ratio beyond round_half_up's domain
+        return None
     if not changed:
         return None
     # the search rounds offsets d with |d_i| <= n max|U^-1| / 2 + 1.5^n (the

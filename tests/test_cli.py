@@ -63,6 +63,14 @@ class TestReduce:
         assert doc["canonical"] == {"a": 0.0, "b": 1.0}
         assert doc["scale"] == 1.0
 
+    def test_rational_matrix_prints_float_columns(self, capsys, files):
+        m = files("m.json", RATIO311_MATRIX)
+        code, out, err = run(capsys, "reduce", "--matrix", m)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["reduced"] == {
+            "n": 2, "columns": [[1.0, 0.0], [0.311, 1.01]]}
+        assert '"311/1000"' not in out
+
     def test_non_2d_rejected(self, capsys, files):
         m = files("m.json", {"n": 3, "columns": [[1, 0, 0], [0, 1, 0],
                                                  [0, 0, 1]]})
@@ -668,9 +676,30 @@ class TestOneLineErrors:
     @pytest.mark.parametrize("argv, message", [
         (["levelcurves", "--k", ","], "--k must list at least one level"),
         (["levelcurves", "--k", "-0.1"], "k out of range: -0.1"),
+        (["levelcurves", "--k", "0.01,1/0"],
+         "--k: '1/0' is not a finite number"),
+        (["levelcurves", "--k", "1e400"],
+         "--k: '1e400' is not a finite number"),
     ])
     def test_arguments(self, argv, message, capsys):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("cmd", ["babai", "cvp"])
+    def test_target_entry_named(self, cmd, capsys, files):
+        m = files("m.json", HEX_MATRIX)
+        assert run(capsys, cmd, "--matrix", m, "--x", "1, abc") == (
+            1, "", "error: --x: 'abc' is not a finite number\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--matrix"], ["babai", "--x", "0,0", "--matrix"],
+        ["perror", "--matrix"], ["simulate", "--scenario"],
+        ["rates", "--scenario"]])
+    def test_file_that_is_not_json_named(self, argv, capsys, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text("latcomm")
+        assert run(capsys, *argv, str(path)) == (
+            1, "", f"error: {path} is not JSON: Expecting value: line 1 "
+            "column 1 (char 0)\n")
 
     def test_csv_needs_a_2d_basis(self, capsys, files, monkeypatch):
         # refused before any sampling, each method with its own message
@@ -918,7 +947,7 @@ class TestOutputContract:
             ["simulate", "--scenario", sc, "--out", "{}.json"],
             ["reduce", "--matrix", m],
             ["levelcurves", "--k", "0.02", "--grid", "3", "--format", "json"],
-            ["rates", "--scenario", sc, "--format", "csv"],
+            ["levelcurves", "--k", "-1"],
             ["perror", "--matrix", m],
             ["babai", "--matrix", m, "--x=0.3,0.4", "--out", "{}.b.json"],
             ["simulate", "--scenario", sc],
@@ -939,7 +968,7 @@ class TestOutputContract:
         monkeypatch.setattr(latcomm.cli, "_build_parser",
                             latcomm.cli._build_parser.__wrapped__)
         assert cached == run_all("fresh")
-        assert cached[4][0] == 2 and cached[1][1] == ""
+        assert cached[4][0] == 1 and cached[1][1] == ""
 
     def test_out_file_written(self, capsys, files, tmp_path):
         m = files("m.json", HEX_MATRIX)
@@ -994,11 +1023,19 @@ class TestOutputContract:
                 main(argv + ["--seed", "1"])
             assert exc.value.code == 2
 
-    def test_format_not_supported(self, capsys, files):
+    def test_format_not_supported(self, files):
+        # --format exists only where there are two formats: perror and
+        # levelcurves
         m = files("m.json", HEX_MATRIX)
-        code, _, err = run(capsys, "reduce", "--matrix", m,
-                           "--format", "csv")
-        assert code == 2 and err.startswith("error:")
+        for argv in (["babai", "--matrix", m, "--x", "0,0"],
+                     ["cvp", "--matrix", m, "--x", "0,0"],
+                     ["reduce", "--matrix", m],
+                     ["simulate", "--scenario", m],
+                     ["rates", "--scenario", m]):
+            for fmt in ("json", "csv"):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv + ["--format", fmt])
+                assert exc.value.code == 2
 
 
 class TestMagnitudeDomain:

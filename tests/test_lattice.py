@@ -104,6 +104,23 @@ class TestRoundHalfUp:
         assert round_half_up(k + 0.5) == k + 1
         assert round_half_up(k - 0.5) == k
 
+    def test_agrees_with_floor_of_z_plus_half(self):
+        # the rule that the LLL pass once applied on its own: equal on
+        # every 1/2 < |z| < 2^52, half-integers +- 1 ulp included
+        rng = np.random.default_rng(23)
+        ties = np.concatenate([rng.integers(-2 ** 51, 2 ** 51, 2000) + 0.5,
+                               np.arange(-64, 64) + 0.5,
+                               [2.0 ** 52 - 0.5, 0.5 - 2.0 ** 52]])
+        values = [math.nextafter(t, d) for t in ties.tolist()
+                  for d in (-math.inf, 0.0, math.inf)]
+        for lo, hi in ((0.5, 2.0), (2.0, 2.0 ** 20), (2.0 ** 20, 2.0 ** 52)):
+            mags = np.exp(rng.uniform(math.log(lo), math.log(hi), 2000))
+            values += (mags * rng.choice([-1.0, 1.0], 2000)).tolist()
+        values = [z for z in values if 0.5 < abs(z) < 2.0 ** 52]
+        assert len(values) > 10000
+        assert [round_half_up(z) for z in values] == [
+            math.floor(z + 0.5) for z in values]
+
 
 class TestGeneratorMatrix:
     def test_entry_parsing(self):
@@ -212,15 +229,15 @@ class TestGeneratorMatrix:
         assert np.linalg.norm(hexagonal.matrix, axis=0) == pytest.approx(
             [1.0, 1.0])
 
-    def test_json_roundtrip(self, ratio311):
-        blob = json.dumps(ratio311.to_json())
-        back = GeneratorMatrix.from_json(json.loads(blob))
-        assert back.rational == ratio311.rational
-        assert np.array_equal(back.matrix, ratio311.matrix)
-
-    def test_json_integer_entries_stay_integers(self):
-        V = GeneratorMatrix.from_columns([[5, 0], [3, 1]])
-        assert V.to_json() == {"n": 2, "columns": [[5, 0], [3, 1]]}
+    def test_json_roundtrip(self, ratio311, skew5):
+        # the float columns, whatever the entries were read from
+        assert skew5.to_json() == {"n": 2, "columns": [[5, 0], [3, 1]]}
+        for V in (ratio311, skew5):
+            doc = V.to_json()
+            assert all(type(v) is float for col in doc["columns"] for v in col)
+            back = GeneratorMatrix.from_json(json.loads(json.dumps(doc)))
+            assert back.rational is None
+            assert np.array_equal(back.matrix, V.matrix)
 
     def test_from_json_validation(self):
         with pytest.raises(ValueError):
@@ -992,6 +1009,14 @@ class TestSearchFrame:
             assert (Ut != np.eye(2)).any() == reduced
             if reduced:
                 assert Ut.tolist() == [[1, 0], [-m - 1, 1]]
+
+    def test_ratio_beyond_the_rounding_domain(self):
+        # mu = 1e20 is beyond round_half_up, so the search runs on V as
+        # given, as it does where U is refused for int64
+        V = GeneratorMatrix(np.array([[1.0, 1e20], [0.0, 5e19]]))
+        Q, R, Ut = V._search_frame()
+        assert Ut.tolist() == [[1, 0], [0, 1]]
+        assert Q is V.qr()[0] and R is V.qr()[1]
 
     def test_transform_too_large_for_int64_answers(self):
         # searched as given from its nearest-plane start; from the rounded

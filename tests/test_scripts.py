@@ -54,6 +54,34 @@ class TestPeSweep:
                              for a, b in admissible_grid(5, 4)]
         assert not any(line.endswith(",") for line in lines[1:])
 
+    def test_out_is_written_atomically(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert self.sweep(capsys, "--out", str(out)) == []
+        assert out.read_text().splitlines() == self.sweep(capsys)
+        # a directory cannot be replaced by the file: one error line, no
+        # temp file left behind
+        assert load("pe_sweep").main(["--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
+
+
+@pytest.mark.parametrize("name, argv, message", [
+    ("rate_convergence", ["--seed", "-1"],
+     "--seed must lie in [0, 2^128), the Philox key range"),
+    ("rate_convergence", ["--seed", str(2 ** 128)],
+     "--seed must lie in [0, 2^128), the Philox key range"),
+    ("rate_convergence", ["--diag", "0,1"], "zero basis vector"),
+    ("pe_sweep", ["--a-grid", "2", "--b-grid", "2", "--samples", "10",
+                  "--seed", "-3"], "seed must be nonnegative"),
+])
+def test_one_line_errors(name, argv, message, capsys):
+    # as the CLI fails: exit 1, one `error:` line, nothing on stdout
+    assert load(name).main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
 
 def test_rate_convergence_rows(capsys):
     assert load("rate_convergence").main(
