@@ -36,6 +36,9 @@ def main(argv=None) -> int:
 
 
 def sweep(args) -> str:
+    for flag, count in (("--a-grid", args.a_grid), ("--b-grid", args.b_grid)):
+        if count < 1:
+            raise ValueError(f"{flag} must be at least 1")
     pairs = []
     for a in np.linspace(0.0, 0.5, args.a_grid):
         for b in np.linspace(0.85, args.b_max, args.b_grid):

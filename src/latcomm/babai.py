@@ -62,12 +62,14 @@ def nearest_plane(V: GeneratorMatrix, X, method="auto") -> NearestPlaneResult:
     if method == "triangular" and not V.is_upper_triangular():
         raise ValueError("triangular method needs an upper-triangular matrix")
     # a target enters R's frame as Q[j][i] x_j summed from 0.0 in the order
-    # of j, never through a BLAS product, however it was passed.  A sum
-    # from 0.0 is never -0.0, so the term +-0.0 of a zero Q[j][i] leaves it
-    # as it is, and is skipped: a triangular V's Q = I costs n products.
-    Q, C = V._qr_lists
-    Y = [0.0] * V.n
-    for q, xj in zip(Q, x):
-        Y = [y + qi * xj if qi else y for y, qi in zip(Y, q)]
-    coeffs = np.array(_nearest_plane_levels(C, Y), dtype=np.int64).T
+    # of j, never through a BLAS product, however it was passed; the table
+    # holds only the nonzero Q[j][i] (see lattice._plane_table)
+    T = V._plane_table
+    Y = []
+    for terms, _, _ in T:
+        y = 0.0
+        for j, q in terms:
+            y = y + q * x[j]
+        Y.append(y)
+    coeffs = np.array(_nearest_plane_levels(T, Y), dtype=np.int64).T
     return NearestPlaneResult(coeffs=coeffs, matrix=V.matrix, levels=Y)

@@ -95,14 +95,16 @@ def _load_matrix(path) -> GeneratorMatrix:
     return GeneratorMatrix.from_json(_load_json(path))
 
 
+def _parts(text: str):
+    """The non-empty comma-separated parts of text, stripped."""
+    return [part for part in map(str.strip, text.split(",")) if part]
+
+
 def _parse_numbers(flag: str, text: str, parse):
-    """The non-empty comma-separated parts of text, each read by parse; a
-    part that parse refuses fails with its flag and its own text."""
+    """The parts of text, each read by parse; a part that parse refuses
+    fails with its flag and its own text."""
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if part == "":
-            continue
+    for part in _parts(text):
         try:
             out.append(parse(part))
         except (ValueError, ZeroDivisionError, OverflowError):
@@ -122,6 +124,10 @@ def _parse_k_list(text: str):
     out = _parse_numbers("--k", text, lambda part: float(Fraction(part)))
     if not out:
         raise ValueError("--k must list at least one level")
+    # a nonzero level that rounds to 0.0 would be drawn as the zero level
+    for part, k in zip(_parts(text), out):
+        if k == 0 and Fraction(part):
+            raise ValueError(f"--k: {part!r} is below the float range")
     return out
 
 

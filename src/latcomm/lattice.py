@@ -185,9 +185,11 @@ class GeneratorMatrix:
         return {"n": self.n, "columns": self.matrix.T.tolist()}
 
     def is_upper_triangular(self):
-        """True iff every entry below the diagonal is exactly zero."""
+        """True iff every entry below the diagonal is exactly zero (+0.0 or
+        -0.0, which are both false)."""
         if self._upper is None:
-            self._upper = not np.tril(self.matrix, -1).any()
+            self._upper = not any(
+                any(row[:i]) for i, row in enumerate(self.matrix.tolist()))
         return self._upper
 
     def scaled(self, c):
@@ -230,10 +232,11 @@ class GeneratorMatrix:
         return self._qr
 
     @cached_property
-    def _qr_lists(self):
-        """qr() as Python floats: the rows of Q and the columns of R."""
-        Q, R = self.qr()
-        return Q.tolist(), R.T.tolist()
+    def _plane_table(self):
+        """`_plane_table` of qr(), the levels as the nearest-plane recursion
+        reads them.  Built on first use; `matrix` is read-only, so it stays
+        valid."""
+        return _plane_table(*self.qr())
 
     def _search_frame(self):
         """(Q, R, U^T) for the CVP search: W = V U = Q R is an LLL-reduced
@@ -246,7 +249,7 @@ class GeneratorMatrix:
         """
         if self._frame is None:
             Q, R = self.qr()
-            Ut = _lll_triangular(self._qr_lists[1])
+            Ut = _lll_triangular(R.T.tolist())
             if Ut is None:
                 self._frame = Q, R, np.eye(self.n, dtype=np.int64)
             else:
@@ -279,8 +282,8 @@ def round_half_up(z):
         fl = math.floor(z)
         return fl + 1 if z - fl >= 0.5 else fl
     a = np.asarray(z, dtype=float)
-    ok = np.abs(a) < ROUND_LIMIT  # False for nan and inf too
-    if np.count_nonzero(ok) < a.size:
+    if not np.abs(a).max(initial=0.0) < ROUND_LIMIT:  # nan and inf fail too
+        ok = np.abs(a) < ROUND_LIMIT
         bad = float(a[~ok].flat[0]) if a.ndim else float(a)
         raise ValueError(f"cannot round {bad!r}: need a finite |z| < 2**52")
     fl = np.floor(a)
@@ -487,22 +490,42 @@ def _target_values(V: GeneratorMatrix, X):
     return X, x
 
 
-def _nearest_plane_levels(C, Y):
-    """Nearest-plane recursion on the upper-triangular R whose columns are
-    the lists C.  Y[i] is level i, in R's frame, of the targets: a float for
-    one target, a 1-D array for a batch, updated in place.  Returns the
-    coefficients per level and leaves in Y[i] level i's real coefficient
-    just before it was rounded.  Every target takes the same float
-    operations in the same order, alone or in a batch."""
+def _plane_table(Q, R):
+    """V = Q R as the nearest-plane recursion reads it, one entry per level
+    i: the nonzero (j, Q_ji) in order of j, which project a target onto
+    level i; R_ii; and the nonzero (j, R_ji) with j < i, through which
+    level i's rounding moves the levels below it.  A zero is left out: its
+    term +-0.0 would leave the sum it enters, which is never -0.0, as it
+    is, so a triangular V's Q = I projects with n products."""
+    Qc, Rc = Q.T.tolist(), R.T.tolist()
+    return [([(j, q) for j, q in enumerate(Qc[i]) if q], Rc[i][i],
+             [(j, r) for j, r in enumerate(Rc[i][:i]) if r])
+            for i in range(len(Rc))]
+
+
+def _nearest_plane_levels(T, Y):
+    """Nearest-plane recursion over the levels T of a `_plane_table`.  Y[i]
+    is level i, in R's frame, of the targets: a float for one target, a
+    1-D array for a batch, updated in place.  Returns the coefficients per
+    level and leaves in Y[i] level i's real coefficient just before it was
+    rounded.  Every target takes the same float operations in the same
+    order, alone or in a batch."""
     B = [0] * len(Y)
     for i in range(len(Y) - 1, -1, -1):
-        c = C[i]
-        Y[i] /= c[i]
+        _, r, above = T[i]
+        Y[i] /= r
         b = B[i] = round_half_up(Y[i])
-        for j in range(i):
-            if c[j]:  # a zero entry's +-0.0 leaves Y[j] (never -0.0) as is
-                Y[j] -= c[j] * b
+        for j, c in above:
+            Y[j] -= c * b
     return B
+
+
+def _row_starts(rows):
+    """Mask of the entries of `rows` (grouped by value) that open a group."""
+    start = np.empty(len(rows), dtype=bool)
+    start[:1] = True
+    np.not_equal(rows[1:], rows[:-1], out=start[1:])
+    return start
 
 
 def _sphere_leaves(R, Z, h, P):
@@ -517,8 +540,12 @@ def _sphere_leaves(R, Z, h, P):
     E) slices of leaves grouped by row in ascending order; a level whose
     children would pass _CVP_BLOCK_NODES is expanded in slices of rows.
     """
-    diag = R.diagonal()
-    unit = R / diag[:, None]
+    unit = R / R.diagonal()[:, None]
+    # R_ii and R_ii ** 2 as Python floats: the same values, without a numpy
+    # scalar operation per level (** 2 rounds as numpy's scalar power does;
+    # d * d differs from it on about one value in a thousand)
+    diag = R.diagonal().tolist()
+    diag_sq = [d ** 2 for d in diag]
 
     def descend(i, rows, E, S):
         while len(rows):
@@ -530,9 +557,10 @@ def _sphere_leaves(R, Z, h, P):
             w = np.sqrt(np.maximum(P[i, rows] - S, 0.0)) / diag[i] + h[i, rows]
             lo = np.ceil(c - w)
             count = (np.floor(c + w) - lo + 1).astype(np.int64)  # w > 0
-            before = count.cumsum() - count
-            if count.sum() > _CVP_BLOCK_NODES:
-                first = np.flatnonzero(np.diff(rows, prepend=-1))
+            end = count.cumsum()
+            before = end - count
+            if end[-1] > _CVP_BLOCK_NODES:
+                first = np.flatnonzero(_row_starts(rows))
                 cuts = first[np.diff(before[first] // _CVP_BLOCK_NODES, prepend=0) != 0]
                 if len(cuts):
                     for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(rows)]):
@@ -549,7 +577,7 @@ def _sphere_leaves(R, Z, h, P):
             # what an error of h_i in z could hide
             d = g[node] + e
             t = d * (d - 2.0 * z[node]) - 2.0 * h[i, rows] * np.abs(d)
-            S = S[node] + diag[i] ** 2 * t
+            S = S[node] + diag_sq[i] * t
             i -= 1
 
     k, n = Z.shape[1], len(R)
@@ -589,13 +617,14 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
     C0 = round_half_up(X @ np.linalg.inv(V.matrix).T)
     R0 = X - C0.astype(float) @ V.matrix.T
     Y = Q.T @ R0.T
-    B = np.array(_nearest_plane_levels(R.T.tolist(), list(Y)))
+    B = np.array(_nearest_plane_levels(_plane_table(Q, R), list(Y)))
     Z = Y - B
     D0 = B.T @ Ut
     best_u = C0 + D0
     # error bound of each level's residual from the magnitude of its terms
+    # (R's entries below the diagonal are +-0.0)
     h = _CVP_SLACK * (1.0 + (np.abs(Q).T @ np.abs(R0).T
-                             + np.abs(np.triu(R, 1)) @ np.abs(B)) / diag[:, None])
+                             + np.abs(R - np.diag(diag)) @ np.abs(B)) / diag[:, None])
     A = np.abs(Z) + h
     # the prefix sums over levels, one in-place row add per level: the same
     # additions, in the same order, as a cumsum along axis 0, which numpy
@@ -613,7 +642,7 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
         D = E.astype(np.int64) @ Ut
         VE = D.astype(float) @ V.matrix.T
         f = np.einsum("ij,ij->i", VE, VE - 2.0 * T[rows])
-        new_row = np.diff(rows, prepend=-1) != 0
+        new_row = _row_starts(rows)
         group = np.cumsum(new_row) - 1
         keep = f == np.minimum.reduceat(f, np.flatnonzero(new_row))[group]
         rows, group = rest[rows[keep]], group[keep]
@@ -623,6 +652,6 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
         if tied.any():
             rows, U = rows[tied], U[tied]
             order = np.lexsort((*U.T[::-1], rows))
-            first = order[np.diff(rows[order], prepend=-1) != 0]
+            first = order[_row_starts(rows[order])]
             best_u[rows[first]] = U[first]
     return best_u[0] if single else best_u

@@ -34,14 +34,54 @@ def _tie_basis(rng, n):
     M = np.triu(rng.integers(-24, 25, size=(n, n)) / 8.0)
     M[np.diag_indices(n)] = (rng.integers(1, 25, size=n) / 8.0
                              * rng.choice([-1.0, 1.0], size=n))
-    X = np.zeros((6, n))
+    return M, _tie_targets(rng, M, 6)
+
+
+def _tie_targets(rng, M, count):
+    """`count` targets whose every level on the upper-triangular dyadic M
+    is an exact half-integer tie."""
+    n = len(M)
+    X = np.zeros((count, n))
     for x in X:
         b = np.zeros(n)
         for i in range(n - 1, -1, -1):
             t = rng.integers(-6, 7) + 0.5
             b[i] = t + 0.5
             x[i] = t * M[i, i] + M[i, i + 1:] @ b[i + 1:]
-    return M, X
+    return X
+
+
+def _zero_entry_corpus():
+    """Seeded (M, S, X) for n = 1..6 whose plane tables leave zeros out.
+    M is upper triangular with entries k/8, a diagonal of either sign and
+    exact +0.0 and -0.0 above the diagonal.  S is a signed permutation:
+    the QR of S M has a Q with exact zeros and R = D M for a diagonal sign
+    matrix D, so the target S x of S M meets the same levels as x of M.
+    The targets are signed zeros, ties at every level of M and random
+    multiples of 1/16; every float step is exact on M and on S M."""
+    rng = np.random.default_rng(25)
+    for n in range(1, 7):
+        for _ in range(4):
+            M = np.triu(rng.integers(-24, 25, size=(n, n)) / 8.0)
+            M[np.diag_indices(n)] = (rng.integers(1, 25, size=n) / 8.0
+                                     * rng.choice([-1.0, 1.0], size=n))
+            above = np.triu(rng.random((n, n)) < 0.5, 1)
+            M[above] = rng.choice([0.0, -0.0], size=int(above.sum()))
+            X = np.vstack([np.zeros((1, n)), np.full((1, n), -0.0),
+                           _tie_targets(rng, M, 4),
+                           rng.integers(-400, 401, size=(3, n)) / 16.0])
+            S = np.zeros((n, n))
+            S[rng.permutation(n), np.arange(n)] = rng.choice([-1.0, 1.0],
+                                                             size=n)
+            yield M, S, X
+
+
+def _zero_entry_pairs():
+    """(basis, targets) pairs of `_zero_entry_corpus`: M with X, and S M
+    with the targets S x."""
+    for M, S, X in _zero_entry_corpus():
+        yield M, X
+        yield S @ M, X @ S.T
 
 
 def _one_loop_corpus(rotated):
@@ -249,9 +289,11 @@ class TestKernel:
         # one target walks its coordinates as Python floats, a batch as
         # columns of X (views, in whatever layout X has): each row comes out
         # byte for byte the same (tobytes, not array_equal, which would let
-        # -0.0 pass for 0.0), Fortran-ordered, strided and reversed alike
-        for rotated in (False, True):
-            for M, X in _one_loop_corpus(rotated):
+        # -0.0 pass for 0.0), Fortran-ordered, strided and reversed alike;
+        # also where the plane table leaves zero entries of Q and R out
+        for corpus in (_one_loop_corpus(False), _one_loop_corpus(True),
+                       _zero_entry_pairs()):
+            for M, X in corpus:
                 V = GeneratorMatrix(M)
                 for Xs in (X, np.asfortranarray(X), X[::2], X[:, ::-1],
                            X[:, ::-1].copy(), X[-1:]):
@@ -273,6 +315,33 @@ class TestKernel:
                 assert none.coeffs.dtype == np.int64
                 assert (none.coeffs.shape == none.residuals.shape
                         == none.point.shape == (0, V.n))
+
+    def test_zero_entries_match_fraction_recursion(self):
+        # +-0.0 above the diagonal and the exact zeros of a signed
+        # permutation's Q are left out of the plane table; the answers are
+        # still the exact recursion's, on M and on S M alike
+        for M, S, X in _zero_entry_corpus():
+            rows = [[Fraction(v) for v in row] for row in M]
+            expected = [_fraction_nearest_plane(rows, x) for x in X]
+            for V, Xv in ((GeneratorMatrix(M), X),
+                          (GeneratorMatrix(S @ M), X @ S.T)):
+                assert nearest_plane(V, Xv).coeffs.tolist() == expected
+                assert [nearest_plane(V, x).coeffs.tolist()
+                        for x in Xv] == expected
+
+    def test_scaled_basis_answers_from_its_own_table(self, ratio311):
+        # the scaled basis is a basis of its own, built after V's table:
+        # 1/4 scales every float exactly, so c V rounds x as V rounds x / c
+        x = np.array([0.6, 0.3])
+        V = ratio311
+        on_v = nearest_plane(V, x).coeffs.tolist()
+        W = V.scaled(0.25)
+        on_w = nearest_plane(W, x).coeffs.tolist()
+        assert W._plane_table is not V._plane_table
+        assert on_w != on_v
+        assert on_w == nearest_plane(V, x / 0.25).coeffs.tolist()
+        rows = [[Fraction(v) / 4 for v in row] for row in V.matrix.tolist()]
+        assert on_w == _fraction_nearest_plane(rows, x)
 
     def test_point_and_residuals_on_demand(self):
         # neither is built until it is read; point is then coeffs through

@@ -680,6 +680,11 @@ class TestOneLineErrors:
          "--k: '1/0' is not a finite number"),
         (["levelcurves", "--k", "1e400"],
          "--k: '1e400' is not a finite number"),
+        # nonzero levels whose floats are 0.0, not drawn as the zero level
+        (["levelcurves", "--k", "1e-400", "--grid", "3"],
+         "--k: '1e-400' is below the float range"),
+        (["levelcurves", "--k=-1e-400", "--grid", "2"],
+         "--k: '-1e-400' is below the float range"),
     ])
     def test_arguments(self, argv, message, capsys):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")

@@ -253,6 +253,15 @@ class TestGeneratorMatrix:
         assert not GeneratorMatrix.from_columns(
             [[1, 0.5], [0, 1]]).is_upper_triangular()
 
+    def test_is_upper_triangular_at_signed_zeros(self):
+        # -0.0 below the diagonal is zero; the least subnormal is not
+        M = np.array([[1.0, 0.5, 0.25], [-0.0, 1.0, 0.5], [-0.0, -0.0, 1.0]])
+        assert GeneratorMatrix(M).is_upper_triangular()
+        for i, j in ((1, 0), (2, 0), (2, 1)):
+            S = M.copy()
+            S[i, j] = 5e-324
+            assert not GeneratorMatrix(S).is_upper_triangular()
+
     def test_scaled_exact(self, hexagonal):
         W = hexagonal.scaled(2.0 ** -10)
         assert W.rational[0][1] == Fraction(1, 2048)

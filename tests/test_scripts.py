@@ -75,6 +75,13 @@ class TestPeSweep:
     ("rate_convergence", ["--diag", "0,1"], "zero basis vector"),
     ("pe_sweep", ["--a-grid", "2", "--b-grid", "2", "--samples", "10",
                   "--seed", "-3"], "seed must be nonnegative"),
+    # checked by name, as `levelcurves --grid` is, not left to np.linspace
+    # or to an empty grid that would print a bare header
+    ("pe_sweep", ["--a-grid", "-1"], "--a-grid must be at least 1"),
+    ("pe_sweep", ["--a-grid", "0", "--b-grid", "3"],
+     "--a-grid must be at least 1"),
+    ("pe_sweep", ["--a-grid", "3", "--b-grid", "0"],
+     "--b-grid must be at least 1"),
 ])
 def test_one_line_errors(name, argv, message, capsys):
     # as the CLI fails: exit 1, one `error:` line, nothing on stdout
