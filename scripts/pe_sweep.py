@@ -8,6 +8,7 @@ to reproduce the level-curve figure.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -39,6 +40,12 @@ def sweep(args) -> str:
     for flag, count in (("--a-grid", args.a_grid), ("--b-grid", args.b_grid)):
         if count < 1:
             raise ValueError(f"{flag} must be at least 1")
+    # b^2 is a float up to about 1.34e154, and so are the clip's products
+    if not math.isfinite(args.b_max * args.b_max):
+        raise ValueError("--b-max must be a finite number whose square is "
+                         "a float, below 1.34e154")
+    if args.samples < 0:
+        raise ValueError("--samples must be non-negative")
     pairs = []
     for a in np.linspace(0.0, 0.5, args.a_grid):
         for b in np.linspace(0.85, args.b_max, args.b_grid):
@@ -47,7 +54,10 @@ def sweep(args) -> str:
             except ValueError:
                 continue
             pairs.append((float(a), float(b)))
-    a, b = np.array(pairs).reshape(-1, 2).T
+    if not pairs:
+        raise ValueError("no point of the --a-grid x --b-grid grid, b from "
+                         "0.85 to --b-max, is a reduced basis")
+    a, b = np.array(pairs).T
     rows = pe_row(a, b, args.samples, args.seed)
     return "\n".join([PE_CSV_HEADER] + [pe_csv_line(*r) for r in rows]) + "\n"
 

@@ -10,6 +10,7 @@ h_i - log2(alpha v_ii).  Prints a CSV: one row per (alpha, i).
 import argparse
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from latcomm import (
     interactive_coefficients_batch,
     interactive_rate,
 )
+from latcomm.cli import _parse_numbers, _parts
 
 
 def main(argv=None) -> int:
@@ -39,10 +41,28 @@ def main(argv=None) -> int:
     return 0
 
 
+def exponents(text):
+    """The integers e of --exponents for which alpha = 2^-e is a positive
+    finite float."""
+    out = _parse_numbers("--exponents", text, Fraction)
+    if not out:
+        raise ValueError("--exponents must list at least one exponent")
+    for part, e in zip(_parts(text), out):
+        if e.denominator != 1 or not -1024 < e < 1075:
+            raise ValueError(f"--exponents: {part!r} is not an integer in "
+                             "[-1023, 1074], where 2^-e is a positive float")
+    return [int(e) for e in out]
+
+
 def table(args) -> str:
     if not 0 <= args.seed < 2 ** 128:
         raise ValueError("--seed must lie in [0, 2^128), the Philox key range")
-    diag = [d.strip() for d in args.diag.split(",")]
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    exps = exponents(args.exponents)
+    diag = _parse_numbers("--diag", args.diag, Fraction)
+    if not diag:
+        raise ValueError("--diag must list at least one entry")
     n = len(diag)
     cols = [[diag[j] if i == j else 0 for i in range(n)] for j in range(n)]
     V = GeneratorMatrix.from_columns(cols)
@@ -53,7 +73,7 @@ def table(args) -> str:
 
     lines = ["alpha,i,empirical_entropy_bits,analytic_bits,gap,"
              "interactive_rate"]
-    for e in (int(v) for v in args.exponents.split(",")):
+    for e in exps:
         alpha = 2.0 ** -e
         B = interactive_coefficients_batch(V, X, alpha)
         rate = interactive_rate(sources, V, alpha)

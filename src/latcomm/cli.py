@@ -180,6 +180,8 @@ def _cmd_perror(args) -> str:
     elif args.method == "area":
         report["pe"] = exact_pe_area(V)
     else:
+        if args.samples < 1:
+            raise ValueError("--samples must be at least 1")
         est = monte_carlo_pe(V, args.samples, seed=args.seed)
         report.update(pe=est.estimate, std_error=est.std_error,
                       n_samples=est.n_samples, seed=est.seed)

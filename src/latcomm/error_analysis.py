@@ -88,7 +88,7 @@ def _cross(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _clip_halfplanes(P, n, labels, normals, active):
+def _clip_halfplanes(P, n, labels, normals):
     """Clip k convex polygons that contain the origin by half-planes
     <x - w/2, w> <= 0, one half-plane at a time across all rows
     (Sutherland-Hodgman, CACM 17(1), 1974).
@@ -96,8 +96,8 @@ def _clip_halfplanes(P, n, labels, normals, active):
     P (shape (k, m, 2)) holds row r's vertices in its first n[r] slots,
     counterclockwise, and labels (shape (k, m)) a label for each edge
     P[r, i] -> P[r, i+1]; normals (shape (k, h, 2)) holds each row's w in
-    the order they clip, and where active[r, j] is False row r skips its
-    j-th.
+    the order they clip, where a zero w cuts nothing: its bound is 0 and
+    every <p, 0> is +-0.
     A vertex p is outside where the float value of <p - w/2, w> exceeds
     _CLIP_ULPS ulps of rho ||w||_1 + ||w||^2 / 2 (rho the input polygon's
     largest coordinate), a bound on the rounding in p and in that value
@@ -121,7 +121,6 @@ def _clip_halfplanes(P, n, labels, normals, active):
     rho = np.abs(P).max(axis=(1, 2))[:, None]
     bound = _CLIP_ULPS * np.finfo(float).eps * (
         rho * np.abs(normals).sum(axis=2) + _dot(half, normals))
-    bound[~active] = np.inf
     for j in range(normals.shape[1]):
         # the zero padding is the origin, inside every half-plane
         d = np.matmul(P - half[:, j, None], normals[:, j, :, None])[..., 0]
@@ -188,7 +187,8 @@ def _voronoi_cells(w1, w2):
 
     Returns (P, n, relevant, n_relevant): the cells in `_clip_halfplanes`'
     layout, and each row's n_relevant (2 or 3) relevant vectors, one per
-    +- pair, in the first slots of relevant (shape (k, 3, 2)).
+    +- pair, in the first slots of relevant (shape (k, 3, 2)), zero rows
+    after them.
     """
     k = len(w1)
     rows = np.arange(k)[:, None]
@@ -212,8 +212,7 @@ def _voronoi_cells(w1, w2):
     cw = det[:, 0] < 0
     P[cw] = P[cw][:, ::-1]
     labels = 4 + np.where(cw[:, None], [3, 2, 1, 0], _CORNER_EDGES)
-    P, n, labels, _ = _clip_halfplanes(P, np.full(k, 4), labels,
-                                       normals[:, :4], np.ones((k, 4), dtype=bool))
+    P, n, labels, _ = _clip_halfplanes(P, np.full(k, 4), labels, normals[:, :4])
     # the relevant vectors carry the final edges: one per +- pair, in the
     # order of the edge where the pair first appears (padding is label -1)
     valid = np.arange(P.shape[1]) < n[:, None]
@@ -279,17 +278,15 @@ def _qr_frame_2d(V: GeneratorMatrix):
                      [0.0, abs(float(f1 * g2 - g1 * f2)) / r11]])
 
 
-def _box_pe(R, rel, n_rel):
+def _box_pe(R, rel):
     """P_e of k bases given by their R factors (shape (k, 2, 2)): the
     fraction of each rounding box, [-R_00/2, R_00/2] x [-R_11/2, R_11/2]
-    in R's frame, outside the half-planes of +-rel (rel and n_rel as
-    `_voronoi_cells` gives them, in R's frame)."""
+    in R's frame, outside the half-planes of +-rel (shape (k, m, 2), in R's
+    frame; zero rows pad a row with fewer relevant vectors)."""
     box = R.diagonal(axis1=1, axis2=2)[:, None, :] / 2.0 * _CORNERS
     normals = np.concatenate([rel, -rel], axis=1)
-    active = np.arange(6) % 3 < n_rel[:, None]
     k = len(R)
-    cut = _clip_halfplanes(box, np.full(k, 4), np.full((k, 4), -1), normals,
-                           active)[3]
+    cut = _clip_halfplanes(box, np.full(k, 4), np.full((k, 4), -1), normals)[3]
     return np.minimum(1.0, cut / (R[:, 0, 0] * R[:, 1, 1]))
 
 
@@ -307,9 +304,7 @@ def exact_pe_area(V: GeneratorMatrix) -> float:
         raise UnsupportedDimensionError("area computation needs n = 2")
     R = _qr_frame_2d(V)
     rel = voronoi_polygon_general(GeneratorMatrix(R)).relevant_vectors
-    rel3 = np.zeros((1, 3, 2))
-    rel3[0, :len(rel)] = rel
-    return float(_box_pe(R[None], rel3, np.array([len(rel)]))[0])
+    return float(_box_pe(R[None], rel[None])[0])
 
 
 _MC_CHUNK = 1 << 16
@@ -417,8 +412,7 @@ def pe_row(a, b, samples=0, seed=0):
     R = np.zeros((len(bases), 2, 2))
     R[:, 0, 0], R[:, 0, 1], R[:, 1, 1] = 1.0, A.ravel(), B.ravel()
     w1, w2, _ = _gauss_reduce_rows(R[:, :, 0], R[:, :, 1])
-    _, _, rel, n_rel = _voronoi_cells(w1, w2)
-    exact = _box_pe(R, rel, n_rel).tolist()
+    exact = _box_pe(R, _voronoi_cells(w1, w2)[2]).tolist()
     rows = []
     for rb, pe in zip(bases, exact):
         mc = (None, None)

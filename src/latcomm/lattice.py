@@ -344,10 +344,16 @@ def gauss_reduce_2d(V: GeneratorMatrix):
     basis is returned unchanged; at exact ties (equal norms, half-integer
     Gram ratio) float rounding picks one of the equivalent reduced outputs.
     This is one row of the batched reduction that the P_e sweep runs.
+    W must lie in the magnitude range too, which V can meet where W does
+    not: a short w1 can have a squared norm below the normal floats.
     """
     _require(V.n == 2, UnsupportedDimensionError, "2D reduction needs n = 2")
     w1, w2, U = _gauss_reduce_rows(V.matrix[None, :, 0], V.matrix[None, :, 1])
-    return GeneratorMatrix(np.column_stack([w1[0], w2[0]])), U[0]
+    try:
+        W = GeneratorMatrix(np.column_stack([w1[0], w2[0]]))
+    except ValueError as e:
+        raise type(e)(f"Lagrange-Gauss reduced basis: {e}") from None
+    return W, U[0]
 
 
 def is_minkowski_reduced_2d(V: GeneratorMatrix) -> bool:

@@ -721,6 +721,29 @@ class TestOneLineErrors:
                        "--samples", "100", "--format", "csv") == (
                 1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_mc_samples_named(self, samples, capsys, files):
+        # by the flag, not by the library's parameter name
+        m = files("m.json", HEX_MATRIX)
+        assert run(capsys, "perror", "--matrix", m, "--method", "mc",
+                   "--samples", samples) == (
+            1, "", "error: --samples must be at least 1\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce"], ["perror", "--method", "analytic"],
+        ["perror", "--method", "area"], ["perror", "--method", "mc"]])
+    def test_reduced_basis_out_of_range_named(self, argv, capsys, files):
+        # squared norms 3.0e-299 and |det| 3.3e-308 lie in the range, but
+        # the Lagrange-Gauss vector (0, 6.05e-159) has a squared norm
+        # below the smallest normal float
+        m = files("m.json", {"n": 2, "columns": [[5.5e-150, 0],
+                                                 [5.5e-150, 6.05e-159]]})
+        assert run(capsys, "babai", "--matrix", m, "--x", "0,0")[0] == 0
+        assert run(capsys, *argv, "--matrix", m) == (
+            1, "", "error: Lagrange-Gauss reduced basis: basis magnitude out "
+            "of range: squared column norms and |det| must lie in "
+            "[2.23e-308, 2.74e+303]\n")
+
     def test_matrix_entry_must_be_a_number(self, capsys, files):
         m = files("m.json", {"n": 2, "columns": [[1, 0], [[1], 1]]})
         assert run(capsys, "reduce", "--matrix", m) == (

@@ -23,10 +23,15 @@ from latcomm import (
 )
 from latcomm.error_analysis import (
     PE_CSV_HEADER,
+    _box_pe,
+    _clip_halfplanes,
+    _qr_frame_2d,
+    _voronoi_cells,
     format_csv_value,
     pe_csv_line,
     pe_row,
 )
+from latcomm.lattice import _gauss_reduce_rows
 
 SQRT3_2 = math.sqrt(3) / 2
 
@@ -618,3 +623,56 @@ class TestBatchRows:
         for (a, b), row in zip(zip(A, B), pe_row(A, B)):
             V = ReducedBasis2D(float(a), float(b)).matrix()
             assert exact_pe_area(V) == row[3]
+
+
+def _bits(*arrays):
+    return [np.asarray(x).tobytes() for x in arrays]
+
+
+class TestZeroNormals:
+    """A zero normal cuts nothing, so zero rows can pad the relevant
+    vectors of a batch whose rows have two or three pairs."""
+
+    def test_clip_passes_over_a_zero_normal(self):
+        rng = np.random.default_rng(44)
+        k = 300
+        a, b = rng.uniform(0.0, 0.5, k), rng.uniform(0.9, 3.0, k)
+        a[::10] = 0.0
+        scale = 10.0 ** rng.integers(-6, 7, (k, 1))
+        w1 = np.column_stack([np.ones(k), np.zeros(k)]) * scale
+        w2 = np.column_stack([a, b]) * scale
+        P, n, _, _ = _voronoi_cells(w1, w2)
+        # labels of the input edges, apart from the normals' indices
+        m = P.shape[1]
+        labels = np.where(np.arange(m) < n[:, None], 100 + np.arange(m), -1)
+        # half-planes through points about as far out as the vertices
+        normals = rng.normal(size=(k, 3, 2)) * scale[:, :, None]
+        want = _clip_halfplanes(P, n, labels, normals)
+        assert (want[3] > 0).sum() > k // 2
+        for at in range(4):
+            got = _clip_halfplanes(P, n, labels,
+                                   np.insert(normals, at, 0.0, axis=1))
+            # an edge cut by normals[j] is labelled j; after the zero that
+            # is the label j + 1
+            shifted = np.where((want[2] >= at) & (want[2] < 100),
+                               want[2] + 1, want[2])
+            assert _bits(*got) == _bits(want[0], want[1], shifted, want[3])
+
+    @pytest.mark.parametrize("M", [
+        # rotated rectangles: orthogonal in exact arithmetic, two pairs
+        *[np.array([[math.cos(t), -math.sin(t) * 2.0 ** e],
+                    [math.sin(t), math.cos(t) * 2.0 ** e]])
+          for t, e in [(0.3, 0), (0.7, 1), (2.0, -3), (4.1, 5)]],
+        np.array([[1.0, 0.99], [0.0, 0.01]]),
+        _rotation(0.7) @ np.array([[1.0, 0.99], [0.0, 0.01]]),
+        np.array([[1.0, 0.5], [0.0, SQRT3_2]]),
+        _rotation(1.9) @ np.array([[2.0, 1.0], [0.0, 2.0 * SQRT3_2]]),
+    ])
+    def test_exact_pe_area_is_the_padded_batch_row(self, M):
+        V = GeneratorMatrix(M)
+        R = _qr_frame_2d(V)
+        w1, w2, _ = _gauss_reduce_rows(R[None, :, 0], R[None, :, 1])
+        rel = _voronoi_cells(w1, w2)[2]
+        pairs = len(voronoi_polygon_general(GeneratorMatrix(R)).relevant_vectors)
+        assert rel[0, pairs:].tobytes() == bytes(16 * (3 - pairs))
+        assert exact_pe_area(V).hex() == float(_box_pe(R[None], rel)[0]).hex()

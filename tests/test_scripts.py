@@ -82,6 +82,24 @@ class TestPeSweep:
      "--a-grid must be at least 1"),
     ("pe_sweep", ["--a-grid", "3", "--b-grid", "0"],
      "--b-grid must be at least 1"),
+    ("pe_sweep", ["--samples", "-1"], "--samples must be non-negative"),
+    *[("pe_sweep", ["--b-max", b_max],
+       "--b-max must be a finite number whose square is a float, below "
+       "1.34e154") for b_max in ("inf", "nan", "1e200")],
+    *[("pe_sweep", argv, "no point of the --a-grid x --b-grid grid, b from "
+       "0.85 to --b-max, is a reduced basis")
+      for argv in (["--b-max", "0.5"], ["--b-grid", "1"])],
+    *[("rate_convergence", ["--trials", trials], "--trials must be at least 1")
+      for trials in ("0", "-5")],
+    ("rate_convergence", ["--exponents", "4,x"],
+     "--exponents: 'x' is not a finite number"),
+    *[("rate_convergence", ["--exponents=" + e],
+       f"--exponents: {e!r} is not an integer in [-1023, 1074], where 2^-e "
+       "is a positive float") for e in ("-2000", "2000", "4.5")],
+    ("rate_convergence", ["--exponents", ","],
+     "--exponents must list at least one exponent"),
+    ("rate_convergence", ["--diag", "5/4,x"],
+     "--diag: 'x' is not a finite number"),
 ])
 def test_one_line_errors(name, argv, message, capsys):
     # as the CLI fails: exit 1, one `error:` line, nothing on stdout
