@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from latcomm import ReducedBasis2D
-from latcomm.cli import _emit
+from latcomm.cli import _check_seed, _emit
 from latcomm.error_analysis import PE_CSV_HEADER, pe_csv_line, pe_row
 
 
@@ -46,6 +46,8 @@ def sweep(args) -> str:
                          "a float, below 1.34e154")
     if args.samples < 0:
         raise ValueError("--samples must be non-negative")
+    if args.samples > 0:
+        _check_seed(args.seed)
     pairs = []
     for a in np.linspace(0.0, 0.5, args.a_grid):
         for b in np.linspace(0.85, args.b_max, args.b_grid):

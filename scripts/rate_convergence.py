@@ -8,6 +8,7 @@ h_i - log2(alpha v_ii).  Prints a CSV: one row per (alpha, i).
 """
 
 import argparse
+import contextlib
 import math
 import sys
 from fractions import Fraction
@@ -21,7 +22,7 @@ from latcomm import (
     interactive_coefficients_batch,
     interactive_rate,
 )
-from latcomm.cli import _parse_numbers, _parts
+from latcomm.cli import _check_seed, _parse_numbers, _parts
 
 
 def main(argv=None) -> int:
@@ -41,6 +42,15 @@ def main(argv=None) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def blame(label):
+    """Prefix the message of a ValueError raised inside with label."""
+    try:
+        yield
+    except ValueError as e:
+        raise ValueError(f"{label}: {e}") from None
+
+
 def exponents(text):
     """The integers e of --exponents for which alpha = 2^-e is a positive
     finite float."""
@@ -54,18 +64,28 @@ def exponents(text):
     return [int(e) for e in out]
 
 
+def diagonal_basis(text):
+    """The diagonal basis of --diag; an entry that is no basis vector's
+    length fails with its own text."""
+    diag = _parse_numbers("--diag", text, Fraction)
+    if not diag:
+        raise ValueError("--diag must list at least one entry")
+    for part, d in zip(_parts(text), diag):
+        with blame(f"--diag: {part!r}"):
+            GeneratorMatrix.from_columns([[d]])
+    n = len(diag)
+    with blame("--diag"):  # now only the determinant can be out of range
+        return GeneratorMatrix.from_columns(
+            [[diag[j] if i == j else 0 for i in range(n)] for j in range(n)])
+
+
 def table(args) -> str:
-    if not 0 <= args.seed < 2 ** 128:
-        raise ValueError("--seed must lie in [0, 2^128), the Philox key range")
+    _check_seed(args.seed)
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     exps = exponents(args.exponents)
-    diag = _parse_numbers("--diag", args.diag, Fraction)
-    if not diag:
-        raise ValueError("--diag must list at least one entry")
-    n = len(diag)
-    cols = [[diag[j] if i == j else 0 for i in range(n)] for j in range(n)]
-    V = GeneratorMatrix.from_columns(cols)
+    V = diagonal_basis(args.diag)
+    n = V.n
     sources = [SourceModel.uniform(0.0, 1.0) for _ in range(n)]
 
     rng = np.random.Generator(np.random.Philox(key=args.seed))
@@ -73,10 +93,11 @@ def table(args) -> str:
 
     lines = ["alpha,i,empirical_entropy_bits,analytic_bits,gap,"
              "interactive_rate"]
-    for e in exps:
+    for part, e in zip(_parts(args.exponents), exps):
         alpha = 2.0 ** -e
-        B = interactive_coefficients_batch(V, X, alpha)
-        rate = interactive_rate(sources, V, alpha)
+        with blame(f"--exponents: {part!r}"):
+            B = interactive_coefficients_batch(V, X, alpha)
+            rate = interactive_rate(sources, V, alpha)
         for i in range(n):
             h = empirical_entropy(B[:, i])
             target = (sources[i].differential_entropy_bits()

@@ -113,6 +113,12 @@ def _parse_numbers(flag: str, text: str, parse):
     return out
 
 
+def _check_seed(seed: int):
+    """Fail under --seed's name where seed cannot key a Philox generator."""
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ValueError("--seed must lie in [0, 2^128), the Philox key range")
+
+
 def _parse_x(text: str, n: int) -> np.ndarray:
     x = _parse_numbers("--x", text, float)
     if len(x) != n:
@@ -182,6 +188,7 @@ def _cmd_perror(args) -> str:
     else:
         if args.samples < 1:
             raise ValueError("--samples must be at least 1")
+        _check_seed(args.seed)
         est = monte_carlo_pe(V, args.samples, seed=args.seed)
         report.update(pe=est.estimate, std_error=est.std_error,
                       n_samples=est.n_samples, seed=est.seed)
@@ -198,6 +205,8 @@ def _cmd_levelcurves(args) -> str:
         raise ValueError("--grid must be at least 1")
     if args.samples < 0:
         raise ValueError("--samples must be non-negative")
+    if args.samples > 0:
+        _check_seed(args.seed)
     pairs = []
     for k in _parse_k_list(args.k):
         if k == 0:

@@ -15,8 +15,6 @@ estimate driven by the exhaustive CVP oracle.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -307,16 +305,12 @@ def exact_pe_area(V: GeneratorMatrix) -> float:
     return float(_box_pe(R[None], rel[None])[0])
 
 
+# Samples per chunk: each chunk is one CVP batch, so memory per call stays
+# bounded, and each draws from its own Philox substream, so an estimate
+# depends only on (seed, n_samples) and stays byte-identical.
 _MC_CHUNK = 1 << 16
 # seeds key a Philox generator, whose key has 128 bits
 _SEED_LIMIT = 1 << 128
-
-
-def _mc_chunk_errors(V, half, Q, seed, chunk_index, count):
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
-    u = rng.uniform(-1.0, 1.0, size=(count, V.n)) * half
-    coeffs = cvp_bruteforce_batch(V, u @ Q.T)
-    return int(np.any(coeffs != 0, axis=1).sum())
 
 
 def monte_carlo_pe(V: GeneratorMatrix, n_samples: int,
@@ -326,8 +320,7 @@ def monte_carlo_pe(V: GeneratorMatrix, n_samples: int,
     Each sample is drawn uniformly in the origin rounding cell and checked
     against the exhaustive CVP oracle.  Sampling uses counter-based
     substreams per fixed-size chunk, so the result depends only on
-    (seed, n_samples).  Chunks run on up to os.cpu_count() threads; a
-    single chunk runs on the calling thread.
+    (seed, n_samples).  The chunks run in order on the calling thread.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
@@ -336,19 +329,13 @@ def monte_carlo_pe(V: GeneratorMatrix, n_samples: int,
     if seed >= _SEED_LIMIT:
         raise ValueError("seed must be below 2^128")
     Q, R = V.qr()
-    V._search_frame()  # the CVP frame, cached before the threads share it
     half = np.abs(np.diag(R)) / 2.0
-    chunks = [(i, min(_MC_CHUNK, n_samples - start))
-              for i, start in enumerate(range(0, n_samples, _MC_CHUNK))]
-    def chunk_errors(chunk):
-        return _mc_chunk_errors(V, half, Q, seed, *chunk)
-
-    workers = min(len(chunks), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            errors = sum(pool.map(chunk_errors, chunks))
-    else:
-        errors = sum(map(chunk_errors, chunks))
+    errors = 0
+    for i, start in enumerate(range(0, n_samples, _MC_CHUNK)):
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+        u = rng.uniform(-1.0, 1.0, (min(_MC_CHUNK, n_samples - start), V.n))
+        coeffs = cvp_bruteforce_batch(V, (u * half) @ Q.T)
+        errors += int(np.any(coeffs != 0, axis=1).sum())
     est = errors / n_samples
     se = math.sqrt(est * (1.0 - est) / n_samples)
     return PeEstimate(estimate=est, std_error=se, n_samples=n_samples,

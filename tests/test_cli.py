@@ -835,7 +835,9 @@ class TestOneLineErrors:
     @pytest.mark.parametrize("command", [
         "simulate-scenario", "simulate-option", "perror", "levelcurves"])
     def test_seed_beyond_the_philox_key(self, command, capsys, files):
-        # every command that samples names the seed, not numpy's key check
+        # every command that samples names the seed, not numpy's key check:
+        # simulate as the seed of its scenario or option, the Monte Carlo
+        # commands as --seed, the flag it comes from
         seed = str(2 ** 128)
         scenario = {"matrix": RATIO311_MATRIX, "sources": [UNIFORM] * 2,
                     "model": "centralized", "trials": 3}
@@ -849,8 +851,21 @@ class TestOneLineErrors:
             "levelcurves": ["levelcurves", "--k", "0.05", "--grid", "2",
                             "--samples", "100", "--seed", seed],
         }[command]
-        assert run(capsys, *argv) == (
-            1, "", "error: seed must be below 2^128\n")
+        message = ("seed must be below 2^128" if command.startswith("simulate")
+                   else "--seed must lie in [0, 2^128), the Philox key range")
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["perror", "levelcurves"])
+    def test_negative_seed_named_by_its_flag(self, command, capsys, files):
+        argv = {
+            "perror": ["perror", "--matrix", files("m.json", HEX_MATRIX),
+                       "--method", "mc", "--samples", "100"],
+            "levelcurves": ["levelcurves", "--k", "0.05", "--grid", "2",
+                            "--samples", "100"],
+        }[command]
+        assert run(capsys, *argv, "--seed", "-1") == (
+            1, "", "error: --seed must lie in [0, 2^128), the Philox key "
+            "range\n")
 
     def test_largest_seed_runs(self, capsys, files):
         seed = 2 ** 128 - 1
@@ -946,18 +961,6 @@ class TestOutputContract:
             assert code == 0
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
-
-    def test_mc_workers_do_not_change_bytes(self, capsys, files,
-                                            monkeypatch):
-        # 70,000 samples are two chunks: one thread, then two
-        m = files("m.json", HEX_MATRIX)
-        results = []
-        for cpus in (1, 4):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            _, out, _ = run(capsys, "perror", "--matrix", m, "--method", "mc",
-                            "--samples", "70000")
-            results.append(out)
-        assert results[0] == results[1]
 
     def test_cached_parser_matches_a_fresh_one(self, capsys, files,
                                               tmp_path, monkeypatch):

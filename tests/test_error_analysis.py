@@ -1,5 +1,4 @@
 import math
-import os
 import time
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import latcomm.error_analysis
 from latcomm import (
     GeneratorMatrix,
     ReducedBasis2D,
@@ -313,31 +311,27 @@ class TestMonteCarlo:
         e3 = monte_carlo_pe(hexagonal, 40000, seed=8)
         assert e3.estimate != e1.estimate
 
-    def test_worker_count_does_not_change_result(self, hexagonal, skew5,
-                                                 monkeypatch):
-        # 150,000 samples are three chunks: one thread, then three on a
-        # fresh basis, whose CVP frame the threads share; skew5 is searched
-        # in an LLL-reduced frame (U != I), the hexagonal basis in its own
-        for V in (hexagonal, skew5):
-            monkeypatch.setattr(os, "cpu_count", lambda: 1)
-            e1 = monte_carlo_pe(V, 150000, seed=3)
-            monkeypatch.setattr(os, "cpu_count", lambda: 4)
-            fresh = GeneratorMatrix(V.matrix)
-            e4 = monte_carlo_pe(fresh, 150000, seed=3)
-            assert e1 == e4
-            frame = fresh._search_frame()
-            assert (frame[2] == np.eye(2)).all() == (V is hexagonal)
-            assert not any(a.flags.writeable for a in frame)
-
-    def test_single_chunk_runs_on_calling_thread(self, hexagonal,
-                                                 monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool for a single chunk")
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(latcomm.error_analysis, "ThreadPoolExecutor",
-                            no_pool)
-        assert monte_carlo_pe(hexagonal, 1 << 16, seed=3).n_samples == 1 << 16
+    # (estimate, std_error) at seed 3 on either side of the 2^16-sample
+    # chunk and across three chunks: a change to the chunk size or to the
+    # substream each chunk draws from changes these bytes
+    @pytest.mark.parametrize("matrix, pins", [
+        (None, [(0.0841522216796875, 0.0010844373720274472),
+                (0.08415093763828066, 0.0010844215852710655),
+                (0.08378666666666666, 0.0007153854958717738)]),
+        ([[1.0, 0.3, 0.2], [0.0, 1.1, 0.4], [0.0, 0.0, 0.9]],
+         [(0.1186676025390625, 0.0012632694288077818),
+          (0.11866579184277584, 0.0012632514508124097),
+          (0.1197, 0.0008381404416922023)]),
+        (np.eye(5) + np.triu(np.full((5, 5), 0.4), 1),
+         [(0.2154388427734375, 0.0016059626473700808),
+          (0.21543555548773974, 0.001605941507109448),
+          (0.21468666666666666, 0.0010601770349717454)]),
+    ])
+    def test_pinned_at_chunk_boundaries(self, matrix, pins, hexagonal):
+        V = hexagonal if matrix is None else GeneratorMatrix(matrix)
+        for n_samples, pin in zip((1 << 16, (1 << 16) + 1, 150000), pins):
+            est = monte_carlo_pe(V, n_samples, seed=3)
+            assert (est.estimate, est.std_error) == pin
 
     def test_needle_basis_in_bounded_time(self):
         # searched in the basis as given, about 100 nodes per sample on the

@@ -1008,6 +1008,14 @@ class TestSearchFrame:
             assert frame[0] is V.qr()[0] and frame[1] is V.qr()[1]
             assert V._search_frame() is frame
 
+    def test_skewed_basis_searched_in_a_reduced_frame(self, skew5):
+        # (5,0),(3,1) reduces to a rectangular basis, so U != I; the frame
+        # is cached, read-only
+        frame = skew5._search_frame()
+        assert (frame[2] != np.eye(2)).any()
+        assert not any(a.flags.writeable for a in frame)
+        assert skew5._search_frame() is frame
+
     def test_transform_too_large_for_int64(self):
         # U and U^-1 have entries about 1e10, beyond the bound under which
         # int64 holds every partial sum of the map through U, so the frame

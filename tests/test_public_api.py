@@ -42,7 +42,9 @@ def test_test_oracles_are_not_exported():
                         (protocol.SourceModel, "to_json"),
                         (lattice.GeneratorMatrix, "inverse"),
                         (lattice.GeneratorMatrix([[1.0]]), "_inv"),
-                        (protocol, "_number")]:
+                        (protocol, "_number"),
+                        (error_analysis, "ThreadPoolExecutor"),
+                        (error_analysis, "_mc_chunk_errors")]:
         assert not hasattr(owner, name), (owner, name)
 
 

@@ -72,9 +72,10 @@ class TestPeSweep:
      "--seed must lie in [0, 2^128), the Philox key range"),
     ("rate_convergence", ["--seed", str(2 ** 128)],
      "--seed must lie in [0, 2^128), the Philox key range"),
-    ("rate_convergence", ["--diag", "0,1"], "zero basis vector"),
+    ("rate_convergence", ["--diag", "0,1"], "--diag: '0': zero basis vector"),
     ("pe_sweep", ["--a-grid", "2", "--b-grid", "2", "--samples", "10",
-                  "--seed", "-3"], "seed must be nonnegative"),
+                  "--seed", "-3"],
+     "--seed must lie in [0, 2^128), the Philox key range"),
     # checked by name, as `levelcurves --grid` is, not left to np.linspace
     # or to an empty grid that would print a bare header
     ("pe_sweep", ["--a-grid", "-1"], "--a-grid must be at least 1"),
@@ -100,6 +101,21 @@ class TestPeSweep:
      "--exponents must list at least one exponent"),
     ("rate_convergence", ["--diag", "5/4,x"],
      "--diag: 'x' is not a finite number"),
+    # an input that the basis or the rounding refuses, under its flag
+    *[("rate_convergence", ["--diag", diag], f"--diag{part}: basis magnitude "
+       "out of range: squared column norms and |det| must lie in "
+       "[2.23e-308, 2.74e+303]")
+      for diag, part in (("1e200,1", ": '1e200'"),
+                         ("1e100,1e100,1e100,1e100", ""))],
+    ("rate_convergence", ["--exponents=-600"], "--exponents: '-600': basis "
+     "magnitude out of range: squared column norms and |det| must lie in "
+     "[2.23e-308, 2.74e+303]"),
+    ("rate_convergence", ["--exponents", "4,52", "--trials", "100"],
+     "--exponents: '52': cannot round 4734982244703400.0: need a finite "
+     "|z| < 2**52"),
+    ("pe_sweep", ["--a-grid", "2", "--b-grid", "2", "--samples", "10",
+                  "--seed", str(2 ** 128)],
+     "--seed must lie in [0, 2^128), the Philox key range"),
 ])
 def test_one_line_errors(name, argv, message, capsys):
     # as the CLI fails: exit 1, one `error:` line, nothing on stdout
