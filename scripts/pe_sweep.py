@@ -8,7 +8,6 @@ to reproduce the level-curve figure.
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -16,6 +15,7 @@ import numpy as np
 from latcomm import ReducedBasis2D
 from latcomm.cli import _check_seed, _emit
 from latcomm.error_analysis import PE_CSV_HEADER, pe_csv_line, pe_row
+from latcomm.lattice import _MAGNITUDE_HI
 
 
 def main(argv=None) -> int:
@@ -40,10 +40,13 @@ def sweep(args) -> str:
     for flag, count in (("--a-grid", args.a_grid), ("--b-grid", args.b_grid)):
         if count < 1:
             raise ValueError(f"{flag} must be at least 1")
-    # b^2 is a float up to about 1.34e154, and so are the clip's products
-    if not math.isfinite(args.b_max * args.b_max):
+    # b^2, about the squared norm of the basis vector (a, b), must lie in
+    # the magnitude range that `perror` takes, and so must the clip's
+    # products
+    if not args.b_max * args.b_max <= _MAGNITUDE_HI:
         raise ValueError("--b-max must be a finite number whose square is "
-                         "a float, below 1.34e154")
+                         f"at most {_MAGNITUDE_HI:.3g}, below 5.24e151, as "
+                         "a basis's squared column norms are")
     if args.samples < 0:
         raise ValueError("--samples must be non-negative")
     if args.samples > 0:

@@ -64,10 +64,18 @@ def exponents(text):
     return [int(e) for e in out]
 
 
+def float_fraction(part):
+    """part as a Fraction whose float is finite: OverflowError beyond the
+    floats, as for `levelcurves --k`."""
+    f = Fraction(part)
+    float(f)
+    return f
+
+
 def diagonal_basis(text):
     """The diagonal basis of --diag; an entry that is no basis vector's
     length fails with its own text."""
-    diag = _parse_numbers("--diag", text, Fraction)
+    diag = _parse_numbers("--diag", text, float_fraction)
     if not diag:
         raise ValueError("--diag must list at least one entry")
     for part, d in zip(_parts(text), diag):

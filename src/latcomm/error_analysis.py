@@ -9,7 +9,8 @@ uniform in the origin rounding cell, has the closed form
 which ranges over [0, 1/12]: zero exactly for orthogonal bases and maximal
 at the hexagonal point (1/2, sqrt(3)/2).  This module computes that formula,
 the exact cell-overlap area for arbitrary 2D bases, and a Monte Carlo
-estimate driven by the exhaustive CVP oracle.
+estimate in any dimension decided by the coset minima of L / 2L, which the
+exhaustive CVP oracle finds, and by that oracle where floats cannot.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .lattice import (
+    _CVP_SLACK,
     GeneratorMatrix,
     ReducedBasis2D,
     UnsupportedDimensionError,
@@ -305,20 +307,91 @@ def exact_pe_area(V: GeneratorMatrix) -> float:
     return float(_box_pe(R[None], rel[None])[0])
 
 
-# Samples per chunk: each chunk is one CVP batch, so memory per call stays
-# bounded, and each draws from its own Philox substream, so an estimate
+# Samples per chunk: each chunk is one product against the coset minima or
+# one CVP batch, so memory per call stays bounded, and each draws from its own Philox substream, so an estimate
 # depends only on (seed, n_samples) and stays byte-identical.
 _MC_CHUNK = 1 << 16
 # seeds key a Philox generator, whose key has 128 bits
 _SEED_LIMIT = 1 << 128
+# Largest n at which monte_carlo_pe decides samples by the 2^n - 1 coset
+# minima.  Measured on 10^5 samples of a criterion-11 basis, one process
+# per run (2 vCPUs; CVP on every sample -> coset minima; time, peak RSS):
+# n = 8 203 -> 83 ms, 209 -> 194 MB; n = 9 352-419 -> 177 ms, 225 ->
+# 341 MB; n = 10 289-321 -> 402 ms, 265 -> 631 MB.  The product against
+# the set holds 2^16 (2^n - 1) floats, so from n = 9 memory grows past
+# the CVP's, and from n = 10 time does too.
+_MC_COSET_MAX_DIM = 8
+# Relative float error allowed for on |2 <x, v_c>| - ||v_c||^2, far above
+# the few ulps by which the products, and the CVP's own comparison, can be
+# off; a sample that near a facet goes to the CVP.
+_MC_SLACK = 1e-9
+
+
+def _coset_minima(V: GeneratorMatrix):
+    """Shortest vectors v_c = V (c - 2 p_c) of the 2^n - 1 nonzero cosets
+    c + 2L of L / 2L, p_c a nearest lattice point to the midpoint V c / 2
+    from one CVP batch.  They include every Voronoi-relevant vector
+    (Voronoi; Conway & Sloane, SPLAG ch. 2), and every other one's
+    half-space <x, v> <= ||v||^2 / 2 contains the Voronoi cell too.
+
+    Returns (2 v_c as the rows of an array, ||v_c||^2 - bound and
+    ||v_c||^2 + bound as columns) for a float bound per vector on the test
+    |2 <x, v_c>| - ||v_c||^2 of a target x in the origin rounding box; or
+    None for n above _MC_COSET_MAX_DIM, and where the search frame's R_ii
+    spread is so wide that the midpoints, each an exact tie, would widen a
+    lower level of the CVP search to sqrt(2 _CVP_SLACK) R_ii / R_jj > 1
+    offsets.
+    """
+    diag = V._search_frame()[1].diagonal()
+    if V.n > _MC_COSET_MAX_DIM or (
+            math.sqrt(2.0 * _CVP_SLACK) * diag.max() > diag.min()):
+        return None
+    C = (np.arange(1, 1 << V.n)[:, None] >> np.arange(V.n)) & 1
+    K = C - 2 * cvp_bruteforce_batch(V, (C @ V.matrix.T) / 2.0)
+    S = K @ V.matrix.T
+    sq = _dot(S, S)
+    # |x| and |v_c| per coordinate, with the magnitude of V's terms in v_c
+    Q, R = V.qr()
+    reach = np.abs(Q) @ (np.diag(R) / 2.0)
+    a = np.abs(K) @ np.abs(V.matrix).T
+    bound = _MC_SLACK * (2.0 * a @ reach + _dot(a, a))
+    return 2.0 * S, (sq - bound)[:, None], (sq + bound)[:, None]
+
+
+def _errors(V: GeneratorMatrix, X, minima):
+    """Number of rows of X, targets in the origin rounding box, whose
+    nearest lattice point by the CVP's rule is not the origin.  A row is
+    decided by the `_coset_minima` where they are given and its test is
+    clear of their float bound; the others go to the CVP."""
+    errors = 0
+    if minima is not None:
+        # one row per vector, so that each test reduces across rows
+        S2, lo, hi = minima
+        A = S2 @ X.T
+        np.abs(A, out=A)
+        out = (A > hi).any(axis=0)
+        errors = int(out.sum())
+        X = X[(A >= lo).any(axis=0) & ~out]
+        if not len(X):
+            return errors
+    return errors + int(np.any(cvp_bruteforce_batch(V, X) != 0, axis=1).sum())
 
 
 def monte_carlo_pe(V: GeneratorMatrix, n_samples: int,
                    seed: int = 0) -> PeEstimate:
     """Estimate the rounding-error probability by sampling the origin box.
 
-    Each sample is drawn uniformly in the origin rounding cell and checked
-    against the exhaustive CVP oracle.  Sampling uses counter-based
+    Each sample x is drawn uniformly in the origin rounding cell.  The
+    Babai point 0 is wrong exactly where some lattice point is nearer, and
+    by Voronoi's theorem the coset minima v_c of `_coset_minima` decide
+    that: x is an error where |2 <x, v_c>| - ||v_c||^2 exceeds its float
+    bound for some c, and correct where every such difference is below
+    minus it.  The rare sample between the two, within float error of a
+    facet where the tie rule decides, goes to the exhaustive CVP oracle,
+    so every decision, and the estimate, is the one that the CVP on every
+    sample gives.  Above _MC_COSET_MAX_DIM, and on a search frame too
+    spread for the midpoint CVP, every sample goes to the CVP.  The set is
+    built per call, from the CVP alone.  Sampling uses counter-based
     substreams per fixed-size chunk, so the result depends only on
     (seed, n_samples).  The chunks run in order on the calling thread.
     """
@@ -330,12 +403,12 @@ def monte_carlo_pe(V: GeneratorMatrix, n_samples: int,
         raise ValueError("seed must be below 2^128")
     Q, R = V.qr()
     half = np.abs(np.diag(R)) / 2.0
+    minima = _coset_minima(V)
     errors = 0
     for i, start in enumerate(range(0, n_samples, _MC_CHUNK)):
         rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
         u = rng.uniform(-1.0, 1.0, (min(_MC_CHUNK, n_samples - start), V.n))
-        coeffs = cvp_bruteforce_batch(V, (u * half) @ Q.T)
-        errors += int(np.any(coeffs != 0, axis=1).sum())
+        errors += _errors(V, (u * half) @ Q.T, minima)
     est = errors / n_samples
     se = math.sqrt(est * (1.0 - est) / n_samples)
     return PeEstimate(estimate=est, std_error=se, n_samples=n_samples,

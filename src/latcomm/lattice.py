@@ -35,6 +35,12 @@ MAX_CVP_DIM = 12
 # A CVP search level whose children would pass this many nodes is expanded
 # in slices of whole rows.
 _CVP_BLOCK_NODES = 1 << 16
+# A row with more nodes than this on one search level is refused.  Only a
+# target at a tie that the floats cannot resolve gets there: a tie on level
+# i widens each lower level j to about sqrt(2 _CVP_SLACK) R_ii / R_jj
+# offsets, so diag(1e-5, 1e5) at its tie takes 1.1 million nodes (0.1 s)
+# and diag(1e-10, 1e10) would take 1.1e16.
+_CVP_ROW_NODES = 1 << 21
 # Relative float error allowed for on the terms of each CVP search level,
 # so that rounding drops no candidate.
 _CVP_SLACK = 1e-9
@@ -544,7 +550,8 @@ def _sphere_leaves(R, Z, h, P):
     each node spawns every e_i within what is left of P, counted as the
     change from the start path, which is exactly 0 along it.  Yields (row,
     E) slices of leaves grouped by row in ascending order; a level whose
-    children would pass _CVP_BLOCK_NODES is expanded in slices of rows.
+    children would pass _CVP_BLOCK_NODES is expanded in slices of rows, and
+    a row with more than _CVP_ROW_NODES children on one level is refused.
     """
     unit = R / R.diagonal()[:, None]
     # R_ii and R_ii ** 2 as Python floats: the same values, without a numpy
@@ -562,17 +569,21 @@ def _sphere_leaves(R, Z, h, P):
             c = z - g
             w = np.sqrt(np.maximum(P[i, rows] - S, 0.0)) / diag[i] + h[i, rows]
             lo = np.ceil(c - w)
-            count = (np.floor(c + w) - lo + 1).astype(np.int64)  # w > 0
+            count = np.floor(c + w) - lo + 1  # w > 0
             end = count.cumsum()
             before = end - count
-            if end[-1] > _CVP_BLOCK_NODES:
+            if not end[-1] <= _CVP_BLOCK_NODES:  # nan fails too
                 first = np.flatnonzero(_row_starts(rows))
+                _require(np.add.reduceat(count, first).max() <= _CVP_ROW_NODES,
+                         ValueError, "target lies at a tie that the floats "
+                         f"cannot resolve: its search would pass {_CVP_ROW_NODES} "
+                         "nodes on one level")
                 cuts = first[np.diff(before[first] // _CVP_BLOCK_NODES, prepend=0) != 0]
                 if len(cuts):
                     for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(rows)]):
                         yield from descend(i, rows[a:b], E[a:b], S[a:b])
                     return
-            node = np.repeat(np.arange(len(rows)), count)
+            node = np.repeat(np.arange(len(rows)), count.astype(np.int64))
             e = (lo - before)[node] + np.arange(len(node))
             rows, E = rows[node], E[node]
             E[:, i] = e

@@ -706,6 +706,31 @@ class TestOneLineErrors:
             1, "", f"error: {path} is not JSON: Expecting value: line 1 "
             "column 1 (char 0)\n")
 
+    @pytest.mark.parametrize("k", [10, 20])
+    def test_tie_beyond_the_floats(self, k, capsys, files):
+        # the tie on the long level widens the short one to about
+        # sqrt(2e-9) 10^(2k) offsets: at k = 10 the search asked for
+        # 77.8 PiB, at k = 20 its count overflowed into a RuntimeWarning
+        m = files("m.json", {"n": 2, "columns": [[10.0 ** -k, 0],
+                                                 [0, 10.0 ** k]]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(capsys, "cvp", "--matrix", m,
+                         "--x", f"0,{10.0 ** k / 2!r}")
+        assert caught == []
+        assert result == (1, "", "error: target lies at a tie that the "
+                          "floats cannot resolve: its search would pass "
+                          "2097152 nodes on one level\n")
+
+    def test_resolvable_tie_on_a_spread_frame_answers(self, capsys, files):
+        # the same tie at k = 5 takes 1.1 million nodes, and the tie rule
+        # picks the lexicographically smallest coefficients
+        m = files("m.json", {"n": 2, "columns": [[1e-5, 0], [0, 1e5]]})
+        code, out, err = run(capsys, "cvp", "--matrix", m, "--x", "0,5e4")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"coeffs": [0, 0], "match": False,
+                                   "point": [0.0, 0.0]}
+
     def test_csv_needs_a_2d_basis(self, capsys, files, monkeypatch):
         # refused before any sampling, each method with its own message
         def no_sampling(*args, **kwargs):

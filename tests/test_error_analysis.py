@@ -19,17 +19,20 @@ from latcomm import (
     third_relevant_vector,
     voronoi_polygon_general,
 )
+import latcomm.error_analysis
 from latcomm.error_analysis import (
     PE_CSV_HEADER,
     _box_pe,
     _clip_halfplanes,
+    _coset_minima,
+    _errors,
     _qr_frame_2d,
     _voronoi_cells,
     format_csv_value,
     pe_csv_line,
     pe_row,
 )
-from latcomm.lattice import _gauss_reduce_rows
+from latcomm.lattice import _gauss_reduce_rows, cvp_bruteforce_batch
 
 SQRT3_2 = math.sqrt(3) / 2
 
@@ -670,3 +673,92 @@ class TestZeroNormals:
         pairs = len(voronoi_polygon_general(GeneratorMatrix(R)).relevant_vectors)
         assert rel[0, pairs:].tobytes() == bytes(16 * (3 - pairs))
         assert exact_pe_area(V).hex() == float(_box_pe(R[None], rel)[0]).hex()
+
+
+def _pe_by_cvp_on_every_sample(V, n_samples, seed):
+    """(estimate, std_error) of monte_carlo_pe as it was before the coset
+    minima: the same chunks and substreams, every sample decided by the
+    CVP."""
+    Q, R = V.qr()
+    half = np.abs(np.diag(R)) / 2.0
+    errors = 0
+    for i, start in enumerate(range(0, n_samples, 1 << 16)):
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+        u = rng.uniform(-1.0, 1.0, (min(1 << 16, n_samples - start), V.n))
+        coeffs = cvp_bruteforce_batch(V, (u * half) @ Q.T)
+        errors += int(np.any(coeffs != 0, axis=1).sum())
+    est = errors / n_samples
+    return est, math.sqrt(est * (1.0 - est) / n_samples)
+
+
+def _criterion11(rng, n):
+    R = np.zeros((n, n))
+    for i in range(n):
+        R[i, i] = rng.uniform(0.6, 1.6)
+        for j in range(i + 1, n):
+            R[i, j] = rng.uniform(-0.8, 0.8)
+    return R
+
+
+def _identity_bases():
+    """(name, matrix): the named edge cases, then four criterion-11
+    triangular bases per n = 2..8, each as drawn and rotated."""
+    needle = np.array([[1.0, 0.99], [0.0, 0.01]])
+    bases = [("hexagonal", np.array([[1.0, 0.5], [0.0, SQRT3_2]])),
+             ("skew5", np.array([[5.0, 3.0], [0.0, 1.0]])),
+             ("needle", needle), ("needle-rotated", _rotation(0.7) @ needle),
+             ("tilt-1e-12", np.array([[1.0, 1e-12], [0.0, 1.0]])),
+             ("diag-1-1e-9", np.diag([1.0, 1e-9])),
+             *[(f"diag-1e-{k}-1e{k}", np.diag([10.0 ** -k, 10.0 ** k]))
+               for k in (5, 10, 150)]]
+    rng = np.random.default_rng(28)
+    for n in range(2, 9):
+        for j in range(4):
+            R = _criterion11(rng, n)
+            Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            bases += [(f"tri{n}-{j}", R), (f"tri{n}-{j}-rotated", Q @ R)]
+    return bases
+
+
+class TestCosetMinima:
+    """Deciding samples by the coset minima of L / 2L gives the estimate
+    of the CVP on every sample, bit for bit."""
+
+    @pytest.mark.parametrize("name, M", [pytest.param(name, M, id=name)
+                                         for name, M in _identity_bases()])
+    def test_equals_cvp_on_every_sample(self, name, M):
+        V = GeneratorMatrix(M)
+        # the diagonal bases, R_ii spread 10^9 and more, take the CVP on
+        # every sample; every other basis here, n <= 8, the coset minima
+        assert (_coset_minima(V) is None) == name.startswith("diag")
+        for n_samples in (1, 4096, (1 << 16) + 1):
+            est = monte_carlo_pe(V, n_samples, seed=5)
+            assert (est.estimate, est.std_error) == (
+                _pe_by_cvp_on_every_sample(V, n_samples, 5))
+
+    def test_rows_on_a_facet_reach_the_cvp(self, monkeypatch):
+        # (1,0),(1/2,3/4), box [-1/2,1/2] x [-3/8,3/8]: every entry and
+        # product below is a dyadic float, so a row on the bisector of
+        # (1,0), (1/2,3/4) or (-1/2,3/4) tests exactly 0 there, and clear
+        # of the other two
+        V = GeneratorMatrix(np.array([[1.0, 0.5], [0.0, 0.75]]))
+        minima = _coset_minima(V)
+        inside = [[0.0, 0.0], [0.25, 0.125], [-0.125, -0.3]]
+        facet = [[0.5, 0.0], [-0.5, 0.125], [0.5, -0.125], [-0.4375, 0.25],
+                 [0.4375, -0.25], [0.4375, 0.25], [-0.4375, -0.25]]
+        beyond = [[0.5, 0.3], [-0.5, -0.375]]
+        X = np.array(inside + facet + beyond)
+        seen = []
+
+        def cvp(V, X):
+            seen.append(X.tolist())
+            return cvp_bruteforce_batch(V, X)
+
+        monkeypatch.setattr(latcomm.error_analysis, "cvp_bruteforce_batch", cvp)
+        errors = _errors(V, X, minima)
+        assert seen == [facet]
+        # the tie rule decides them: the lexicographically smallest of the
+        # tied coefficient vectors wins, 0 against (1, 0) but not (-1, 0)
+        on_facet = cvp_bruteforce_batch(V, np.array(facet)).any(axis=1)
+        assert 0 < on_facet.sum() < len(facet)
+        assert errors == on_facet.sum() + len(beyond)

@@ -67,6 +67,11 @@ class TestPeSweep:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
 
 
+B_MAX_MESSAGE = ("--b-max must be a finite number whose square is at most "
+                 "2.74e+303, below 5.24e151, as a basis's squared column "
+                 "norms are")
+
+
 @pytest.mark.parametrize("name, argv, message", [
     ("rate_convergence", ["--seed", "-1"],
      "--seed must lie in [0, 2^128), the Philox key range"),
@@ -84,9 +89,8 @@ class TestPeSweep:
     ("pe_sweep", ["--a-grid", "3", "--b-grid", "0"],
      "--b-grid must be at least 1"),
     ("pe_sweep", ["--samples", "-1"], "--samples must be non-negative"),
-    *[("pe_sweep", ["--b-max", b_max],
-       "--b-max must be a finite number whose square is a float, below "
-       "1.34e154") for b_max in ("inf", "nan", "1e200")],
+    *[("pe_sweep", ["--b-max", b_max], B_MAX_MESSAGE)
+      for b_max in ("inf", "nan", "1e200")],
     *[("pe_sweep", argv, "no point of the --a-grid x --b-grid grid, b from "
        "0.85 to --b-max, is a reduced basis")
       for argv in (["--b-max", "0.5"], ["--b-grid", "1"])],
@@ -116,6 +120,12 @@ class TestPeSweep:
     ("pe_sweep", ["--a-grid", "2", "--b-grid", "2", "--samples", "10",
                   "--seed", str(2 ** 128)],
      "--seed must lie in [0, 2^128), the Philox key range"),
+    # a Fraction holds it but no float does; named as --k names it
+    ("rate_convergence", ["--diag", "1e400"],
+     "--diag: '1e400' is not a finite number"),
+    # b^2 a float, but beyond the magnitude range that `perror` takes
+    ("pe_sweep", ["--b-max", "1e153", "--a-grid", "3", "--b-grid", "2"],
+     B_MAX_MESSAGE),
 ])
 def test_one_line_errors(name, argv, message, capsys):
     # as the CLI fails: exit 1, one `error:` line, nothing on stdout
