@@ -307,9 +307,11 @@ def exact_pe_area(V: GeneratorMatrix) -> float:
     return float(_box_pe(R[None], rel[None])[0])
 
 
-# Samples per chunk: each chunk is one product against the coset minima or
-# one CVP batch, so memory per call stays bounded, and each draws from its own Philox substream, so an estimate
-# depends only on (seed, n_samples) and stays byte-identical.
+# Samples per chunk: each chunk is one product against the coset minima,
+# plus one CVP batch where rows fall in their float band, so memory per call
+# stays bounded.  Chunk i draws from the Philox substream keyed by its
+# counter, [0, 0, i, 0], the stream that Philox(key=seed).jumped(i) gives,
+# so an estimate depends only on (seed, n_samples) and stays byte-identical.
 _MC_CHUNK = 1 << 16
 # seeds key a Philox generator, whose key has 128 bits
 _SEED_LIMIT = 1 << 128
@@ -327,6 +329,13 @@ _MC_COSET_MAX_DIM = 8
 _MC_SLACK = 1e-9
 
 
+def _targets(V: GeneratorMatrix, u):
+    """Targets x = Q diag(half) u, half = R_ii / 2, of draws u in
+    [-1, 1]^n, one per row: points of the origin rounding box."""
+    Q, R = V.qr()
+    return (u * (np.diag(R) / 2.0)) @ Q.T
+
+
 def _coset_minima(V: GeneratorMatrix):
     """Shortest vectors v_c = V (c - 2 p_c) of the 2^n - 1 nonzero cosets
     c + 2L of L / 2L, p_c a nearest lattice point to the midpoint V c / 2
@@ -334,13 +343,14 @@ def _coset_minima(V: GeneratorMatrix):
     (Voronoi; Conway & Sloane, SPLAG ch. 2), and every other one's
     half-space <x, v> <= ||v||^2 / 2 contains the Voronoi cell too.
 
-    Returns (2 v_c as the rows of an array, ||v_c||^2 - bound and
-    ||v_c||^2 + bound as columns) for a float bound per vector on the test
-    |2 <x, v_c>| - ||v_c||^2 of a target x in the origin rounding box; or
-    None for n above _MC_COSET_MAX_DIM, and where the search frame's R_ii
-    spread is so wide that the midpoints, each an exact tie, would widen a
-    lower level of the CVP search to sqrt(2 _CVP_SLACK) R_ii / R_jj > 1
-    offsets.
+    Returns, in the frame that `_targets` draws from, G = 2 S Q diag(half)
+    with the v_c as the rows of S, so that row c maps a draw u straight to
+    2 <x, v_c>; and ||v_c||^2 - bound and ||v_c||^2 + bound as columns, for
+    a float bound per vector on the test |2 <x, v_c>| - ||v_c||^2 of a
+    target x in the origin rounding box.  None for n above
+    _MC_COSET_MAX_DIM, and where the search frame's R_ii spread is so wide
+    that the midpoints, each an exact tie, would widen a lower level of
+    the CVP search to sqrt(2 _CVP_SLACK) R_ii / R_jj > 1 offsets.
     """
     diag = V._search_frame()[1].diagonal()
     if V.n > _MC_COSET_MAX_DIM or (
@@ -352,28 +362,38 @@ def _coset_minima(V: GeneratorMatrix):
     sq = _dot(S, S)
     # |x| and |v_c| per coordinate, with the magnitude of V's terms in v_c
     Q, R = V.qr()
-    reach = np.abs(Q) @ (np.diag(R) / 2.0)
+    half = np.diag(R) / 2.0
+    reach = np.abs(Q) @ half
     a = np.abs(K) @ np.abs(V.matrix).T
+    # The test computes G u, not 2 <x, v_c> for the float target x that
+    # the CVP sees.  Both sum the terms 2 x_j v_cj, each at most
+    # 2 reach_j a_j, rounded in other places (G, x, the sums), so they
+    # differ by a few ulps of 2 a . reach, about 1e-15 of it; the bound is
+    # 1e-9 of it.
     bound = _MC_SLACK * (2.0 * a @ reach + _dot(a, a))
-    return 2.0 * S, (sq - bound)[:, None], (sq + bound)[:, None]
+    return (2.0 * S) @ Q * half, (sq - bound)[:, None], (sq + bound)[:, None]
 
 
-def _errors(V: GeneratorMatrix, X, minima):
-    """Number of rows of X, targets in the origin rounding box, whose
-    nearest lattice point by the CVP's rule is not the origin.  A row is
-    decided by the `_coset_minima` where they are given and its test is
-    clear of their float bound; the others go to the CVP."""
-    errors = 0
+def _errors(V: GeneratorMatrix, u, minima):
+    """Number of rows of u, draws in [-1, 1]^n, whose target (`_targets`)
+    has a nearest lattice point by the CVP's rule other than the origin.
+    A row is decided on u itself by the `_coset_minima` where they are
+    given and its test is clear of their float bound.  The other rows, and
+    every row where minima is None, go to the CVP; only then are targets
+    formed, over the whole of u as the CVP on every sample forms them, so
+    that each keeps its bits."""
+    errors, rows = 0, slice(None)
     if minima is not None:
-        # one row per vector, so that each test reduces across rows
-        S2, lo, hi = minima
-        A = S2 @ X.T
+        # one row per vector, so that each test reduces along axis 0
+        G, lo, hi = minima
+        A = G @ u.T
         np.abs(A, out=A)
         out = (A > hi).any(axis=0)
         errors = int(out.sum())
-        X = X[(A >= lo).any(axis=0) & ~out]
-        if not len(X):
+        rows = (A >= lo).any(axis=0) & ~out
+        if not rows.any():
             return errors
+    X = _targets(V, u)[rows]
     return errors + int(np.any(cvp_bruteforce_batch(V, X) != 0, axis=1).sum())
 
 
@@ -386,13 +406,15 @@ def monte_carlo_pe(V: GeneratorMatrix, n_samples: int,
     by Voronoi's theorem the coset minima v_c of `_coset_minima` decide
     that: x is an error where |2 <x, v_c>| - ||v_c||^2 exceeds its float
     bound for some c, and correct where every such difference is below
-    minus it.  The rare sample between the two, within float error of a
-    facet where the tie rule decides, goes to the exhaustive CVP oracle,
-    so every decision, and the estimate, is the one that the CVP on every
-    sample gives.  Above _MC_COSET_MAX_DIM, and on a search frame too
-    spread for the midpoint CVP, every sample goes to the CVP.  The set is
-    built per call, from the CVP alone.  Sampling uses counter-based
-    substreams per fixed-size chunk, so the result depends only on
+    minus it.  The test runs in the frame the draws come from, u in
+    [-1, 1]^n, so a chunk forms no targets unless some sample falls
+    between the two, within float error of a facet where the tie rule
+    decides; those go to the exhaustive CVP oracle, so every decision, and
+    the estimate, is the one that the CVP on every sample gives, bit for
+    bit.  Above _MC_COSET_MAX_DIM, and on a search frame too spread for
+    the midpoint CVP, every sample goes to the CVP.  The set is built per
+    call, from the CVP alone.  Each fixed-size chunk draws from its own
+    counter-keyed Philox substream, so the result depends only on
     (seed, n_samples).  The chunks run in order on the calling thread.
     """
     if n_samples <= 0:
@@ -401,14 +423,13 @@ def monte_carlo_pe(V: GeneratorMatrix, n_samples: int,
         raise ValueError("seed must be nonnegative")
     if seed >= _SEED_LIMIT:
         raise ValueError("seed must be below 2^128")
-    Q, R = V.qr()
-    half = np.abs(np.diag(R)) / 2.0
     minima = _coset_minima(V)
     errors = 0
     for i, start in enumerate(range(0, n_samples, _MC_CHUNK)):
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+        rng = np.random.Generator(
+            np.random.Philox(key=seed, counter=[0, 0, i, 0]))
         u = rng.uniform(-1.0, 1.0, (min(_MC_CHUNK, n_samples - start), V.n))
-        errors += _errors(V, (u * half) @ Q.T, minima)
+        errors += _errors(V, u, minima)
     est = errors / n_samples
     se = math.sqrt(est * (1.0 - est) / n_samples)
     return PeEstimate(estimate=est, std_error=se, n_samples=n_samples,

@@ -104,9 +104,9 @@ class GeneratorMatrix:
 
     def __init__(self, matrix, rational=None):
         m = np.asarray(matrix, dtype=float)
-        _require(m.ndim == 2 and m.shape[0] == m.shape[1],
-                 UnsupportedDimensionError,
-                 f"generator matrix must be square, got shape {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise UnsupportedDimensionError(
+                f"generator matrix must be square, got shape {m.shape}")
         n = m.shape[0]
         _require(n >= 1, UnsupportedDimensionError, "empty matrix")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -138,9 +138,9 @@ class GeneratorMatrix:
                         continue
                     # the float entry must be within one of its own ulps of
                     # the rational, as scaling by a float keeps it
-                    _require(abs(m[i, j] - float(f)) <= math.ulp(m[i, j]),
-                             ValueError,
-                             f"entry ({i},{j}) disagrees with its rational value")
+                    if not abs(m[i, j] - float(f)) <= math.ulp(m[i, j]):
+                        raise ValueError(
+                            f"entry ({i},{j}) disagrees with its rational value")
         self.matrix = m
         self.matrix.setflags(write=False)
         self.rational = rational
@@ -381,11 +381,14 @@ class ReducedBasis2D:
     b: float
 
     def __post_init__(self):
-        _require(0.0 <= self.a <= 0.5, ValueError, f"a out of range: {self.a}")
-        _require(math.sqrt(3) / 2 - 1e-12 <= self.b < math.inf, ValueError,
-                 f"b out of range: {self.b}")
-        _require(self.a * self.a + self.b * self.b >= 1 - 1e-12, ValueError,
-                 f"(a,b) inside the unit circle: ({self.a}, {self.b})")
+        # each message is formatted only on failure: pe_row builds many
+        if not 0.0 <= self.a <= 0.5:
+            raise ValueError(f"a out of range: {self.a}")
+        if not math.sqrt(3) / 2 - 1e-12 <= self.b < math.inf:
+            raise ValueError(f"b out of range: {self.b}")
+        if not self.a * self.a + self.b * self.b >= 1 - 1e-12:
+            raise ValueError(
+                f"(a,b) inside the unit circle: ({self.a}, {self.b})")
 
     def matrix(self) -> GeneratorMatrix:
         return GeneratorMatrix(np.array([[1.0, self.a], [0.0, self.b]]))

@@ -27,6 +27,7 @@ from latcomm.error_analysis import (
     _coset_minima,
     _errors,
     _qr_frame_2d,
+    _targets,
     _voronoi_cells,
     format_csv_value,
     pe_csv_line,
@@ -335,6 +336,16 @@ class TestMonteCarlo:
         for n_samples, pin in zip((1 << 16, (1 << 16) + 1, 150000), pins):
             est = monte_carlo_pe(V, n_samples, seed=3)
             assert (est.estimate, est.std_error) == pin
+
+    @pytest.mark.parametrize("seed", [0, (1 << 128) - 1])
+    def test_chunk_substream_keyed_by_its_counter(self, seed):
+        # monte_carlo_pe keys chunk i's stream by the counter; the CVP
+        # reference of TestCosetMinima jumps to it
+        for i in (0, 1, 2, 15):
+            keyed = np.random.Philox(key=seed, counter=[0, 0, i, 0])
+            jumped = np.random.Philox(key=seed).jumped(i)
+            assert (np.random.Generator(keyed).random(1000).tobytes()
+                    == np.random.Generator(jumped).random(1000).tobytes())
 
     def test_needle_basis_in_bounded_time(self):
         # searched in the basis as given, about 100 nodes per sample on the
@@ -737,10 +748,10 @@ class TestCosetMinima:
                 _pe_by_cvp_on_every_sample(V, n_samples, 5))
 
     def test_rows_on_a_facet_reach_the_cvp(self, monkeypatch):
-        # (1,0),(1/2,3/4), box [-1/2,1/2] x [-3/8,3/8]: every entry and
-        # product below is a dyadic float, so a row on the bisector of
-        # (1,0), (1/2,3/4) or (-1/2,3/4) tests exactly 0 there, and clear
-        # of the other two
+        # (1,0),(1/2,3/4), box [-1/2,1/2] x [-3/8,3/8], Q = I: the draws
+        # u = X / half map back to X exactly, and every row on the
+        # bisector of (1,0), (1/2,3/4) or (-1/2,3/4) tests exactly 0 there,
+        # and clear of the other two
         V = GeneratorMatrix(np.array([[1.0, 0.5], [0.0, 0.75]]))
         minima = _coset_minima(V)
         inside = [[0.0, 0.0], [0.25, 0.125], [-0.125, -0.3]]
@@ -748,6 +759,8 @@ class TestCosetMinima:
                  [0.4375, -0.25], [0.4375, 0.25], [-0.4375, -0.25]]
         beyond = [[0.5, 0.3], [-0.5, -0.375]]
         X = np.array(inside + facet + beyond)
+        u = X / np.array([0.5, 0.375])
+        assert _targets(V, u).tobytes() == X.tobytes()
         seen = []
 
         def cvp(V, X):
@@ -755,10 +768,27 @@ class TestCosetMinima:
             return cvp_bruteforce_batch(V, X)
 
         monkeypatch.setattr(latcomm.error_analysis, "cvp_bruteforce_batch", cvp)
-        errors = _errors(V, X, minima)
+        errors = _errors(V, u, minima)
         assert seen == [facet]
         # the tie rule decides them: the lexicographically smallest of the
         # tied coefficient vectors wins, 0 against (1, 0) but not (-1, 0)
         on_facet = cvp_bruteforce_batch(V, np.array(facet)).any(axis=1)
         assert 0 < on_facet.sum() < len(facet)
         assert errors == on_facet.sum() + len(beyond)
+
+    def test_chunk_clear_of_the_band_forms_no_targets(self, monkeypatch):
+        V = GeneratorMatrix(np.array([[1.0, 0.5], [0.0, SQRT3_2]]))
+        minima = _coset_minima(V)
+        # inside the cell and in three corners of the box, clear of facets
+        u = np.array([[0.0, 0.0], [0.1, -0.2], [0.5, 0.5], [1.0, 1.0],
+                      [-1.0, -0.9], [0.9, -1.0]])
+        want = cvp_bruteforce_batch(V, _targets(V, u)).any(axis=1).sum()
+        assert want == 3
+
+        def called(*args):
+            raise AssertionError("no row is in the band")
+
+        monkeypatch.setattr(latcomm.error_analysis, "_targets", called)
+        monkeypatch.setattr(latcomm.error_analysis, "cvp_bruteforce_batch",
+                            called)
+        assert _errors(V, u, minima) == want
