@@ -8,6 +8,7 @@ to reproduce the level-curve figure.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -18,7 +19,9 @@ from latcomm.error_analysis import PE_CSV_HEADER, pe_csv_line, pe_row
 from latcomm.lattice import _MAGNITUDE_HI
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process, as the CLI's is."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--a-grid", type=int, default=40)
     ap.add_argument("--b-grid", type=int, default=40)
@@ -27,7 +30,11 @@ def main(argv=None) -> int:
                     help="Monte Carlo samples per grid point (0 = skip)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None)
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
         _emit(sweep(args), args.out)
     except Exception as e:  # one-line diagnostic, as the CLI gives
@@ -52,8 +59,9 @@ def sweep(args) -> str:
     if args.samples > 0:
         _check_seed(args.seed)
     pairs = []
+    b_grid = np.linspace(0.85, args.b_max, args.b_grid)
     for a in np.linspace(0.0, 0.5, args.a_grid):
-        for b in np.linspace(0.85, args.b_max, args.b_grid):
+        for b in b_grid:
             try:
                 ReducedBasis2D(float(a), float(b))
             except ValueError:

@@ -9,6 +9,7 @@ h_i - log2(alpha v_ii).  Prints a CSV: one row per (alpha, i).
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -25,7 +26,9 @@ from latcomm import (
 from latcomm.cli import _check_seed, _parse_numbers, _parts
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process, as the CLI's is."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--exponents", default="4,6,8",
                     help="comma-separated e values for alpha = 2^-e")
@@ -33,7 +36,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--diag", default="5/4,4/5",
                     help="diagonal of the (triangular) test basis")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
         sys.stdout.write(table(args))
     except Exception as e:  # one-line diagnostic, as the CLI gives

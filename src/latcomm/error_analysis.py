@@ -95,26 +95,29 @@ def _clip_halfplanes(P, n, labels, normals):
 
     P (shape (k, m, 2)) holds row r's vertices in its first n[r] slots,
     counterclockwise, and labels (shape (k, m)) a label for each edge
-    P[r, i] -> P[r, i+1]; normals (shape (k, h, 2)) holds each row's w in
-    the order they clip, where a zero w cuts nothing: its bound is 0 and
-    every <p, 0> is +-0.
+    P[r, i] -> P[r, i+1], or None; normals (shape (k, h, 2)) holds each
+    row's w in the order they clip, where a zero w cuts nothing: its bound
+    is 0 and every <p, 0> is +-0.
     A vertex p is outside where the float value of <p - w/2, w> exceeds
     _CLIP_ULPS ulps of rho ||w||_1 + ||w||^2 / 2 (rho the input polygon's
     largest coordinate), a bound on the rounding in p and in that value
     that holds at every scale.
 
-    Returns (P, n, labels, cut): the clipped polygons and their edge labels
-    in the same layout, where a kept edge keeps its label and an edge cut
-    along the bisector of normals[r, j] gets the label j; and the area each
-    row lost.  Every piece cut off is summed as a fan from one of its own
-    points, with each crossing taken as an offset from its end outside, so
-    that a thin piece keeps its relative precision.
+    Returns (P, n, labels, cut): the clipped polygons in the same layout;
+    with labels, their edge labels, where a kept edge keeps its label and
+    an edge cut along the bisector of normals[r, j] gets the label j, and
+    cut None; without, labels None and the area each row lost.  A pass
+    computes only one of the two, as its caller reads only one: the
+    Voronoi cell its labels, P_e its area.  Every piece cut off is summed
+    as a fan from one of its own points, with each crossing taken as an
+    offset from its end outside, so that a thin piece keeps its relative
+    precision.
     """
     # contiguous, so that every row's products take the same path
     P = np.ascontiguousarray(P, dtype=float)
     k = len(P)
     rows, ar = np.arange(k)[:, None], np.arange(k)
-    cut = np.zeros(k)
+    cut = None if labels is not None else np.zeros(k)
     half = normals / 2.0
     # |p| . |w| <= rho ||w||_1 for every vertex p of the clipped polygons,
     # rho being the largest coordinate of the input one
@@ -139,29 +142,33 @@ def _clip_halfplanes(P, n, labels, normals):
                       where=cross)
         step = s[..., None] * (P - Pn)
         Q = np.where(leave[..., None], Pn, P)
-        # the piece cut off, as a fan from the crossing on the edge that
-        # leaves, q0 + L with q0 the piece's first vertex: A is each vertex
-        # outside and B the next point of the piece (the next vertex, or the
-        # crossing that enters), both relative to that crossing
-        l = leave.argmax(axis=1)
-        A = P - Pn[ar, l][:, None] - step[ar, l][:, None]
-        B = A + np.where((cross & out)[..., None], step, Pn - P)
-        cut += 0.5 * (out * _cross(A, B)).sum(axis=1)
+        if cut is not None:
+            # the piece cut off, as a fan from the crossing on the edge that
+            # leaves, q0 + L with q0 the piece's first vertex: A is each
+            # vertex outside and B the next point of the piece (the next
+            # vertex, or the crossing that enters), both relative to that
+            # crossing
+            l = leave.argmax(axis=1)
+            A = P - Pn[ar, l][:, None] - step[ar, l][:, None]
+            B = A + np.where((cross & out)[..., None], step, Pn - P)
+            cut += 0.5 * (out * _cross(A, B)).sum(axis=1)
         # the clipped polygon: each kept vertex, then its edge's crossing
         take = np.empty((k, m, 2), dtype=bool)
         take[..., 0], take[..., 1] = valid & ~out, cross
         src = np.empty((k, m, 2, 2))
         src[:, :, 0], src[:, :, 1] = P, Q + step
-        src_labels = np.empty((k, m, 2), dtype=labels.dtype)
-        src_labels[..., 0], src_labels[..., 1] = labels, np.where(leave, j, labels)
         take = take.reshape(k, -1)
         r, c = np.nonzero(take)
         n = take.sum(axis=1)
         at = np.arange(len(r)) - (np.cumsum(n) - n)[r]
         P = np.zeros((k, n.max(), 2))
         P[r, at] = src.reshape(k, -1, 2)[r, c]
-        labels = np.full((k, n.max()), -1)
-        labels[r, at] = src_labels.reshape(k, -1)[r, c]
+        if labels is not None:
+            src_labels = np.empty((k, m, 2), dtype=labels.dtype)
+            src_labels[..., 0] = labels
+            src_labels[..., 1] = np.where(leave, j, labels)
+            labels = np.full((k, n.max()), -1)
+            labels[r, at] = src_labels.reshape(k, -1)[r, c]
     return P, n, labels, cut
 
 
@@ -260,7 +267,11 @@ def voronoi_polygon_general(V: GeneratorMatrix) -> VoronoiPolygon2D:
 def analytic_pe(a: float, b: float) -> float:
     """Closed-form error probability F(a, b) = (a - a^2) / (4 b^2) for the
     canonical reduced basis {(1,0),(a,b)}."""
-    rb = ReducedBasis2D(a, b)  # domain check
+    return _closed_form(ReducedBasis2D(a, b))  # domain check
+
+
+def _closed_form(rb: ReducedBasis2D) -> float:
+    """F(a, b) of a canonical basis that ReducedBasis2D has checked."""
     num, den = rb.a - rb.a * rb.a, 4.0 * rb.b * rb.b
     if math.isinf(den):  # b above about 6.7e153: divide by 4b, then by b
         return num / (4.0 * rb.b) / rb.b
@@ -286,7 +297,7 @@ def _box_pe(R, rel):
     box = R.diagonal(axis1=1, axis2=2)[:, None, :] / 2.0 * _CORNERS
     normals = np.concatenate([rel, -rel], axis=1)
     k = len(R)
-    cut = _clip_halfplanes(box, np.full(k, 4), np.full((k, 4), -1), normals)[3]
+    cut = _clip_halfplanes(box, np.full(k, 4), None, normals)[3]
     return np.minimum(1.0, cut / (R[:, 0, 0] * R[:, 1, 1]))
 
 
@@ -500,5 +511,5 @@ def pe_row(a, b, samples=0, seed=0):
         if samples > 0:
             est = monte_carlo_pe(rb.matrix(), samples, seed=seed)
             mc = (est.estimate, est.std_error)
-        rows.append((rb.a, rb.b, analytic_pe(rb.a, rb.b), pe) + mc)
+        rows.append((rb.a, rb.b, _closed_form(rb), pe) + mc)
     return rows[0] if A.ndim == 0 else rows

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -655,16 +656,26 @@ class TestZeroNormals:
         labels = np.where(np.arange(m) < n[:, None], 100 + np.arange(m), -1)
         # half-planes through points about as far out as the vertices
         normals = rng.normal(size=(k, 3, 2)) * scale[:, :, None]
+        # with labels the clip keeps them and sums no cut; without, it
+        # sums the cut; the polygons are the same either way
         want = _clip_halfplanes(P, n, labels, normals)
-        assert (want[3] > 0).sum() > k // 2
+        want_cut = _clip_halfplanes(P, n, None, normals)
+        assert want[3] is None and want_cut[2] is None
+        assert _bits(*want[:2]) == _bits(*want_cut[:2])
+        assert (want_cut[3] > 0).sum() > k // 2
         for at in range(4):
-            got = _clip_halfplanes(P, n, labels,
-                                   np.insert(normals, at, 0.0, axis=1))
+            padded = np.insert(normals, at, 0.0, axis=1)
+            got = _clip_halfplanes(P, n, labels, padded)
             # an edge cut by normals[j] is labelled j; after the zero that
             # is the label j + 1
             shifted = np.where((want[2] >= at) & (want[2] < 100),
                                want[2] + 1, want[2])
-            assert _bits(*got) == _bits(want[0], want[1], shifted, want[3])
+            assert got[3] is None
+            assert _bits(*got[:3]) == _bits(want[0], want[1], shifted)
+            got = _clip_halfplanes(P, n, None, padded)
+            assert got[2] is None
+            assert (_bits(got[0], got[1], got[3])
+                    == _bits(want_cut[0], want_cut[1], want_cut[3]))
 
     @pytest.mark.parametrize("M", [
         # rotated rectangles: orthogonal in exact arithmetic, two pairs
@@ -684,6 +695,68 @@ class TestZeroNormals:
         pairs = len(voronoi_polygon_general(GeneratorMatrix(R)).relevant_vectors)
         assert rel[0, pairs:].tobytes() == bytes(16 * (3 - pairs))
         assert exact_pe_area(V).hex() == float(_box_pe(R[None], rel)[0]).hex()
+
+
+def _area_corpus():
+    """Seeded 2D bases: canonical {(1,0),(a,b)} as given, rotated,
+    unimodularly mixed and scaled by 10^-8..10^8; integer bases; and
+    near-rectangular ones, a from 1e-14 to 1e-9."""
+    rng = np.random.default_rng(30)
+    mixes = [[[1, 0], [0, 1]], [[1, 1], [0, 1]], [[2, 1], [1, 1]],
+             [[1, -3], [0, 1]], [[5, 7], [2, 3]]]
+    bases = []
+    while len(bases) < 240:
+        a, b = rng.uniform(0.0, 0.5), rng.uniform(0.85, 3.0)
+        if a * a + b * b < 1.0:
+            continue
+        C = np.array([[1.0, a], [0.0, b]])
+        U = np.array(mixes[len(bases) % 5], float)
+        scale = 10.0 ** rng.uniform(-8, 8)
+        bases += [C, _rotation(rng.uniform(0.0, 2.0 * math.pi)) @ C, C @ U,
+                  scale * _rotation(rng.uniform(0.0, 2.0 * math.pi)) @ C @ U]
+    while len(bases) < 300:
+        M = rng.integers(-9, 10, (2, 2)).astype(float)
+        if abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]) >= 1:
+            bases.append(M)
+    for a in (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
+        for b in (1.0, 1.5):
+            C = np.array([[1.0, a], [0.0, b]])
+            bases += [C, _rotation(0.7) @ C]
+    return bases
+
+
+def _pe_row_pairs():
+    """Seeded canonical (a, b): a = 0, a = 1/2, a from 1e-16 to 1e-10 and
+    uniform a, each on b from the unit circle to 3."""
+    rng = np.random.default_rng(31)
+    a = np.concatenate([np.zeros(20), np.full(20, 0.5),
+                        10.0 ** rng.uniform(-16, -10, 40),
+                        rng.uniform(0.0, 0.5, 220)])
+    b = np.maximum(rng.uniform(0.85, 3.0, len(a)), np.sqrt(1.0 - a * a))
+    return a, b
+
+
+class TestAreaPathPinned:
+    """The bytes of the 2D P_e path, as `TestKernel.test_outputs_pinned`
+    pins those of nearest_plane: exact_pe_area, the Voronoi cell and
+    pe_row rows, batched and scalar, under one sha256."""
+
+    PINNED = "538d51e73189ab114b0f67a085857d0bbb96c14e5c6079149658cedca0fafe23"
+
+    def test_outputs_pinned(self):
+        h = hashlib.sha256()
+        for M in _area_corpus():
+            V = GeneratorMatrix(M)
+            h.update(exact_pe_area(V).hex().encode())
+            cell = voronoi_polygon_general(V)
+            h.update(cell.vertices.tobytes())
+            h.update(cell.relevant_vectors.tobytes())
+        A, B = _pe_row_pairs()
+        rows = pe_row(A, B) + [pe_row(float(a), float(b))
+                               for a, b in zip(A[::7], B[::7])]
+        for row in rows:
+            h.update(repr([x if x is None else x.hex() for x in row]).encode())
+        assert h.hexdigest() == self.PINNED
 
 
 def _pe_by_cvp_on_every_sample(V, n_samples, seed):
@@ -775,6 +848,28 @@ class TestCosetMinima:
         on_facet = cvp_bruteforce_batch(V, np.array(facet)).any(axis=1)
         assert 0 < on_facet.sum() < len(facet)
         assert errors == on_facet.sum() + len(beyond)
+
+    def test_one_row_facet_target_pinned(self, monkeypatch):
+        # a draw on the bisector of v2 = (-0.4, 0.9), as a one-row chunk:
+        # the CVP gets the bits that the one-row product (u * half) @ Q.T
+        # gives, which another layout of Q.T rounds differently here, and
+        # the tie rule answers (0, 1) on them
+        V = GeneratorMatrix(np.array([[0.6, -0.4], [0.8, 0.9]]))
+        u = np.array([[float.fromhex("0x1.a5e353f7ced92p-1"),
+                       float.fromhex("0x1.8db169f8db16ap-1")]])
+        minima = _coset_minima(V)
+        seen = []
+
+        def cvp(V, X):
+            coeffs = cvp_bruteforce_batch(V, X)
+            seen.append(([x.hex() for x in X.ravel().tolist()],
+                         coeffs.tolist()))
+            return coeffs
+
+        monkeypatch.setattr(latcomm.error_analysis, "cvp_bruteforce_batch", cvp)
+        assert _errors(V, u, minima) == 1
+        assert seen == [(["-0x1.47ae147ae1479p-6", "0x1.0f5c28f5c28f6p-1"],
+                         [[0, 1]])]
 
     def test_chunk_clear_of_the_band_forms_no_targets(self, monkeypatch):
         V = GeneratorMatrix(np.array([[1.0, 0.5], [0.0, SQRT3_2]]))
