@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from latcomm import ReducedBasis2D
-from latcomm.cli import _check_seed, _emit
+from latcomm.cli import _check_seed, run
 from latcomm.error_analysis import PE_CSV_HEADER, pe_csv_line, pe_row
 from latcomm.lattice import _MAGNITUDE_HI
 
@@ -30,17 +30,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="Monte Carlo samples per grid point (0 = skip)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None)
+    ap.set_defaults(func=sweep)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        _emit(sweep(args), args.out)
-    except Exception as e:  # one-line diagnostic, as the CLI gives
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    return 0
+    return run(_build_parser(), argv)
 
 
 def sweep(args) -> str:
@@ -59,14 +54,14 @@ def sweep(args) -> str:
     if args.samples > 0:
         _check_seed(args.seed)
     pairs = []
-    b_grid = np.linspace(0.85, args.b_max, args.b_grid)
-    for a in np.linspace(0.0, 0.5, args.a_grid):
+    b_grid = np.linspace(0.85, args.b_max, args.b_grid).tolist()
+    for a in np.linspace(0.0, 0.5, args.a_grid).tolist():
         for b in b_grid:
             try:
-                ReducedBasis2D(float(a), float(b))
+                ReducedBasis2D(a, b)
             except ValueError:
                 continue
-            pairs.append((float(a), float(b)))
+            pairs.append((a, b))
     if not pairs:
         raise ValueError("no point of the --a-grid x --b-grid grid, b from "
                          "0.85 to --b-max, is a reduced basis")

@@ -23,7 +23,7 @@ from latcomm import (
     interactive_coefficients_batch,
     interactive_rate,
 )
-from latcomm.cli import _check_seed, _parse_numbers, _parts
+from latcomm.cli import _check_seed, _parse_numbers, _parts, run
 
 
 @functools.cache
@@ -36,17 +36,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--diag", default="5/4,4/5",
                     help="diagonal of the (triangular) test basis")
+    ap.set_defaults(func=table)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        sys.stdout.write(table(args))
-    except Exception as e:  # one-line diagnostic, as the CLI gives
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    return 0
+    return run(_build_parser(), argv)
 
 
 @contextlib.contextmanager

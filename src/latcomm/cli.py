@@ -12,6 +12,7 @@ behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -69,18 +70,23 @@ def _json_text(obj) -> str:
 
 
 def _emit(text: str, out_path):
+    """Write text to stdout, or atomically to out_path; a failed write
+    leaves no file behind and names out_path."""
     if out_path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(prefix=".latcomm-", dir=directory)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(prefix=".latcomm-", dir=directory)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, out_path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise OSError(f"--out: {out_path!r}: {e.strerror}") from None
 
 
 def _load_json(path):
@@ -328,21 +334,16 @@ def _cmd_rates(args) -> str:
     _, V, alpha, sources = _load_scenario(args.scenario)
     if sources is None:
         raise ValueError('rates needs scenario "sources"')
-    out = {}
-    try:
+    out = dict.fromkeys(("centralized_rate_bound", "side_info_bound_bits",
+                         "side_info_bits_ceil", "interactive_rate"))
+    with contextlib.suppress(ProtocolUnsupportedError):
         table = build_ratio_table(V)
-        out["centralized_rate_bound"] = centralized_rate_bound(
-            sources, V, alpha)
-        out["side_info_bound_bits"] = table.side_info_bound_bits
-        out["side_info_bits_ceil"] = sum(table.s_bits)
-    except ProtocolUnsupportedError:
-        out["centralized_rate_bound"] = None
-        out["side_info_bound_bits"] = None
-        out["side_info_bits_ceil"] = None
-    try:
+        out.update(
+            centralized_rate_bound=centralized_rate_bound(sources, V, alpha),
+            side_info_bound_bits=table.side_info_bound_bits,
+            side_info_bits_ceil=sum(table.s_bits))
+    with contextlib.suppress(ProtocolUnsupportedError):
         out["interactive_rate"] = interactive_rate(sources, V, alpha)
-    except ProtocolUnsupportedError:
-        out["interactive_rate"] = None
     return _json_text(out)
 
 
@@ -369,17 +370,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="matrix JSON file")
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("babai", parents=[common],
-                       help="nearest-plane rounding of a target")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--x", required=True, help="comma-separated target")
-    p.set_defaults(func=_cmd_rounding)
-
-    p = sub.add_parser("cvp", parents=[common],
-                       help=f"exact closest lattice point (n <= {MAX_CVP_DIM})")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--x", required=True, help="comma-separated target")
-    p.set_defaults(func=_cmd_rounding)
+    for name, help_text in (
+            ("babai", "nearest-plane rounding of a target"),
+            ("cvp", f"exact closest lattice point (n <= {MAX_CVP_DIM})")):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("--matrix", required=True)
+        p.add_argument("--x", required=True, help="comma-separated target")
+        p.set_defaults(func=_cmd_rounding)
 
     p = sub.add_parser("perror", parents=[seeded, common],
                        help="rounding-error probability of a basis")
@@ -414,16 +411,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+def run(parser: argparse.ArgumentParser, argv=None) -> int:
+    """Run args.func(args) and emit its text to --out, if the parser has
+    one, or stdout.  A failure prints one `error:` line and returns 1; a
+    refused argument exits 2, as argparse does."""
     args = parser.parse_args(argv)
     try:
-        text = args.func(args)
-        _emit(text, args.out)
+        _emit(args.func(args), getattr(args, "out", None))
     except Exception as e:  # one-line diagnostic, nonzero exit
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0
+
+
+def main(argv=None) -> int:
+    return run(_build_parser(), argv)
 
 
 if __name__ == "__main__":

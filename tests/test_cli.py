@@ -1054,9 +1054,19 @@ class TestOutputContract:
         code, out, err = run(capsys, "perror", "--matrix", m,
                              "--out", str(taken))
         assert (code, out) == (1, "")
-        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert err == f"error: --out: {str(taken)!r}: Is a directory\n"
         assert list(tmp_path.glob(".latcomm-*")) == []
         assert taken.is_dir() and list(taken.iterdir()) == []
+
+    def test_out_in_a_missing_directory_named(self, capsys, tmp_path):
+        # the line names the --out path, not the temp file beside it, so
+        # two runs print the same bytes
+        path = str(tmp_path / "missing" / "x.csv")
+        argv = ("levelcurves", "--grid", "2", "--out", path)
+        first = run(capsys, *argv)
+        assert first == run(capsys, *argv) == (
+            1, "", f"error: --out: {path!r}: No such file or directory\n")
+        assert list(tmp_path.rglob("*")) == []
 
     def test_missing_file_diagnostic(self, capsys):
         code, _, err = run(capsys, "babai", "--matrix", "/nonexistent.json",

@@ -391,6 +391,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_pe(hexagonal, 1000, seed=-1)
 
+    def test_seed_below_the_philox_key_limit(self, hexagonal):
+        with pytest.raises(ValueError, match=r"^seed must be below 2\^128$"):
+            monte_carlo_pe(hexagonal, 1, seed=1 << 128)
+        largest = (1 << 128) - 1
+        assert monte_carlo_pe(hexagonal, 1, seed=largest).seed == largest
+
 
 class TestLevelCurves:
     def test_max_level_is_single_point(self):

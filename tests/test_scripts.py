@@ -1,7 +1,11 @@
-"""The command-line scripts under scripts/, loaded in-process."""
+"""The command-line scripts under scripts/, loaded in-process, and every
+entry point run as a process."""
 
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +14,8 @@ import pytest
 from latcomm import ReducedBasis2D
 from latcomm.error_analysis import PE_CSV_HEADER, pe_csv_line, pe_row
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load(name):
@@ -62,9 +67,22 @@ class TestPeSweep:
         # temp file left behind
         assert load("pe_sweep").main(["--out", str(tmp_path)]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1
+        assert (captured.out, captured.err) == (
+            "", f"error: --out: {str(tmp_path)!r}: Is a directory\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
+
+    def test_out_in_a_missing_directory_named(self, capsys, tmp_path):
+        # the line names the --out path, not the temp file beside it, so
+        # two runs print the same bytes
+        path = str(tmp_path / "missing" / "x.csv")
+        lines = []
+        for _ in range(2):
+            assert load("pe_sweep").main(["--out", path]) == 1
+            lines.append(capsys.readouterr())
+        assert lines[0] == lines[1]
+        assert (lines[0].out, lines[0].err) == (
+            "", f"error: --out: {path!r}: No such file or directory\n")
+        assert list(tmp_path.rglob("*")) == []
 
 
 B_MAX_MESSAGE = ("--b-max must be a finite number whose square is at most "
@@ -173,3 +191,28 @@ def test_rate_convergence_pinned(argv, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         RATE_CONVERGENCE_SHA256[argv])
+
+
+# each entry point's __main__ lines, as a shell starts them: a refused
+# value exits 1 with one `error:` line, an unknown flag exits 2 (argparse)
+@pytest.mark.parametrize("entry, refused, message", [
+    (["-m", "latcomm.cli", "levelcurves"], ["--grid", "0"],
+     "--grid must be at least 1"),
+    ([str(SCRIPTS / "pe_sweep.py")], ["--a-grid", "0"],
+     "--a-grid must be at least 1"),
+    ([str(SCRIPTS / "rate_convergence.py")], ["--trials", "0"],
+     "--trials must be at least 1"),
+])
+def test_entry_point_as_a_process(entry, refused, message):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([path] if path else [])))
+
+    def start(*argv):
+        return subprocess.run([sys.executable, *entry, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = start(*refused)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", f"error: {message}\n")
+    assert start("--frob").returncode == 2
