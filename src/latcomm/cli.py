@@ -311,7 +311,7 @@ def _cmd_simulate(args) -> str:
     else:
         # the kernel, checked against the integer decode on alpha * Lambda,
         # which shares no code with it; null where that decode cannot run
-        B, transcript = run_interactive(V, X, alpha, coded)
+        B, transcript = run_interactive(scaled, X, coded)
         try:
             reference = run_centralized(scaled, X)[0]
         except ProtocolError:

@@ -148,7 +148,6 @@ class GeneratorMatrix:
         self.det = det
         self._qr = None
         self._upper = None
-        self._scaled = None
         self._frame = None
 
     @classmethod
@@ -203,21 +202,20 @@ class GeneratorMatrix:
 
         Exact entries stay exact: the scale is taken as the float c, which
         converts to a Fraction losslessly, so the table and the float matrix
-        describe the same lattice.  The last scaled basis is cached, so a
-        repeated scale returns the same (read-only) instance.
+        describe the same lattice.  A basis is read-only: c = 1 returns it.
         """
         cf = float(c)
         _require(cf != 0.0 and math.isfinite(cf), ValueError, "bad scale")
-        if self._scaled is None or self._scaled[0] != cf:
-            rat = None
-            if self.rational is not None:
-                cr = Fraction(cf)
-                rat = [[None if f is None else f * cr for f in row]
-                       for row in self.rational]
-            with np.errstate(over="ignore"):  # the constructor rejects inf
-                scaled = self.matrix * cf
-            self._scaled = cf, GeneratorMatrix(scaled, rat)
-        return self._scaled[1]
+        if cf == 1.0:
+            return self
+        rat = None
+        if self.rational is not None:
+            cr = Fraction(cf)
+            rat = [[None if f is None else f * cr for f in row]
+                   for row in self.rational]
+        with np.errstate(over="ignore"):  # the constructor rejects inf
+            scaled = self.matrix * cf
+        return GeneratorMatrix(scaled, rat)
 
     def qr(self):
         """V = Q R with orthonormal Q and R_ii > 0.

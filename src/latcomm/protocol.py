@@ -674,29 +674,28 @@ def run_centralized(V: GeneratorMatrix, X, sources=None):
                               decoded={0: coeffs}, streams=streams)
 
 
-def run_interactive(V: GeneratorMatrix, X, alpha: float, sources=None):
-    """The interactive protocol on the scaled lattice alpha * Lambda, for one
-    target or one round per row of X: node n broadcasts first, then n-1,
-    ..., then 1; every node ends up with the full coefficient vector.
-    Returns (b, Transcript), shaped as in run_centralized.
+def run_interactive(V: GeneratorMatrix, X, sources=None):
+    """The interactive protocol on the lattice of V (the paper's alpha *
+    Lambda), for one target or one round per row of X: node n broadcasts
+    first, then n-1, ..., then 1; every node ends up with the full
+    coefficient vector.  Returns (b, Transcript), shaped as run_centralized's.
 
     With sources, node i codes u_i, all rounds in one stream, given the
-    broadcasts u_{>i} already heard: P(u_i = b) = P(x_i in alpha v_ii
-    [b - 1/2, b + 1/2) + alpha sum_{l>i} v_il u_l), as x_i is independent
-    of u_{>i}.  Without, each u_i is counted as a varint.  Either way a
-    broadcast counts once per receiver.
+    broadcasts u_{>i} already heard: P(u_i = b) = P(x_i in v_ii [b - 1/2,
+    b + 1/2) + sum_{l>i} v_il u_l), as x_i is independent of u_{>i}.
+    Without, each u_i is counted as a varint.  Either way a broadcast
+    counts once per receiver.
     """
-    coeffs = interactive_coefficients_batch(V, X, alpha)
+    coeffs = interactive_coefficients_batch(V, X, 1.0)
     n = V.n
     order = range(n - 1, -1, -1)
     streams = None
     if sources is None:
         bits = [(n - 1) * varint_bits(coeffs.T[i]) for i in order]
     else:
-        M = float(alpha) * V.matrix
         U = coeffs.reshape(-1, n)
-        off = _offsets(M, U)
-        models = _node_models(sources, np.diag(M).tolist(), (1,) * n)
+        off = _offsets(V.matrix, U)
+        models = _node_models(sources, np.diag(V.matrix).tolist(), (1,) * n)
         streams, info = zip(*(models[i].encode(off[:, i], U[:, i])
                               for i in order))
         bits = [(n - 1) * (b if coeffs.ndim == 2 else b[0]) for b in info]
@@ -716,21 +715,24 @@ def decode_centralized(V: GeneratorMatrix, streams, sources,
     """The fusion center's reading of run_centralized's coded streams: each
     node's grid positions over `rounds` rounds, object arrays as node_encode
     gives them, ready for fusion_decode."""
+    if len(streams) != V.n:
+        raise ProtocolError(f"expected {V.n} streams, got {len(streams)}")
     table = build_ratio_table(V)
     models = _node_models(sources, np.diag(V.matrix).tolist(), table.q)
     return [np.array(model.decode(stream, np.zeros(rounds)), dtype=object)
             for stream, model in zip(streams, models)]
 
 
-def decode_interactive(V: GeneratorMatrix, streams, sources, alpha: float,
+def decode_interactive(V: GeneratorMatrix, streams, sources,
                        rounds: int) -> np.ndarray:
     """What every node reads from run_interactive's coded streams (in
     message order, node n first): the coefficients, shape (rounds, n)."""
-    M = float(alpha) * V.matrix
-    models = _node_models(sources, np.diag(M).tolist(), (1,) * V.n)
+    if len(streams) != V.n:
+        raise ProtocolError(f"expected {V.n} streams, got {len(streams)}")
+    models = _node_models(sources, np.diag(V.matrix).tolist(), (1,) * V.n)
     U = np.zeros((rounds, V.n), dtype=np.int64)
     for i, stream in zip(range(V.n - 1, -1, -1), streams):
-        U[:, i] = models[i].decode(stream, _offsets(M, U)[:, i])
+        U[:, i] = models[i].decode(stream, _offsets(V.matrix, U)[:, i])
     return U
 
 

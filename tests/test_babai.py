@@ -282,8 +282,9 @@ class TestKernel:
             expected = [_fraction_nearest_plane(scaled, x) for x in rows]
             got = interactive_coefficients_batch(V, X, alpha)
             assert got.tolist() == expected
+            W = V.scaled(alpha)
             for x, e in zip(rows, expected):
-                assert run_interactive(V, x, alpha)[0].tolist() == e
+                assert run_interactive(W, x)[0].tolist() == e
 
     def test_batch_rows_equal_single_calls(self):
         # one target walks its coordinates as Python floats, a batch as

@@ -1,4 +1,5 @@
 import builtins
+import hashlib
 import json
 import math
 import os
@@ -1266,6 +1267,57 @@ class TestPinnedOutputs:
             got = (doc["babai_match_count"], doc["mean_total_bits"],
                    t["decoded"], [msg["bits"] for msg in t["messages"]])
             assert got == expected, (name, model)
+
+    # the protocol benchmark's four scenarios, (columns, alpha, sources)
+    GAUSSIAN = {"dist": "gaussian", "mean": 0, "sigma": 1}
+    PROTOCOL = {
+        "readme": ([["5/4", 0], [0, "4/5"]], 2.0 ** -10, [UNIFORM] * 2),
+        "ratio311": ([[1, 0], ["311/1000", "101/100"]], 2.0 ** -8,
+                     [UNIFORM] * 2),
+        "tri3": ([[1, 0, 0], ["1/2", "3/4", 0], ["1/3", "-1/5", "5/4"]],
+                 2.0 ** -6, [UNIFORM] * 3),
+        "gaussian": ([[1, 0], ["1/2", "7/8"]], 2.0 ** -10, [GAUSSIAN] * 2),
+    }
+    # sha256 over (command, exit code, stdout, stderr) of every case below
+    PROTOCOL_PINNED = ("34b5b1a57acbd123492b3007b03914f0"
+                       "1c6342938bddc0b5a97b9f4378a8fd39")
+
+    @classmethod
+    def _protocol_cases(cls):
+        """(command, scenario) pairs: `rates` and `simulate` on the bench
+        scenarios, both models, at several seeds and trial counts; a
+        replayed x; a float-entry basis, which only the interactive model
+        runs, with no reference; a scale beyond the floats, which is
+        refused; and a gaussian source at 2^-30 cells per unit."""
+        def scenario(columns, alpha, sources, **extra):
+            return dict({"matrix": {"n": len(columns), "columns": columns},
+                         "alpha": alpha, "sources": sources}, **extra)
+
+        float_basis = ([[1, 0], [0.311, 1.01]], 0.25, [UNIFORM] * 2)
+        tiny = (cls.PROTOCOL["readme"][0], 1e-300, [UNIFORM] * 2)
+        fine = (cls.PROTOCOL["gaussian"][0], 2.0 ** -30, [cls.GAUSSIAN] * 2)
+        for name, args in [*cls.PROTOCOL.items(), ("float", float_basis),
+                           ("tiny", tiny), ("fine", fine)]:
+            yield "rates", scenario(*args)
+            seeds = (0, 1, 7, 2 ** 100) if name in cls.PROTOCOL else (3,)
+            for model in ("centralized", "interactive"):
+                for seed in seeds:
+                    for trials in (1, 7, 100):
+                        yield "simulate", scenario(*args, model=model,
+                                                   seed=seed, trials=trials)
+                x = [0.3 + 1.7 * i for i in range(len(args[0]))]
+                for trials in (1, 7):
+                    yield "simulate", scenario(*args, model=model, x=x,
+                                               trials=trials)
+
+    def test_protocol_outputs_pinned(self, capsys, files):
+        # every byte that `simulate` and `rates` print, and their exit codes
+        h = hashlib.sha256()
+        for command, obj in self._protocol_cases():
+            sc = files("sc.json", obj)
+            h.update(repr((command, *run(capsys, command, "--scenario", sc)))
+                     .encode())
+        assert h.hexdigest() == self.PROTOCOL_PINNED
 
     # fixed upper-triangular bases drawn as in acceptance criterion 11
     TRI3_MC = {"n": 3, "columns": [[1.25, 0, 0], [-0.5, 0.75, 0],

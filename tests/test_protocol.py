@@ -449,7 +449,7 @@ class TestFusionDecode:
 
 class TestInteractive:
     def test_golden(self, hexagonal):
-        b, t = run_interactive(hexagonal, [0.9, 0.8], 1.0)
+        b, t = run_interactive(hexagonal, [0.9, 0.8])
         assert tuple(b) == (0, 1)
         assert t.model == "interactive"
         # node order: highest coordinate first
@@ -458,7 +458,7 @@ class TestInteractive:
         assert all(np.array_equal(v, b) for v in t.decoded.values())
 
     def test_zero_target(self, hexagonal):
-        b, t = run_interactive(hexagonal, [0.0, 0.0], 0.25)
+        b, t = run_interactive(hexagonal.scaled(0.25), [0.0, 0.0])
         assert tuple(b) == (0, 0)
         assert t.total_bits == 2 * 8  # one minimal varint each, 1 receiver
 
@@ -466,7 +466,7 @@ class TestInteractive:
         V = GeneratorMatrix(np.triu([[1.0, 0.2, 0.1],
                                      [0.0, 1.0, 0.3],
                                      [0.0, 0.0, 1.0]]))
-        _, t = run_interactive(V, [0.4, -0.6, 0.9], 1.0)
+        _, t = run_interactive(V, [0.4, -0.6, 0.9])
         assert [m.sender for m in t.messages] == [3, 2, 1]
         assert t.messages[0].receivers == (1, 2)
         assert len(t.decoded) == 3
@@ -474,7 +474,7 @@ class TestInteractive:
     def test_decoded_shares_the_coefficients(self):
         # every node decodes the same vector: one array, not n copies
         V = GeneratorMatrix(np.triu(np.full((3, 3), 0.25)) + np.eye(3))
-        b, t = run_interactive(V, np.zeros((5, 3)), 1.0)
+        b, t = run_interactive(V, np.zeros((5, 3)))
         assert t.decoded[1] is t.decoded[3] is b
 
     def test_equals_scaled_nearest_plane(self, ratio311):
@@ -483,7 +483,7 @@ class TestInteractive:
             scaled = ratio311.scaled(alpha)
             for _ in range(200):
                 x = rng.uniform(-5, 5, size=2)
-                b, _ = run_interactive(ratio311, x, alpha)
+                b, _ = run_interactive(scaled, x)
                 assert np.array_equal(b, nearest_plane(scaled, x).coeffs)
 
     def test_agrees_with_centralized_on_scaled_lattice(self, hexagonal):
@@ -492,7 +492,7 @@ class TestInteractive:
         scaled = hexagonal.scaled(alpha)
         for _ in range(500):
             x = rng.uniform(-4, 4, size=2)
-            bi, _ = run_interactive(hexagonal, x, alpha)
+            bi, _ = run_interactive(scaled, x)
             bc, _ = run_centralized(scaled, x)
             assert np.array_equal(bi, bc)
 
@@ -500,18 +500,23 @@ class TestInteractive:
         rng = np.random.default_rng(8)
         X = rng.uniform(-3, 3, size=(500, 2))
         B = interactive_coefficients_batch(hexagonal, X, 2.0 ** -4)
+        scaled = hexagonal.scaled(2.0 ** -4)
         for i in range(0, 500, 23):
-            b, _ = run_interactive(hexagonal, X[i], 2.0 ** -4)
+            b, _ = run_interactive(scaled, X[i])
             assert np.array_equal(B[i], b)
 
     def test_validation(self, hexagonal):
         with pytest.raises(ProtocolError):
-            run_interactive(hexagonal, [0.0, 0.0], 0.0)
+            interactive_coefficients_batch(hexagonal, [0.0, 0.0], 0.0)
         with pytest.raises(ProtocolUnsupportedError):
             run_interactive(GeneratorMatrix.from_columns([[3, 4], [1, 2]]),
-                            [0.0, 0.0], 1.0)
+                            [0.0, 0.0])
         with pytest.raises(ProtocolError):
-            run_interactive(hexagonal, [0.0], 1.0)
+            run_interactive(hexagonal, [0.0])
+        # the protocol takes the basis it rounds on, not a scale: a float
+        # in the place of the sources is refused
+        with pytest.raises(TypeError):
+            run_interactive(hexagonal, [0.0, 0.0], 0.25)
 
     def test_coefficient_beyond_2_52_rejected(self, hexagonal):
         # at alpha = 1e-30 the coefficients are ~1e30: an error, not a
@@ -519,7 +524,7 @@ class TestInteractive:
         with pytest.raises(ValueError, match="2\\*\\*52"):
             interactive_coefficients_batch(hexagonal, [[1.0, 1.0]], 1e-30)
         with pytest.raises(ValueError, match="2\\*\\*52"):
-            run_interactive(hexagonal, [1.0, 1.0], 1e-30)
+            run_interactive(hexagonal.scaled(1e-30), [1.0, 1.0])
 
 
 def _rational_tri3():
@@ -565,15 +570,16 @@ class TestBatchTranscripts:
     def test_interactive(self, alpha, hexagonal):
         for V in (hexagonal, _rational_tri3()):
             X = np.random.default_rng(22).uniform(-3, 3, size=(40, V.n))
-            self._check_rows(run_interactive(V, X, alpha),
-                             lambda x: run_interactive(V, x, alpha), X)
+            W = V.scaled(alpha)
+            self._check_rows(run_interactive(W, X),
+                             lambda x: run_interactive(W, x), X)
 
     def test_shape_checked(self, ratio311):
         for X in ([0.0], np.zeros((3, 3)), np.zeros((2, 2, 2))):
             with pytest.raises(ProtocolError):
                 run_centralized(ratio311, X)
             with pytest.raises(ProtocolError):
-                run_interactive(ratio311, X, 1.0)
+                run_interactive(ratio311, X)
 
 
 class TestRates:
@@ -729,8 +735,8 @@ def _coded_runs(V, X, sources, alpha):
     rounds = 1 if np.ndim(X) == 1 else len(X)
     _, tc = run_centralized(scaled, X, sources)
     reports = decode_centralized(scaled, tc.streams, sources, rounds)
-    bi, ti = run_interactive(V, X, alpha, sources)
-    U = decode_interactive(V, ti.streams, sources, alpha, rounds)
+    bi, ti = run_interactive(scaled, X, sources)
+    U = decode_interactive(scaled, ti.streams, sources, rounds)
     return (tc, reports), (ti, bi.reshape(rounds, -1), U)
 
 
@@ -816,7 +822,7 @@ class TestCodedStreams:
     def test_empty_batch(self, ratio311):
         for b, t in (run_centralized(ratio311, np.zeros((0, 2)),
                                      [UNIFORM] * 2),
-                     run_interactive(ratio311, np.zeros((0, 2)), 0.5,
+                     run_interactive(ratio311.scaled(0.5), np.zeros((0, 2)),
                                      [UNIFORM] * 2)):
             assert b.shape == (0, 2) and t.wire_bits == 0
 
@@ -839,7 +845,8 @@ class TestCodedStreams:
         sources = [UNIFORM] * 2
         for run in (lambda x: run_centralized(hexagonal.scaled(0.125), x,
                                               sources),
-                    lambda x: run_interactive(hexagonal, x, 0.125, sources)):
+                    lambda x: run_interactive(hexagonal.scaled(0.125), x,
+                                              sources)):
             _, T = run(X)
             for i in range(len(X)):
                 row, single = T.row(i).to_json(), run(X[i])[1].to_json()
@@ -880,7 +887,7 @@ class TestCodedStreams:
         assert bound == pytest.approx(20.0)
         assert centralized_rate_bound(sources, V, alpha) == pytest.approx(20.0)
         _, tc = run_centralized(V.scaled(alpha), X, sources)
-        _, ti = run_interactive(V, X, alpha, sources)
+        _, ti = run_interactive(V.scaled(alpha), X, sources)
         for t in (tc, ti):
             assert abs(t.wire_bits / 1000 - bound) <= 0.01 * bound
 
@@ -925,7 +932,7 @@ class TestCodedStreams:
         if model == "centralized":
             _, t = run_centralized(V.scaled(alpha), X, sources)
         else:
-            _, t = run_interactive(V, X, alpha, sources)
+            _, t = run_interactive(V.scaled(alpha), X, sources)
         text = repr(([(s.data, s.nbits) for s in t.streams],
                      [m.bits.tolist() for m in t.messages]))
         digest = hashlib.sha256(text.encode()).hexdigest()
@@ -935,7 +942,21 @@ class TestCodedStreams:
         with pytest.raises(ProtocolError):
             run_centralized(ratio311, [0.1, 0.2], [UNIFORM])
         with pytest.raises(ProtocolError):
-            run_interactive(ratio311, [0.1, 0.2], 0.5, [UNIFORM] * 3)
+            run_interactive(ratio311.scaled(0.5), [0.1, 0.2], [UNIFORM] * 3)
+
+    def test_decoders_need_one_stream_per_node(self):
+        # a missing stream would read as zeros and an extra one would be
+        # ignored; both are refused
+        V = GeneratorMatrix.from_columns([[1, 0], ["1/2", "7/8"]])
+        X = np.random.Generator(np.random.Philox(key=2)).uniform(
+            0.0, 1.0, size=(5, 2))
+        (tc, _), (ti, _, _) = _coded_runs(V, X, [UNIFORM] * 2, 2.0 ** -6)
+        W = V.scaled(2.0 ** -6)
+        for decode, streams in ((decode_centralized, tc.streams),
+                                (decode_interactive, ti.streams)):
+            for wrong in (streams[:1], streams + streams[:1]):
+                with pytest.raises(ProtocolError, match="expected 2 streams"):
+                    decode(W, wrong, [UNIFORM] * 2, len(X))
 
     def test_without_sources_the_varint_counts(self, ratio311):
         _, t = run_centralized(ratio311, [[1.0, 1.0], [0.2, -3.0]])
