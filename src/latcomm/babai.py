@@ -11,7 +11,6 @@ Combinatorica 6, 1986).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 from .lattice import GeneratorMatrix, _nearest_plane_levels, _target_values
 
 
-@dataclass(frozen=True)
 class NearestPlaneResult:
     """coeffs / point: the chosen lattice vector; residuals[i] is the real
     coefficient at level i immediately before it was rounded.  For a batch
@@ -30,9 +28,13 @@ class NearestPlaneResult:
     first access and cached, so a caller that reads only coeffs does not
     pay for them."""
 
-    coeffs: np.ndarray
-    matrix: np.ndarray = field(repr=False)
-    levels: list = field(repr=False)
+    def __init__(self, coeffs: np.ndarray, matrix: np.ndarray, levels: list):
+        self.coeffs = coeffs
+        self.matrix = matrix
+        self.levels = levels
+
+    def __repr__(self):
+        return f"NearestPlaneResult(coeffs={self.coeffs!r})"
 
     @cached_property
     def point(self) -> np.ndarray:
@@ -56,7 +58,7 @@ def nearest_plane(V: GeneratorMatrix, X, method="auto") -> NearestPlaneResult:
     One target and a batch take the same path, on per-coordinate values
     that are floats for one target and columns for a batch.
     """
-    _, x = _target_values(V, X)
+    X, x = _target_values(V, X)
     if method not in ("auto", "triangular"):
         raise ValueError(f"unknown method {method!r}")
     if method == "triangular" and not V.is_upper_triangular():
@@ -71,5 +73,5 @@ def nearest_plane(V: GeneratorMatrix, X, method="auto") -> NearestPlaneResult:
         for j, q in terms:
             y = y + q * x[j]
         Y.append(y)
-    coeffs = np.array(_nearest_plane_levels(T, Y), dtype=np.int64).T
-    return NearestPlaneResult(coeffs=coeffs, matrix=V.matrix, levels=Y)
+    coeffs = np.array(_nearest_plane_levels(T, Y), dtype=np.int64)
+    return NearestPlaneResult(coeffs if X.ndim == 1 else coeffs.T, V.matrix, Y)

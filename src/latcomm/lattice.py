@@ -416,8 +416,12 @@ def canonicalize_2d(V: GeneratorMatrix):
 
 
 def _positive_diagonal(Q, R):
-    """(Q S, S R) for the diagonal sign matrix S that makes R_ii > 0."""
-    signs = np.where(np.diag(R) < 0, -1.0, 1.0)
+    """(Q S, S R) for the diagonal sign matrix S that makes R_ii > 0: Q
+    and R themselves where S = I, as x * 1.0 is x."""
+    diag = R.diagonal()
+    if min(diag.tolist()) > 0.0:
+        return Q, R
+    signs = np.where(diag < 0, -1.0, 1.0)
     return Q * signs, R * signs[:, None]
 
 
@@ -493,14 +497,18 @@ def _lll_triangular(R):
 def _target_values(V: GeneratorMatrix, X):
     """X checked as one target (shape (n,)) or a batch (shape (k, n)): the
     float array, and its values per coordinate, floats for one target and
-    columns for a batch."""
+    the rows of X.T, one column of X each, for a batch.  A wrong shape is
+    named before a non-finite value."""
     X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        x = X.tolist()
+        if len(x) == V.n and all(map(math.isfinite, x)):
+            return X, x
     _require(X.ndim in (1, 2) and X.shape[-1] == V.n, ValueError,
              "target dimension mismatch")
-    x = X.tolist() if X.ndim == 1 else list(X.T)
-    _require(all(map(math.isfinite, x)) if X.ndim == 1
-             else np.isfinite(X).all(), ValueError, "target must be finite")
-    return X, x
+    _require(X.ndim == 2 and np.isfinite(X).all(), ValueError,
+             "target must be finite")
+    return X, X.T
 
 
 def _plane_table(Q, R):
@@ -541,18 +549,20 @@ def _row_starts(rows):
     return start
 
 
-def _sphere_leaves(R, Z, h, P):
+def _sphere_leaves(R, ZPh):
     """Offsets e from each target's nearest-plane start b that may put
     R (b + e) at least as close to it as b is.
 
-    Column j of Z holds target j's residual after the start, per level in
-    coefficient units, and h its error bound; P is the prefix sum over
-    levels of R_ii^2 (|Z_i| + h_i)^2.  Breadth-first from level n-1 down,
-    each node spawns every e_i within what is left of P, counted as the
-    change from the start path, which is exactly 0 along it.  Yields (row,
-    E) slices of leaves grouped by row in ascending order; a level whose
-    children would pass _CVP_BLOCK_NODES is expanded in slices of rows, and
-    a row with more than _CVP_ROW_NODES children on one level is refused.
+    ZPh stacks three arrays with one column per target: Z, its residual
+    after the start, per level in coefficient units; P, the prefix sum over
+    levels of R_ii^2 (|Z_i| + h_i)^2; and h, the error bound of Z.  Each
+    level takes its three rows for the nodes in one gather.  Breadth-first
+    from level n-1 down, each node spawns every e_i within what is left of
+    P, counted as the change from the start path, which is exactly 0 along
+    it.  Yields (row, E) slices of leaves grouped by row in ascending
+    order; a level whose children would pass _CVP_BLOCK_NODES is expanded
+    in slices of rows, and a row with more than _CVP_ROW_NODES children on
+    one level is refused.
     """
     unit = R / R.diagonal()[:, None]
     # R_ii and R_ii ** 2 as Python floats: the same values, without a numpy
@@ -566,9 +576,9 @@ def _sphere_leaves(R, Z, h, P):
             # e_i is centred on c, the start's residual less the shift that
             # the offsets above i cause; u = c - e_i is its new residual
             g = E[:, i + 1:] @ unit[i, i + 1:]
-            z = Z[i, rows]
+            z, p, hi = ZPh[:, i, rows]
             c = z - g
-            w = np.sqrt(np.maximum(P[i, rows] - S, 0.0)) / diag[i] + h[i, rows]
+            w = np.sqrt(np.maximum(p - S, 0.0)) / diag[i] + hi
             lo = np.ceil(c - w)
             count = np.floor(c + w) - lo + 1  # w > 0
             end = count.cumsum()
@@ -594,11 +604,11 @@ def _sphere_leaves(R, Z, h, P):
             # R_ii^2 (u^2 - z^2) = R_ii^2 d (d - 2 z) for d = z - u, less
             # what an error of h_i in z could hide
             d = g[node] + e
-            t = d * (d - 2.0 * z[node]) - 2.0 * h[i, rows] * np.abs(d)
+            t = d * (d - 2.0 * z[node]) - 2.0 * hi[node] * np.abs(d)
             S = S[node] + diag_sq[i] * t
             i -= 1
 
-    k, n = Z.shape[1], len(R)
+    k, n = ZPh.shape[2], len(R)
     yield from descend(n - 1, np.arange(k), np.zeros((k, n)), np.zeros(k))
 
 
@@ -635,7 +645,9 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
     C0 = round_half_up(X @ np.linalg.inv(V.matrix).T)
     R0 = X - C0.astype(float) @ V.matrix.T
     Y = Q.T @ R0.T
-    B = np.array(_nearest_plane_levels(_plane_table(Q, R), list(Y)))
+    # where the frame is V's own qr() (U = I), so is its plane table
+    T = V._plane_table if R is V.qr()[1] else _plane_table(Q, R)
+    B = np.array(_nearest_plane_levels(T, list(Y)))
     Z = Y - B
     D0 = B.T @ Ut
     best_u = C0 + D0
@@ -656,7 +668,7 @@ def cvp_bruteforce_batch(V: GeneratorMatrix, X):
     rest = np.flatnonzero((A + np.sqrt(P) / diag[:, None] >= 1.0).any(axis=0))
     # each target relative to its start, in V's frame
     T = R0[rest] - D0[rest].astype(float) @ V.matrix.T
-    for rows, E in _sphere_leaves(R, Z[:, rest], h[:, rest], P[:, rest]):
+    for rows, E in _sphere_leaves(R, np.stack((Z, P, h))[:, :, rest]):
         D = E.astype(np.int64) @ Ut
         VE = D.astype(float) @ V.matrix.T
         f = np.einsum("ij,ij->i", VE, VE - 2.0 * T[rows])

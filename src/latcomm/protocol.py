@@ -246,10 +246,13 @@ class Message:
 
 @dataclass(frozen=True)
 class CodedStream:
-    """A range-coded bit string: nbits bits, left-aligned in data."""
+    """A range-coded bit string: nbits bits, left-aligned in data, which
+    code `rounds` rounds.  The bits alone do not say where the rounds end:
+    read on past them as zeros, they decode to further symbols."""
 
     data: bytes
     nbits: int
+    rounds: int
 
 
 @dataclass(frozen=True)
@@ -328,11 +331,12 @@ def _carry(out: bytearray) -> None:
     out[i] += 1
 
 
-def _range_encode(cum, freq) -> CodedStream:
+def _range_encode(cum, freq, rounds) -> CodedStream:
     """Range-code the symbols (cum, freq) out of 2^32 (int sequences), two
     at a time, an odd one out padded with a symbol of count 2^32 - 1, and
     end with the shortest bit string that, read on with zeros, lies in the
-    final interval: at most -log2(width) + 1 bits in all."""
+    final interval: at most -log2(width) + 1 bits in all.  The stream
+    records that its symbols code `rounds` rounds."""
     if len(cum) % 2:
         cum, freq = np.append(cum, 0), np.append(freq, _CODE_TOTAL - 1)
     cum, freq = np.asarray(cum, np.uint64), np.asarray(freq, np.uint64)
@@ -374,7 +378,7 @@ def _range_encode(cum, freq) -> CodedStream:
     else:
         nbits = 0
     return CodedStream((value << (-nbits % 8)).to_bytes((nbits + 7) // 8,
-                                                       "big"), nbits)
+                                                       "big"), nbits, rounds)
 
 
 class _RangeDecoder:
@@ -481,7 +485,8 @@ class _NodeModel:
             info[r] += 8 * len(code)
             start = r + 1
         return _range_encode(np.concatenate(cums + [cum[start:]]),
-                             np.concatenate(freqs + [freq[start:]])), info
+                             np.concatenate(freqs + [freq[start:]]),
+                             len(J)), info
 
     def decode(self, stream, off) -> list:
         """The symbols of the stream, one per round at the offsets off
@@ -710,13 +715,23 @@ def run_interactive(V: GeneratorMatrix, X, sources=None):
                               streams=streams)
 
 
+def _check_streams(V: GeneratorMatrix, streams, rounds: int) -> None:
+    """One stream per node, each coding `rounds` rounds: a missing stream
+    and rounds beyond a stream's end would read as zeros."""
+    if len(streams) != V.n:
+        raise ProtocolError(f"expected {V.n} streams, got {len(streams)}")
+    for stream in streams:
+        if stream.rounds != rounds:
+            raise ProtocolError(
+                f"a stream codes {stream.rounds} rounds, not {rounds}")
+
+
 def decode_centralized(V: GeneratorMatrix, streams, sources,
                        rounds: int) -> list:
     """The fusion center's reading of run_centralized's coded streams: each
     node's grid positions over `rounds` rounds, object arrays as node_encode
     gives them, ready for fusion_decode."""
-    if len(streams) != V.n:
-        raise ProtocolError(f"expected {V.n} streams, got {len(streams)}")
+    _check_streams(V, streams, rounds)
     table = build_ratio_table(V)
     models = _node_models(sources, np.diag(V.matrix).tolist(), table.q)
     return [np.array(model.decode(stream, np.zeros(rounds)), dtype=object)
@@ -727,8 +742,7 @@ def decode_interactive(V: GeneratorMatrix, streams, sources,
                        rounds: int) -> np.ndarray:
     """What every node reads from run_interactive's coded streams (in
     message order, node n first): the coefficients, shape (rounds, n)."""
-    if len(streams) != V.n:
-        raise ProtocolError(f"expected {V.n} streams, got {len(streams)}")
+    _check_streams(V, streams, rounds)
     models = _node_models(sources, np.diag(V.matrix).tolist(), (1,) * V.n)
     U = np.zeros((rounds, V.n), dtype=np.int64)
     for i, stream in zip(range(V.n - 1, -1, -1), streams):

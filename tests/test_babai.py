@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -112,6 +113,10 @@ class TestNearestPlane:
         res = nearest_plane(hexagonal, [0.9, 0.8])
         assert tuple(res.coeffs) == (0, 1)
         assert res.point == pytest.approx([0.5, math.sqrt(3) / 2])
+        assert repr(res) == "NearestPlaneResult(coeffs=array([0, 1]))"
+        batch = nearest_plane(hexagonal, [[0.9, 0.8], [0.0, 0.0]])
+        assert repr(batch) == ("NearestPlaneResult(coeffs=array([[0, 1],\n"
+                               "       [0, 0]]))")
 
     def test_triangular_recursion_values(self, skew5):
         # top coordinate rounds after subtracting the already-fixed column
@@ -204,9 +209,15 @@ class TestNearestPlane:
 
     def test_non_finite_target_rejected(self, hexagonal):
         for bad in (math.nan, math.inf, -math.inf):
-            for X in ([0.5, bad], np.array([bad, 0.5]),
+            for X in ([0.5, bad], np.array([bad, 0.5]), [bad, bad],
                       [[0.0, 0.0], [0.5, bad]]):
                 with pytest.raises(ValueError, match="target must be finite"):
+                    nearest_plane(hexagonal, X)
+            # a wrong shape is named first, also where a value is not finite
+            for X in ([bad], [0.5, bad, 0.5], bad, np.full((1, 1, 2), bad),
+                      [[bad]], [[0.0, 0.0, bad]]):
+                with pytest.raises(ValueError,
+                                   match="target dimension mismatch"):
                     nearest_plane(hexagonal, X)
 
     def test_batch_shape(self, hexagonal):
@@ -351,6 +362,7 @@ class TestKernel:
             for M, X in _one_loop_corpus(rotated):
                 V = GeneratorMatrix(M)
                 for res in (nearest_plane(V, X), nearest_plane(V, X[0])):
+                    assert repr(res) == f"NearestPlaneResult(coeffs={res.coeffs!r})"
                     assert "point" not in vars(res)
                     assert "residuals" not in vars(res)
                     expect = res.coeffs.astype(float) @ V.matrix.T
@@ -374,6 +386,48 @@ class TestKernel:
             for res in [nearest_plane(V, X)] + [nearest_plane(V, x) for x in X]:
                 h.update(res.coeffs.tobytes())
                 h.update(res.residuals.tobytes())
+        assert h.hexdigest() == self.PINNED
+
+
+def _query_corpus():
+    """Seeded (basis, targets) pairs for n = 2..6 in the style of the
+    benchmark's query workload: size-reduced upper-triangular R with
+    diagonal in [0.8, 1.25], as drawn, with the signs of its rows flipped,
+    and rotated.  The targets are far targets in [-4, 4]^n, half-integer
+    coefficient points V (k + 1/2) and the midpoints V c / 2 of the cosets
+    of L/2L."""
+    rng = np.random.default_rng(33)
+    for n in range(2, 7):
+        mids = np.array(list(itertools.product((0.0, 0.5), repeat=n))[1:])
+        for k in range(6):
+            R = np.triu(rng.uniform(-0.5, 0.5, size=(n, n)), 1)
+            R[np.diag_indices(n)] = rng.uniform(0.8, 1.25, size=n)
+            if k % 3 == 1:
+                R = R * rng.choice([-1.0, 1.0], size=n)[:, None]
+            elif k % 3 == 2:
+                R = np.linalg.qr(rng.normal(size=(n, n)))[0] @ R
+            half = rng.integers(-3, 4, size=(8, n)) + 0.5
+            yield R, np.vstack([rng.uniform(-4.0, 4.0, size=(16, n)),
+                                half @ R.T, mids @ R.T])
+
+
+class TestQueryPathPinned:
+    """The bytes of the query path, as `TestAreaPathPinned` pins those of
+    the 2D P_e path: nearest_plane on each target and on the batch
+    (coefficients, residuals and points) and the exact CVP's answers, on a
+    fresh basis each, under one sha256."""
+
+    PINNED = "1830cb81b83a3656f44b6ce8a7345975e9d4b10c73d1a420905136e5efb2c2fa"
+
+    def test_outputs_pinned(self):
+        h = hashlib.sha256()
+        for M, X in _query_corpus():
+            V = GeneratorMatrix(M)
+            for res in [nearest_plane(V, x) for x in X] + [nearest_plane(V, X)]:
+                h.update(res.coeffs.tobytes())
+                h.update(res.residuals.tobytes())
+                h.update(res.point.tobytes())
+            h.update(cvp_bruteforce_batch(V, X).tobytes())
         assert h.hexdigest() == self.PINNED
 
 

@@ -830,6 +830,16 @@ class TestCvp:
         for X in (1.0, np.zeros((2, 2, 2)), np.zeros(3), np.zeros((4, 3))):
             with pytest.raises(ValueError, match="target dimension mismatch"):
                 cvp_bruteforce_batch(hexagonal, X)
+        for bad in (math.nan, math.inf, -math.inf):
+            # a wrong shape is named before a value that is not finite
+            for X in (bad, [bad], [0.0, 0.0, bad], np.full((1, 1, 2), bad),
+                      [[0.0, bad, 0.0]]):
+                with pytest.raises(ValueError,
+                                   match="target dimension mismatch"):
+                    cvp_bruteforce_batch(hexagonal, X)
+            for X in ([bad, 0.0], [bad, bad], [[0.0, 0.0], [0.0, bad]]):
+                with pytest.raises(ValueError, match="target must be finite"):
+                    cvp_bruteforce_batch(hexagonal, X)
         empty = cvp_bruteforce_batch(hexagonal, np.zeros((0, 2)))
         assert empty.shape == (0, 2) and empty.dtype == np.int64
 

@@ -958,6 +958,24 @@ class TestCodedStreams:
                 with pytest.raises(ProtocolError, match="expected 2 streams"):
                     decode(W, wrong, [UNIFORM] * 2, len(X))
 
+    def test_decoders_need_the_coded_round_count(self):
+        # bits past a stream's end read as zeros, and the interval of the
+        # symbols they give still holds the stream's value, so rounds
+        # beyond the end would decode to invented rows; too many rounds
+        # and too few are refused
+        V = GeneratorMatrix.from_columns([[1, 0], ["1/2", "7/8"]])
+        X = np.random.Generator(np.random.Philox(key=2)).uniform(
+            0.0, 1.0, size=(5, 2))
+        (tc, _), (ti, _, _) = _coded_runs(V, X, [UNIFORM] * 2, 2.0 ** -6)
+        assert [s.rounds for s in tc.streams + ti.streams] == [5] * 4
+        W = V.scaled(2.0 ** -6)
+        for decode, streams in ((decode_centralized, tc.streams),
+                                (decode_interactive, ti.streams)):
+            for rounds in (8, 6, 4, 0):
+                with pytest.raises(ProtocolError,
+                                   match=f"a stream codes 5 rounds, not {rounds}"):
+                    decode(W, streams, [UNIFORM] * 2, rounds)
+
     def test_without_sources_the_varint_counts(self, ratio311):
         _, t = run_centralized(ratio311, [[1.0, 1.0], [0.2, -3.0]])
         assert t.streams is None
@@ -970,7 +988,7 @@ class TestRangeCoder:
     def test_roundtrip_and_length(self, spec):
         freqs = [f for f, _ in spec]
         cums = [int(u * (2 ** 32 - f)) for f, u in spec]
-        stream = protocol._range_encode(cums, freqs)
+        stream = protocol._range_encode(cums, freqs, 0)
         info = sum(32 - math.log2(f) for f in freqs)
         assert stream.nbits <= info + 2.0
         dec = protocol._RangeDecoder(stream)
@@ -983,7 +1001,7 @@ class TestRangeCoder:
         # carries through runs of 0xFF bytes
         cums = [2 ** 32 - 3] * 200 + [0, 2 ** 32 - 2] * 50
         freqs = [1] * 200 + [2, 1] * 50
-        stream = protocol._range_encode(cums, freqs)
+        stream = protocol._range_encode(cums, freqs, 0)
         dec = protocol._RangeDecoder(stream)
         for c, f in zip(cums, freqs):
             assert c <= dec.target() < c + f
@@ -1005,7 +1023,7 @@ class TestRangeCoder:
             carry(out)
 
         monkeypatch.setattr(protocol, "_carry", spy)
-        stream = protocol._range_encode(cums, freqs)
+        stream = protocol._range_encode(cums, freqs, 0)
         assert 0xFF in into
         dec = protocol._RangeDecoder(stream)
         for c, f in zip(cums, freqs):
@@ -1013,5 +1031,5 @@ class TestRangeCoder:
             dec.consume(c, f)
 
     def test_empty_and_free_symbols(self):
-        assert protocol._range_encode([], []).nbits == 0
-        assert protocol._range_encode([0] * 5, [2 ** 32 - 1] * 5).nbits == 0
+        assert protocol._range_encode([], [], 0).nbits == 0
+        assert protocol._range_encode([0] * 5, [2 ** 32 - 1] * 5, 0).nbits == 0
